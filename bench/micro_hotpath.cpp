@@ -169,11 +169,11 @@ double bench_allocs_per_packet() {
   }
 
   fabric.sim.run_until(warmup_end);
-  const std::uint64_t delivered_before = fabric.net.stats().frames_delivered;
+  const std::uint64_t delivered_before = fabric.net.merged_stats().frames_delivered;
   AllocProbe::reset();
   fabric.sim.run_until(measure_end);
   const std::uint64_t allocations = AllocProbe::allocations();
-  const std::uint64_t delivered = fabric.net.stats().frames_delivered - delivered_before;
+  const std::uint64_t delivered = fabric.net.merged_stats().frames_delivered - delivered_before;
   if (delivered == 0) return -1.0;
   std::printf("window: %llu allocations over %llu delivered frames\n",
               static_cast<unsigned long long>(allocations),

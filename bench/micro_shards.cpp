@@ -82,13 +82,11 @@ ShardRun run_chain(int shards) {
     fabric.net.inject(NodeId{1}, kHostPort, probe_gen, t);
   }
 
-  const std::size_t before =
-      fabric.engine() != nullptr ? fabric.engine()->processed() : fabric.sim.processed();
+  const std::size_t before = fabric.engine()->processed();
   const auto start = std::chrono::steady_clock::now();
   fabric.run_all();
   const auto stop = std::chrono::steady_clock::now();
-  const std::size_t after =
-      fabric.engine() != nullptr ? fabric.engine()->processed() : fabric.sim.processed();
+  const std::size_t after = fabric.engine()->processed();
 
   ShardRun run;
   run.shards = shards;

@@ -18,7 +18,7 @@ namespace p4auth::bench {
 struct CampaignArgs {
   runner::SeedRange seeds;
   int jobs = 0;        ///< 0 = hardware concurrency
-  int shards = 0;      ///< 0 = legacy single simulator per job
+  int shards = 1;      ///< engine shards per job
   int shard_workers = 0;  ///< resolved so shards x jobs fits the machine
 };
 
@@ -61,11 +61,9 @@ inline CampaignArgs parse_campaign_args(int argc, char** argv,
     }
   }
   args.jobs = runner::resolve_workers(args.jobs);
-  if (args.shards > 0) {
-    // Nested budget: every concurrently-running job spins up its own
-    // sharded engine, so divide the machine across jobs up front.
-    args.shard_workers = runner::resolve_shard_workers(args.shard_workers, args.shards, args.jobs);
-  }
+  // Nested budget: every concurrently-running job spins up its own
+  // sharded engine, so divide the machine across jobs up front.
+  args.shard_workers = runner::resolve_shard_workers(args.shard_workers, args.shards, args.jobs);
   return args;
 }
 

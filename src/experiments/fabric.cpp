@@ -28,6 +28,7 @@ Fabric::Fabric(Options options)
   net.set_telemetry(options_.telemetry);
   controller.set_telemetry(options_.telemetry);
   sim.set_telemetry(options_.telemetry);
+  engine_ = std::make_unique<netsim::ShardedSimulator>(sim, 1, 1);
 }
 
 FabricSwitch& Fabric::add_switch(NodeId id, const ProgramFactory& make_inner) {
@@ -78,10 +79,9 @@ FabricSwitch& Fabric::at(NodeId id) {
 void Fabric::finalize_shards() {
   if (shards_finalized_) return;
   shards_finalized_ = true;
-  if (options_.shards <= 0 || switches_.empty()) return;  // legacy engine
-
   const int n = static_cast<int>(switches_.size());
-  int count = std::min(options_.shards, n);
+  const int count = std::min(options_.shards, n);
+  if (count <= 1) return;  // the constructor's one-shard engine stays
 
   // --- Partition: contiguous BFS chunks, or the explicit test override.
   // std::map keys the BFS starts and neighbor walks by ascending node id,
@@ -163,15 +163,11 @@ void Fabric::finalize_shards() {
     fold(model.min_delay(model.to_switch_base));
     fold(model.min_delay(model.to_controller_base));
   }
-  if (count > 1 && lookahead.ns() == 0) {
-    // No conservative window exists: either a cut edge has zero delay, or
-    // the partition produced no cut edges at all (every switch landed on
-    // shard 0) and the fold never ran. Fall back to one shard (still the
-    // rank-ordered engine, so outputs stay in the sharded equivalence
-    // class; the engine full-drains a lone shard without windows).
-    count = 1;
-    for (auto& [node, shard] : assignment) shard = 0;
-  }
+  // No conservative window exists when a cut edge has zero delay, or
+  // when the partition produced no cut edges at all (every switch landed
+  // on shard 0) and the fold never ran: keep the one-shard engine, which
+  // full-drains its lone heap without windows.
+  if (lookahead.ns() == 0) return;
 
   // --- Engine, worker pool, per-shard telemetry.
   const int workers = runner::resolve_shard_workers(options_.shard_workers, count, /*jobs=*/1);
@@ -181,47 +177,34 @@ void Fabric::finalize_shards() {
   std::vector<telemetry::Telemetry*> bundles(static_cast<std::size_t>(count), nullptr);
   if (options_.telemetry != nullptr) {
     bundles[0] = options_.telemetry;
-    options_.telemetry->set_order_cursor(sim.firing_order_ptr());
     for (int k = 1; k < count; ++k) {
       // Same trace capacity as the user bundle: the merge keeps the last
       // capacity() records, which only reproduces the single-timeline
       // ring if no shard truncated earlier than the merged ring would.
       shard_bundles_.push_back(
           std::make_unique<telemetry::Telemetry>(options_.telemetry->trace.capacity()));
-      telemetry::Telemetry* bundle = shard_bundles_.back().get();
-      bundle->set_order_cursor(engine_->shard(k).firing_order_ptr());
-      engine_->shard(k).set_telemetry(bundle);
-      bundles[static_cast<std::size_t>(k)] = bundle;
+      engine_->shard(k).set_telemetry(shard_bundles_.back().get());
+      bundles[static_cast<std::size_t>(k)] = shard_bundles_.back().get();
     }
   }
 
   // --- Rewire every component onto its home shard.
-  net.configure_shards(engine_.get(), engine_->shard_sims(), bundles, assignment);
+  net.configure_shards(engine_->shard_sims(), bundles, assignment);
   for (auto& entry : switches_) {
     const int home = home_of(entry.sw->id());
     entry.sw->set_telemetry(bundles[static_cast<std::size_t>(home)]);
-    entry.channel->configure_shards(engine_.get(), home, &engine_->shard(home),
-                                    bundles[static_cast<std::size_t>(home)]);
+    entry.channel->set_switch_sim(engine_->shard(home));
   }
 }
 
 void Fabric::run_all() {
   finalize_shards();
-  if (engine_ == nullptr) {
-    sim.run();
-    return;
-  }
   engine_->run();
 }
 
 void Fabric::collect_telemetry() {
   if (options_.telemetry == nullptr) return;
   net.export_pool_stats();
-  if (engine_ == nullptr) {
-    sim.export_stats();
-    options_.telemetry->stamp(sim.now());
-    return;
-  }
   for (netsim::Simulator* shard_sim : engine_->shard_sims()) shard_sim->export_stats();
   std::vector<const telemetry::Telemetry*> others;
   others.reserve(shard_bundles_.size());
@@ -232,8 +215,8 @@ void Fabric::collect_telemetry() {
 
 void Fabric::discover_topology() {
   // Partition before the first send: every channel and network entry
-  // point must already route through the engine, or the first exchange
-  // runs on the legacy path against switches that finalize_shards() is
+  // point must already route to the switches' home shards, or the first
+  // exchange runs on shard 0 against switches that finalize_shards() is
   // about to re-home (stale shard clocks, lost spans).
   finalize_shards();
   const Bytes trigger = core::encode_lldp_gen();
@@ -247,8 +230,8 @@ void Fabric::discover_topology() {
 }
 
 Status Fabric::init_all_keys() {
-  if (!options_.p4auth) return {};
   finalize_shards();  // same pre-send invariant as discover_topology()
+  if (!options_.p4auth) return {};
   for (auto& entry : switches_) {
     std::optional<Result<Key64>> result;
     controller.init_local_key(entry.sw->id(),

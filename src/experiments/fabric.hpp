@@ -51,13 +51,12 @@ class Fabric {
     /// (asserted by the burst-equivalence integration test).
     bool burst_planning = true;
     /// Parallel sharded execution (docs/DESIGN.md, "Sharded simulation").
-    /// 0 = the legacy single-simulator run, byte-exact historical
-    /// behavior. N >= 1 partitions the switches into N shards (clamped
-    /// to the switch count; the controller is pinned with shard 0) and
-    /// drives them with a conservative-lookahead engine whose metrics,
-    /// traces, and audit trails are byte-identical for ANY shard count —
-    /// only shards=0 vs shards>=1 may differ, never 1 vs 2 vs 4.
-    int shards = 0;
+    /// N > 1 partitions the switches into N shards (clamped to the switch
+    /// count; the controller is pinned with shard 0) and drives them with
+    /// a conservative-lookahead engine; any value <= 1 runs one shard.
+    /// Metrics, traces, and audit trails are byte-identical for ANY shard
+    /// count.
+    int shards = 1;
     /// Worker threads for sharded runs (the calling thread counts): 0 =
     /// one per shard bounded by the hardware, else the explicit budget.
     int shard_workers = 0;
@@ -92,26 +91,25 @@ class Fabric {
 
   FabricSwitch& at(NodeId id);
 
-  /// Runs the fabric to quiescence under the configured engine. Legacy
-  /// (shards == 0) drives `sim` directly; sharded mode lazily partitions
-  /// the topology on first use, then advances every shard in lookahead
+  /// Runs the fabric to quiescence. The first call (or the first key
+  /// bring-up) partitions the topology when more than one shard is asked
+  /// for; a multi-shard engine then advances every shard in lookahead
   /// windows. All scheduling (inject, controller ops) must happen while
   /// the fabric is quiescent — between run_all() calls, never inside a
   /// handler that expects to stop the engine mid-window.
   void run_all();
 
-  /// Exports pool/sim stats into the telemetry bundle(s) and stamps the
-  /// user bundle; sharded runs first merge the internal per-shard
-  /// bundles into the user bundle, rebuilding the single timeline a
-  /// one-shard run would produce. Call once, after the last run_all().
+  /// Exports pool/sim stats into the telemetry bundle(s), merges the
+  /// internal per-shard bundles into the user bundle (rebuilding the
+  /// single timeline a one-shard run produces) and stamps it. Call once,
+  /// after the last run_all().
   /// No-op when the fabric has no telemetry bundle.
   void collect_telemetry();
 
-  /// Shards the next run_all() will use (1 before finalization in
-  /// legacy mode; the clamped count once sharded mode is finalized).
-  int shard_count() const noexcept {
-    return engine_ == nullptr ? 1 : engine_->shards();
-  }
+  /// Shards the next run_all() will use (1 until the partition is built).
+  int shard_count() const noexcept { return engine_->shards(); }
+  /// The engine driving `sim` (and, once partitioned, the other shards);
+  /// never null.
   netsim::ShardedSimulator* engine() noexcept { return engine_.get(); }
 
   bool p4auth_enabled() const noexcept { return options_.p4auth; }
@@ -129,9 +127,10 @@ class Fabric {
     PortId port_b{};
   };
 
-  /// One-shot: partitions the topology, builds the engine and the
-  /// internal per-shard telemetry bundles, and rewires network, switch
-  /// and channel state onto their home shards.
+  /// One-shot: with more than one shard requested, partitions the
+  /// topology, replaces the one-shard engine, builds the internal
+  /// per-shard telemetry bundles, and rewires network, switch and channel
+  /// state onto their home shards.
   void finalize_shards();
 
   Options options_;

@@ -67,10 +67,9 @@ struct HulaOptions {
   /// Burst pre-pass on every switch; off = packet-at-a-time reference
   /// path (results are byte-identical either way).
   bool burst_planning = true;
-  /// Parallel sharded run: 0 = legacy single simulator; N >= 1 = the
-  /// conservative-lookahead engine with N shards. Outputs are
-  /// byte-identical for any N (see Fabric::Options::shards).
-  int shards = 0;
+  /// Shards of the conservative-lookahead engine (<= 1 = one shard).
+  /// Outputs are byte-identical for any N (see Fabric::Options::shards).
+  int shards = 1;
   /// Worker threads for the sharded engine (0 = one per shard).
   int shard_workers = 0;
   /// Explicit (node id, shard) placement override for the sharded run

@@ -101,7 +101,7 @@ struct ScalingTopology {
 };
 
 ScalingTopology build_scaling_topology(int switches, int links, std::uint64_t seed,
-                                       int shards = 0, int shard_workers = 0) {
+                                       int shards = 1, int shard_workers = 0) {
   ScalingTopology topology;
   Fabric::Options options;
   options.seed = seed;

@@ -44,11 +44,10 @@ struct KmpScalingResult {
   std::uint64_t update_bytes = 0;
 };
 
-/// `shards`/`shard_workers` follow Fabric::Options: 0 = legacy single
-/// simulator, N >= 1 = the conservative-lookahead engine (byte-identical
-/// counts for any N).
+/// `shards`/`shard_workers` follow Fabric::Options (byte-identical
+/// counts for any shard count).
 KmpScalingResult run_kmp_scaling_experiment(int switches, int links, std::uint64_t seed = 1,
-                                            int shards = 0, int shard_workers = 0);
+                                            int shards = 1, int shard_workers = 0);
 
 /// Closed forms from §XI / Table III.
 struct KmpClosedForm {
@@ -70,6 +69,6 @@ struct KmpMakespan {
 };
 
 KmpMakespan run_kmp_makespan_experiment(int switches, int links, std::uint64_t seed = 1,
-                                        int shards = 0, int shard_workers = 0);
+                                        int shards = 1, int shard_workers = 0);
 
 }  // namespace p4auth::experiments

@@ -27,9 +27,9 @@ struct MultihopOptions {
   int max_hops = 10;
   int probes_per_point = 10;
   std::uint64_t seed = 1;
-  /// Parallel sharded run: 0 = legacy single simulator; N >= 1 = the
-  /// conservative-lookahead engine (byte-identical results for any N).
-  int shards = 0;
+  /// Shards of the conservative-lookahead engine (<= 1 = one shard;
+  /// byte-identical results for any N).
+  int shards = 1;
   /// Worker threads for the sharded engine (0 = one per shard).
   int shard_workers = 0;
 };

@@ -29,11 +29,9 @@ struct RegOpsResult {
 struct RegOpsOptions {
   int requests_per_kind = 400;
   std::uint64_t seed = 1;
-  /// Parallel sharded run: 0 = legacy single simulator; N >= 1 = the
-  /// conservative-lookahead engine (a single-switch fabric clamps to one
-  /// shard, but still exercises the rank-ordered engine; results are
-  /// byte-identical either way).
-  int shards = 0;
+  /// Shards of the conservative-lookahead engine (<= 1 = one shard; a
+  /// single-switch fabric always clamps to one).
+  int shards = 1;
   /// Worker threads for the sharded engine (0 = one per shard).
   int shard_workers = 0;
 };

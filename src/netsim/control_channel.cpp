@@ -1,7 +1,5 @@
 #include "netsim/control_channel.hpp"
 
-#include "netsim/sharded.hpp"
-
 namespace p4auth::netsim {
 
 namespace {
@@ -12,52 +10,28 @@ constexpr std::uint64_t kToControllerStream = 0x9E3779B97F4A7C15ull;
 ControlChannel::ControlChannel(Simulator& sim, Switch& sw, ChannelModel model,
                                std::uint64_t jitter_seed)
     : sim_(sim),
+      switch_sim_(&sim),
       switch_(sw),
       model_(model),
-      jitter_seed_(jitter_seed),
-      jitter_rng_(jitter_seed),
+      to_switch_rng_(jitter_seed),
       to_controller_rng_(jitter_seed ^ kToControllerStream) {
+  // The sink runs on the switch's shard; the delivery is a send to the
+  // controller (shard 0) with the order allocated here, under the
+  // switch's rank. Keyed so same-time PacketIn deliveries form a
+  // coalescing group the controller can batch-verify across.
   switch_.set_packet_in_sink([this](Bytes message) {
     ++stats_.to_controller;
-    Xoshiro256& rng = engine_ != nullptr ? to_controller_rng_ : jitter_rng_;
-    const SimTime delay = jittered(model_.to_controller_delay(message.size()), rng);
-    telemetry::Telemetry* side = engine_ != nullptr ? switch_telemetry_ : telemetry_;
+    const SimTime delay = jittered(model_.to_controller_delay(message.size()), to_controller_rng_);
     telemetry::SpanContext span;
-    if (side != nullptr) span = side->spans.child_for_schedule();
+    if (telemetry::Telemetry* side = switch_.telemetry()) span = side->spans.child_for_schedule();
     auto fire = [this, span, message = std::move(message)]() mutable {
-      if (engine_ != nullptr) sim_.set_context(Simulator::kControllerRank);
+      sim_.set_context(Simulator::kControllerRank);
       const auto scope = telemetry_ != nullptr ? telemetry_->spans.resume(span)
                                                : telemetry::SpanTracker::Scope{};
       if (controller_sink_) controller_sink_(switch_.id(), std::move(message));
     };
-    if (engine_ == nullptr) {
-      // Keyed so same-time PacketIn deliveries form a coalescing group
-      // the controller can batch-verify across.
-      sim_.after_keyed(delay, kCtrlKey, std::move(fire));
-      return;
-    }
-    // Sharded: the sink runs on the switch's shard; the delivery is a
-    // cross-shard send to the controller (shard 0) with the order
-    // allocated here, under the switch's rank.
-    Simulator& src = *switch_sim_;
-    const SimTime t = src.now() + delay;
-    src.observe_lag(delay);
-    engine_->schedule(0, t, kCtrlKey, src.allocate_order(), std::move(fire));
+    switch_sim_->send_after(sim_, delay, kCtrlKey, std::move(fire));
   });
-}
-
-void ControlChannel::configure_shards(ShardedSimulator* engine, int switch_shard,
-                                      Simulator* switch_sim,
-                                      telemetry::Telemetry* switch_telemetry) noexcept {
-  engine_ = engine;
-  switch_shard_ = switch_shard;
-  switch_sim_ = switch_sim;
-  switch_telemetry_ = switch_telemetry;
-  // Re-split the jitter streams so a sharded run's draws per direction
-  // are reproducible regardless of how many messages the other direction
-  // carried first.
-  jitter_rng_ = Xoshiro256(jitter_seed_);
-  to_controller_rng_ = Xoshiro256(jitter_seed_ ^ kToControllerStream);
 }
 
 SimTime ControlChannel::jittered(SimTime delay, Xoshiro256& rng) {
@@ -68,44 +42,31 @@ SimTime ControlChannel::jittered(SimTime delay, Xoshiro256& rng) {
 
 void ControlChannel::to_switch(Bytes message, std::function<void()> delivered) {
   ++stats_.to_switch;
-  const SimTime delay = jittered(model_.to_switch_delay(message.size()), jitter_rng_);
+  const SimTime delay = jittered(model_.to_switch_delay(message.size()), to_switch_rng_);
   telemetry::SpanContext span;
   if (telemetry_ != nullptr) span = telemetry_->spans.child_for_schedule();
-  if (engine_ == nullptr) {
-    sim_.after(delay, [this, span, message = std::move(message),
-                       delivered = std::move(delivered)]() mutable {
-      const auto scope = telemetry_ != nullptr ? telemetry_->spans.resume(span)
-                                               : telemetry::SpanTracker::Scope{};
-      switch_.handle_packet_out(std::move(message));
-      if (delivered) delivered();
-    });
-    return;
-  }
-  // Sharded: ingestion runs on the switch's shard; the `delivered`
-  // callback is controller-side state (KMP bookkeeping), so it becomes a
-  // separate same-time event on shard 0. Orders are allocated here in
-  // call order, so on a single shard the two still fire back to back,
-  // ingestion first — the legacy sequence.
-  const SimTime t = sim_.now() + delay;
-  sim_.observe_lag(delay);
-  const std::uint64_t ingest_order = sim_.allocate_order();
-  engine_->schedule(switch_shard_, t, 0, ingest_order,
-                    [this, span, message = std::move(message)]() mutable {
-                      switch_sim_->set_context(Simulator::rank_of(switch_.id()));
-                      const auto scope = switch_telemetry_ != nullptr
-                                             ? switch_telemetry_->spans.resume(span)
-                                             : telemetry::SpanTracker::Scope{};
-                      switch_.handle_packet_out(std::move(message));
-                    });
+  // Ingestion runs on the switch's shard; the `delivered` callback is
+  // controller-side state (KMP bookkeeping), so it becomes a separate
+  // same-time event on shard 0. Both orders are allocated here in call
+  // order, so on a single shard the two fire back to back, ingestion
+  // first.
+  sim_.send_after(*switch_sim_, delay, 0,
+                  [this, span, message = std::move(message)]() mutable {
+                    switch_sim_->set_context(Simulator::rank_of(switch_.id()));
+                    telemetry::Telemetry* side = switch_.telemetry();
+                    const auto scope = side != nullptr ? side->spans.resume(span)
+                                                       : telemetry::SpanTracker::Scope{};
+                    switch_.handle_packet_out(std::move(message));
+                  });
   if (delivered) {
-    engine_->schedule(0, t, 0, sim_.allocate_order(),
-                      [this, span, delivered = std::move(delivered)]() mutable {
-                        sim_.set_context(Simulator::kControllerRank);
-                        const auto scope = telemetry_ != nullptr
-                                               ? telemetry_->spans.resume(span)
-                                               : telemetry::SpanTracker::Scope{};
-                        delivered();
-                      });
+    sim_.at_ordered(sim_.now() + delay, 0, sim_.allocate_order(),
+                    [this, span, delivered = std::move(delivered)]() mutable {
+                      sim_.set_context(Simulator::kControllerRank);
+                      const auto scope = telemetry_ != nullptr
+                                             ? telemetry_->spans.resume(span)
+                                             : telemetry::SpanTracker::Scope{};
+                      delivered();
+                    });
   }
 }
 

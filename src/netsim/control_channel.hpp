@@ -9,21 +9,18 @@
 //    cost; DP-Reg-RW and P4Auth both ride this.
 // Latency constants are calibration points, documented in EXPERIMENTS.md.
 //
-// Sharded mode (configure_shards): the controller lives on shard 0 and
-// the switch may live elsewhere, so the two legs become cross-shard
-// sends routed through the engine — the channel base latencies are part
-// of the lookahead, which is exactly P4sim's observation that transport
-// delay IS the conservative synchronization slack.
+// The controller lives on shard 0 and the switch may live on another
+// shard (set_switch_sim), so the two legs are cross-shard sends — the
+// channel base latencies are part of the lookahead, which is exactly
+// P4sim's observation that transport delay IS the conservative
+// synchronization slack.
 #pragma once
 
 #include <functional>
 
-#include "netsim/shard_context.hpp"
 #include "netsim/switch.hpp"
 
 namespace p4auth::netsim {
-
-class ShardedSimulator;
 
 struct ChannelModel {
   SimTime to_switch_base{};
@@ -71,11 +68,15 @@ struct ChannelModel {
 
 class ControlChannel {
  public:
-  /// Binds to `sw`'s PacketIn path. The channel outlives neither the
-  /// simulator nor the switch (both owned by the caller's Network/stack).
-  /// `jitter_seed` seeds the delay-jitter RNG; derive it from the
-  /// experiment seed so multi-seed campaigns see genuinely different
-  /// channel timings (the default keeps standalone channels stable).
+  /// Binds to `sw`'s PacketIn path; `sim` drives the controller side
+  /// (and the switch side until set_switch_sim). The channel outlives
+  /// neither the simulator nor the switch (both owned by the caller's
+  /// Network/stack). `jitter_seed` seeds the delay-jitter RNGs, one
+  /// stream per direction so each direction's draws happen in that
+  /// endpoint's own event order, which is partition-invariant. Derive it
+  /// from the experiment seed so multi-seed campaigns see genuinely
+  /// different channel timings (the default keeps standalone channels
+  /// stable).
   ControlChannel(Simulator& sim, Switch& sw, ChannelModel model,
                  std::uint64_t jitter_seed = kDefaultJitterSeed);
 
@@ -98,19 +99,16 @@ class ControlChannel {
     controller_sink_ = std::move(sink);
   }
 
-  /// Attaches the shared telemetry bundle (null = off): messages in
-  /// flight on the channel carry child spans of the sender's span, so a
-  /// trace follows C-DP messages across the scheduling boundary in both
-  /// directions.
+  /// Attaches the controller-side telemetry bundle (null = off):
+  /// messages in flight on the channel carry child spans of the sender's
+  /// span, so a trace follows C-DP messages across the scheduling
+  /// boundary in both directions. The switch side uses the switch's own
+  /// bundle.
   void set_telemetry(telemetry::Telemetry* telemetry) noexcept { telemetry_ = telemetry; }
 
-  /// Switches the channel into sharded mode: the switch lives on
-  /// `switch_shard` driven by `switch_sim`/`switch_telemetry`, the
-  /// controller stays on shard 0 (the constructor simulator). The jitter
-  /// stream splits per direction — each direction's draws then happen in
-  /// that endpoint's own event order, which is partition-invariant.
-  void configure_shards(ShardedSimulator* engine, int switch_shard, Simulator* switch_sim,
-                        telemetry::Telemetry* switch_telemetry) noexcept;
+  /// The simulator driving the switch's home shard (default: the
+  /// controller's).
+  void set_switch_sim(Simulator& switch_sim) noexcept { switch_sim_ = &switch_sim; }
 
   const ChannelModel& model() const noexcept { return model_; }
   NodeId switch_id() const noexcept { return switch_.id(); }
@@ -125,20 +123,14 @@ class ControlChannel {
   SimTime jittered(SimTime delay, Xoshiro256& rng);
 
   Simulator& sim_;
+  Simulator* switch_sim_;
   Switch& switch_;
   ChannelModel model_;
   std::function<void(NodeId, Bytes)> controller_sink_;
   Stats stats_;
-  std::uint64_t jitter_seed_;
-  Xoshiro256 jitter_rng_;               ///< legacy: both directions; sharded: to_switch
-  Xoshiro256 to_controller_rng_;        ///< sharded mode only
+  Xoshiro256 to_switch_rng_;
+  Xoshiro256 to_controller_rng_;
   telemetry::Telemetry* telemetry_ = nullptr;
-
-  // Sharded-mode wiring (engine_ null = legacy).
-  ShardedSimulator* engine_ = nullptr;
-  int switch_shard_ = 0;
-  Simulator* switch_sim_ = nullptr;
-  telemetry::Telemetry* switch_telemetry_ = nullptr;
 };
 
 }  // namespace p4auth::netsim

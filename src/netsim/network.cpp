@@ -5,7 +5,6 @@
 #include <string>
 
 #include "common/logging.hpp"
-#include "netsim/sharded.hpp"
 
 namespace p4auth::netsim {
 
@@ -41,11 +40,9 @@ void Network::set_telemetry(telemetry::Telemetry* telemetry) noexcept {
   bind_tele(shards_[0]);
 }
 
-void Network::configure_shards(ShardedSimulator* engine,
-                               const std::vector<Simulator*>& shard_sims,
+void Network::configure_shards(const std::vector<Simulator*>& shard_sims,
                                const std::vector<telemetry::Telemetry*>& shard_bundles,
                                const std::vector<std::pair<NodeId, int>>& assignment) {
-  engine_ = engine;
   shards_.resize(shard_sims.size());
   shard_pools_.clear();
   for (std::size_t k = 0; k < shard_sims.size(); ++k) {
@@ -60,17 +57,11 @@ void Network::configure_shards(ShardedSimulator* engine,
     st.telemetry = k < shard_bundles.size() ? shard_bundles[k] : nullptr;
     bind_tele(st);
   }
-  node_shard_.assign(nodes_.size(), 0);
+  shard_by_id_.clear();
   for (const auto& [id, shard] : assignment) {
-    if (Node* n = node(id)) node_shard_[n->burst_index()] = shard;
+    if (id.value >= shard_by_id_.size()) shard_by_id_.resize(id.value + 1u, 0);
+    shard_by_id_[id.value] = shard;
   }
-}
-
-int Network::shard_of(NodeId id) const noexcept {
-  const auto it = nodes_by_id_.find(id);
-  if (it == nodes_by_id_.end()) return 0;
-  const std::uint32_t index = it->second->burst_index();
-  return index < node_shard_.size() ? node_shard_[index] : 0;
 }
 
 Network::Stats Network::merged_stats() const noexcept {
@@ -87,40 +78,22 @@ Network::Stats Network::merged_stats() const noexcept {
 }
 
 void Network::export_pool_stats() {
-  if (engine_ == nullptr) {
-    ShardState& st = shards_[0];
-    if (st.telemetry == nullptr) return;
-    const BufferPool::Stats& s = st.pool->stats();
-    auto& m = st.telemetry->metrics;
-    m.counter("pool.acquires").inc(s.acquires);
-    m.counter("pool.reuses").inc(s.reuses);
-    m.counter("pool.misses").inc(s.misses);
-    m.counter("pool.releases").inc(s.releases);
-    m.counter("pool.dropped").inc(s.dropped);
-    // High-water marks merge by max: summing per-job (or per-shard) peaks
-    // would report a free-list length no single run ever had.
-    auto& hw = m.gauge("pool.high_water");
-    hw.set_merge_max();
-    hw.set(static_cast<double>(s.high_water));
-    auto& bh = m.gauge("pool.burst_highwater");
-    bh.set_merge_max();
-    bh.set(static_cast<double>(st.burst_highwater));
-    return;
-  }
-  // Sharded: each shard exports into its own bundle. Only the
-  // partition-invariant series go unlabelled — the acquire sum (every
-  // acquire happens on exactly one shard) and the burst high-water max
-  // (burst grouping is a pure function of the schedule). Everything
-  // else depends on where buffers migrate: even the release sum varies,
-  // because a release parks (counted) or is refused (dropped) based on
-  // how full the receiving shard's free list is. Those are exported
-  // only as explicit per-shard diagnostics.
+  // Each shard exports into its own bundle. Only the partition-invariant
+  // series go unlabelled — the acquire sum (every acquire happens on
+  // exactly one shard) and the burst high-water max (burst grouping is a
+  // pure function of the schedule). Everything else depends on where
+  // buffers migrate: even the release sum varies, because a release
+  // parks (counted) or is refused (dropped) based on how full the
+  // receiving shard's free list is. Those are exported only as explicit
+  // per-shard diagnostics.
   for (std::size_t k = 0; k < shards_.size(); ++k) {
     ShardState& st = shards_[k];
     if (st.telemetry == nullptr) continue;
     const BufferPool::Stats& s = st.pool->stats();
     auto& m = st.telemetry->metrics;
     m.counter("pool.acquires").inc(s.acquires);
+    // High-water marks merge by max: summing per-shard (or per-job)
+    // peaks would report a burst no single shard ever staged.
     auto& bh = m.gauge("pool.burst_highwater");
     bh.set_merge_max();
     bh.set(static_cast<double>(st.burst_highwater));
@@ -140,18 +113,8 @@ void Network::export_pool_stats() {
 
 void Network::schedule_delivery(ShardState& src, NodeId dst, SimTime delay, std::uint64_t key,
                                 Simulator::Handler fn) {
-  if (engine_ == nullptr) {
-    src.sim->after_keyed(delay, key, std::move(fn));
-    return;
-  }
-  Simulator& sim = *src.sim;
-  const SimTime t = sim.now() + delay;
-  sim.observe_lag(delay);
-  // The order comes from the sending simulator under the sending rank:
-  // each rank's counter lives on exactly one shard, so the (rank,
-  // counter) sequence — and with it the destination's fire order — is
-  // independent of the partition.
-  engine_->schedule(shard_of(dst), t, key, sim.allocate_order(), std::move(fn));
+  src.sim->send_after(*shards_[static_cast<std::size_t>(shard_of(dst))].sim, delay, key,
+                      std::move(fn));
 }
 
 void Network::transmit(NodeId from, PortId port, Bytes payload) {

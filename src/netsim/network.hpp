@@ -4,9 +4,8 @@
 // State that the hot path mutates per frame — buffer pool, delivery
 // stats, burst staging, cached telemetry series — lives in per-shard
 // ShardState so a sharded run (see netsim/sharded.hpp) never shares a
-// mutable cache line between worker threads. Legacy single-simulator
-// runs use exactly one ShardState (index 0), which preserves the
-// historical behavior byte-for-byte.
+// mutable cache line between worker threads. A standalone network (and
+// a one-shard fabric) uses exactly one ShardState, index 0.
 #pragma once
 
 #include <memory>
@@ -24,13 +23,11 @@
 
 namespace p4auth::netsim {
 
-class ShardedSimulator;
-
 class Network {
  public:
-  explicit Network(Simulator& sim) noexcept : sim_(sim) {
+  explicit Network(Simulator& sim) {
     shards_.push_back(ShardState{});
-    shards_[0].sim = &sim_;
+    shards_[0].sim = &sim;
     shards_[0].pool = &pool_;
   }
 
@@ -65,10 +62,10 @@ class Network {
   /// `delay`, bypassing links (models a directly-attached host).
   void inject(NodeId to, PortId ingress, Bytes payload, SimTime delay = {});
 
-  /// The simulator driving the shard this thread is executing (shard 0 /
-  /// the legacy simulator outside any shard window). Node code reads the
-  /// clock and schedules through this, so the same switch implementation
-  /// runs unmodified under both engines.
+  /// The simulator driving the shard this thread is executing (shard 0,
+  /// the constructor simulator, outside any shard window). Node code
+  /// reads the clock and schedules through this, so the same switch
+  /// implementation runs unmodified on any shard.
   Simulator& sim() noexcept { return *cur().sim; }
 
   /// The current shard's packet-buffer pool. Payload buffers are recycled
@@ -87,17 +84,18 @@ class Network {
   /// runs bind the other shards via configure_shards.
   void set_telemetry(telemetry::Telemetry* telemetry) noexcept;
 
-  /// Switches the network into sharded mode: `engine` routes cross-shard
-  /// deliveries, `shard_sims[k]`/`shard_bundles[k]` drive shard k, and
-  /// `assignment` maps every node onto its home shard. shard_sims[0]
-  /// must be the constructor simulator and shard_bundles[0] the bundle
-  /// passed to set_telemetry.
-  void configure_shards(ShardedSimulator* engine, const std::vector<Simulator*>& shard_sims,
+  /// Spreads the network over several shards: `shard_sims[k]` and
+  /// `shard_bundles[k]` drive shard k, and `assignment` maps every node
+  /// onto its home shard. shard_sims[0] must be the constructor simulator
+  /// and shard_bundles[0] the bundle passed to set_telemetry.
+  void configure_shards(const std::vector<Simulator*>& shard_sims,
                         const std::vector<telemetry::Telemetry*>& shard_bundles,
                         const std::vector<std::pair<NodeId, int>>& assignment);
 
-  /// Home shard of a node (0 outside sharded mode).
-  int shard_of(NodeId node) const noexcept;
+  /// Home shard of a node (0 until configure_shards places it).
+  int shard_of(NodeId node) const noexcept {
+    return node.value < shard_by_id_.size() ? shard_by_id_[node.value] : 0;
+  }
 
   std::size_t shard_count() const noexcept { return shards_.size(); }
 
@@ -106,12 +104,11 @@ class Network {
   /// labelled series would break byte-equivalence across --shards.
   void set_shard_diagnostics(bool on) noexcept { shard_diagnostics_ = on; }
 
-  /// Writes the pool's counters into the telemetry registry (pool.*).
-  /// Call once per run, before the bundle is stamped/serialized. Legacy
-  /// mode exports the full per-pool series; sharded mode exports only the
-  /// partition-invariant series (acquire/release sums, burst high-water
-  /// max) into each shard's bundle, plus the full per-shard series under
-  /// a {shard=k} label when shard diagnostics are enabled.
+  /// Writes the pools' counters into the telemetry registry (pool.*).
+  /// Call once per run, before the bundle is stamped/serialized. Only the
+  /// partition-invariant series (acquire sum, burst high-water max) go
+  /// into each shard's bundle unlabelled, plus the full per-shard series
+  /// under a {shard=k} label when shard diagnostics are enabled.
   void export_pool_stats();
 
   /// Flushes any staged delivery burst immediately. The delivery path
@@ -129,10 +126,7 @@ class Network {
     std::uint64_t frames_queued = 0;        ///< frames that waited for a busy link
     SimTime total_queue_delay{};            ///< accumulated egress queueing delay
   };
-  /// Shard 0's stats — the complete picture for legacy runs. Sharded
-  /// runs split counting across shards; use merged_stats() there.
-  const Stats& stats() const noexcept { return shards_[0].stats; }
-  /// Sum of all shards' stats (== stats() in legacy mode).
+  /// Sum of all shards' stats (each shard counts what it handled).
   Stats merged_stats() const noexcept;
 
  private:
@@ -170,9 +164,8 @@ class Network {
   };
 
   /// Per-node burst staging: delivery events for one node coalesce here
-  /// until the node's (time, key) group is exhausted. In legacy mode at
-  /// most one slot is ever open (same-key events fire back to back), so
-  /// this is exactly the historical single-buffer staging.
+  /// until the node's (time, key) group is exhausted. Same-time events of
+  /// other nodes may fire in between, so several slots can be open.
   struct BurstSlot {
     Node* node = nullptr;
     std::vector<StagedFrame> frames;  ///< reserved to kMaxBurst; never reallocates
@@ -205,11 +198,10 @@ class Network {
                bool from_link);
   void flush_slot(ShardState& st, std::uint32_t index);
 
-  /// Schedules a delivery closure `delay` from now, keyed on `key`.
-  /// Legacy: plain after_keyed on the shard-0 simulator. Sharded: order
-  /// is allocated from the *sending* shard's simulator under the sending
-  /// rank (each rank's counter lives on one shard, so the sequence is
-  /// partition-invariant), then routed to `dst`'s home shard.
+  /// Schedules a delivery closure `delay` from now, keyed on `key`. The
+  /// order is allocated from the *sending* shard's simulator under the
+  /// sending rank (each rank's counter lives on one shard, so the
+  /// sequence is partition-invariant), then routed to `dst`'s home shard.
   void schedule_delivery(ShardState& src, NodeId dst, SimTime delay, std::uint64_t key,
                          Simulator::Handler fn);
 
@@ -218,17 +210,15 @@ class Network {
     return static_cast<std::uint64_t>(node.value) + 1;
   }
 
-  Simulator& sim_;
   std::vector<std::unique_ptr<Node>> nodes_;
   std::unordered_map<NodeId, Node*> nodes_by_id_;
   std::vector<std::unique_ptr<Link>> links_;
   std::unordered_map<PortKey, Link*, PortKeyHash> link_by_port_;
   BufferPool pool_;
 
-  std::vector<ShardState> shards_;  ///< size 1 (legacy) or shard count
+  std::vector<ShardState> shards_;  ///< one per shard
   std::vector<std::unique_ptr<BufferPool>> shard_pools_;  ///< pools for shards 1..
-  std::vector<int> node_shard_;     ///< home shard by burst index
-  ShardedSimulator* engine_ = nullptr;
+  std::vector<int> shard_by_id_;    ///< home shard by NodeId value
   bool shard_diagnostics_ = false;
 };
 

@@ -1,12 +1,11 @@
 // Thread-local shard context for the sharded simulation engine.
 //
 // A worker thread executing one shard's event window publishes the shard
-// id here so shard-aware components (Network, ControlChannel) can route
-// state access to "the shard running right now" without threading a
-// shard id through every call. Outside a window — on the coordinator,
-// in legacy single-simulator runs, and on campaign worker threads — the
-// context is kNoShard and shard-aware accessors fall back to shard 0,
-// which IS the legacy state.
+// id here so shard-aware components (Network) can route state access to
+// "the shard running right now" without threading a shard id through
+// every call. Outside a window — on the coordinator and on campaign
+// worker threads — the context is kNoShard and shard-aware accessors use
+// shard 0, which is also where every component of a one-shard run lives.
 #pragma once
 
 namespace p4auth::netsim {
@@ -18,8 +17,5 @@ int current_shard() noexcept;
 
 /// Set by shard workers around run_window; restore to kNoShard after.
 void set_current_shard(int shard) noexcept;
-
-/// True while this thread is inside a shard's event window.
-inline bool in_shard_window() noexcept { return current_shard() >= 0; }
 
 }  // namespace p4auth::netsim

@@ -4,11 +4,11 @@
 // own Simulator (event heap, clock, buffer pool, telemetry bundle). The
 // engine advances the whole system in lookahead windows:
 //
-//   1. barrier: drain every cross-shard mailbox into the target heaps
+//   1. barrier: flush every shard's outbox into the target heaps
 //   2. t_min  = earliest pending event across all shards
 //   3. window = [t_min, t_min + lookahead); every shard runs all its
 //      events strictly below the horizon, in parallel on a WorkerPool
-//   4. repeat until every heap and mailbox is empty
+//   4. repeat until every heap and outbox is empty
 //
 // Lookahead is the minimum cross-shard delivery delay (link latency /
 // control-channel base, computed by the Fabric at partition time), so a
@@ -18,11 +18,14 @@
 //
 // Determinism: every event carries a (time, order) pair where order =
 // (rank << 32 | per-rank counter) is allocated by the *sending* rank
-// (see Simulator's rank-ordering mode). Each rank's counter lives on
-// exactly one shard, so the orders — and therefore each heap's fire
-// sequence — are a pure function of the schedule, not the partition:
-// metrics, traces, audit trails, and bench JSON are byte-identical for
-// any shard count (pinned by tests/integration/shard_equivalence_test).
+// (see Simulator). Each rank's counter lives on exactly one shard, so
+// the orders — and therefore each heap's fire sequence — are a pure
+// function of the schedule, not the partition: metrics, traces, audit
+// trails, and bench JSON are byte-identical for any shard count (pinned
+// by tests/integration/shard_equivalence_test).
+//
+// This is the only engine. A one-shard engine — the default — simply
+// drains its lone heap, which is what a standalone Simulator does too.
 #pragma once
 
 #include <cstdint>
@@ -42,11 +45,10 @@ namespace p4auth::netsim {
 class ShardedSimulator {
  public:
   /// `shard0` is the externally-owned simulator (the Fabric's public
-  /// `sim`); shards 1..count-1 are created here. `workers` is the
-  /// parallelism budget (>= 1, clamped to the shard count); the calling
-  /// thread participates, so `workers` == total concurrent shards.
-  /// Every shard — including shard0 — is switched to rank ordering
-  /// against this engine's shared root counter.
+  /// `sim`); shards 1..count-1 are created here and share shard0's root
+  /// order counter. `workers` is the parallelism budget (>= 1, clamped to
+  /// the shard count); the calling thread participates, so `workers` ==
+  /// total concurrent shards.
   ShardedSimulator(Simulator& shard0, int count, int workers);
   ~ShardedSimulator();
   ShardedSimulator(const ShardedSimulator&) = delete;
@@ -56,52 +58,27 @@ class ShardedSimulator {
   Simulator& shard(int k) noexcept { return *sims_[static_cast<std::size_t>(k)]; }
   const std::vector<Simulator*>& shard_sims() const noexcept { return sims_; }
 
-  /// Minimum cross-shard delivery delay; must be > 0 before run(). The
-  /// Fabric computes it from the partition's cut edges.
+  /// Minimum cross-shard delivery delay; must be > 0 before a multi-shard
+  /// run(). The Fabric computes it from the partition's cut edges.
   void set_lookahead(SimTime lookahead) noexcept { lookahead_ = lookahead; }
   SimTime lookahead() const noexcept { return lookahead_; }
 
-  /// The shared rank-0 (harness/root) order counter. Only touched from
-  /// quiescence or from shard 0's window (never concurrently).
-  std::uint64_t* root_counter() noexcept { return &root_counter_; }
-
-  /// Routes an event with a pre-allocated order to `dst_shard`. Same
-  /// shard or quiescent: straight into the heap. Cross-shard during a
-  /// window: into the sender's SPSC mailbox, drained at the next
-  /// barrier — legal only at or past the current horizon, which the
-  /// lookahead guarantees.
-  void schedule(int dst_shard, SimTime t, std::uint64_t key, std::uint64_t order,
-                Simulator::Handler fn);
-
-  /// Runs windows until every heap and mailbox drains, then re-aligns
+  /// Runs windows until every heap and outbox drains, then re-aligns
   /// all shard clocks to the global end time so quiescent harness code
-  /// sees one consistent "now" regardless of shard count.
+  /// sees one consistent "now" regardless of shard count. Cross-shard
+  /// events sent during a window (Simulator::send_after) wait in the
+  /// sender's outbox, written only by the thread running that shard and
+  /// flushed only by the coordinator at the barrier (the WorkerPool's
+  /// dispatch mutex orders the two).
   void run();
 
   /// Total events processed across all shards.
   std::size_t processed() const noexcept;
 
  private:
-  struct Pending {
-    SimTime t{};
-    std::uint64_t key = 0;
-    std::uint64_t order = 0;
-    Simulator::Handler fn;
-  };
-  /// mail_[src][dst]: written only by the thread running src's window,
-  /// drained only by the coordinator at the barrier (the WorkerPool's
-  /// dispatch mutex orders the two).
-  using Mailbox = std::vector<Pending>;
-
-  void drain_mailboxes();
-
-  Simulator& shard0_;
   std::vector<std::unique_ptr<Simulator>> owned_;  ///< shards 1..
-  std::vector<Simulator*> sims_;                   ///< [0] == &shard0_
-  std::vector<std::vector<Mailbox>> mail_;         ///< [src][dst]
+  std::vector<Simulator*> sims_;                   ///< [0] == shard0
   SimTime lookahead_{};
-  SimTime horizon_{};  ///< exclusive bound of the window in flight
-  std::uint64_t root_counter_ = 0;
   std::unique_ptr<runner::WorkerPool> pool_;
 };
 

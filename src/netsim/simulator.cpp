@@ -6,86 +6,51 @@
 
 namespace p4auth::netsim {
 
-void CoalesceIndex::grow() {
-  std::vector<Slot> old = std::move(slots_);
-  slots_.assign(old.empty() ? 1024 : old.size() * 2, Slot{});
-  size_ = 0;
-  const std::size_t mask = slots_.size() - 1;
-  for (const Slot& s : old) {
-    if (s.n == 0) continue;
-    std::size_t i = hash(s.t, s.key) & mask;
-    while (slots_[i].n != 0) i = (i + 1) & mask;
-    slots_[i] = s;
-    ++size_;
-  }
-}
-
-void CoalesceIndex::add(std::uint64_t t_ns, std::uint64_t key) {
-  if (slots_.empty() || size_ * 10 >= slots_.size() * 7) grow();
-  const std::size_t mask = slots_.size() - 1;
-  std::size_t i = hash(t_ns, key) & mask;
-  for (;;) {
-    Slot& s = slots_[i];
-    if (s.n == 0) {
-      s = Slot{t_ns, key, 1};
-      ++size_;
-      return;
-    }
-    if (s.t == t_ns && s.key == key) {
-      ++s.n;
-      return;
-    }
-    i = (i + 1) & mask;
-  }
-}
-
-void CoalesceIndex::remove(std::uint64_t t_ns, std::uint64_t key) noexcept {
-  if (slots_.empty()) return;
-  const std::size_t mask = slots_.size() - 1;
-  std::size_t i = hash(t_ns, key) & mask;
-  for (;;) {
-    Slot& s = slots_[i];
-    if (s.n == 0) return;  // not present (only possible on misuse)
-    if (s.t == t_ns && s.key == key) {
-      if (--s.n > 0) return;
-      // Backward-shift deletion keeps probe chains intact without
-      // tombstones, so lookup cost never degrades over a long run.
-      --size_;
-      std::size_t hole = i;
-      std::size_t j = (i + 1) & mask;
-      while (slots_[j].n != 0) {
-        const std::size_t home = hash(slots_[j].t, slots_[j].key) & mask;
-        if (((j - home) & mask) >= ((j - hole) & mask)) {
-          slots_[hole] = slots_[j];
-          hole = j;
-        }
-        j = (j + 1) & mask;
-      }
-      slots_[hole] = Slot{};
-      return;
-    }
-    i = (i + 1) & mask;
-  }
-}
-
-std::uint32_t CoalesceIndex::count(std::uint64_t t_ns, std::uint64_t key) const noexcept {
-  if (slots_.empty()) return 0;
-  const std::size_t mask = slots_.size() - 1;
-  std::size_t i = hash(t_ns, key) & mask;
-  for (;;) {
-    const Slot& s = slots_[i];
-    if (s.n == 0) return 0;
-    if (s.t == t_ns && s.key == key) return s.n;
-    i = (i + 1) & mask;
-  }
-}
-
 void Simulator::push_event(SimTime t, std::uint64_t key, std::uint64_t order, Handler fn) {
   ++scheduled_;
-  if (rank_ordering() && key != 0) coalesce_.add(t.ns(), key);
+  if (key != 0 && t == step_time_ && !step_stale_) step_add(key);
   heap_.push_back(Event{t, order, key, std::move(fn)});
   if (heap_.size() > max_queue_depth_) max_queue_depth_ = heap_.size();
   std::push_heap(heap_.begin(), heap_.end(), Later{});
+}
+
+void Simulator::step_add(std::uint64_t key) {
+  for (StepKey& k : step_keys_) {
+    if (k.key == key) {
+      ++k.n;
+      return;
+    }
+  }
+  step_keys_.push_back(StepKey{key, 1});
+}
+
+void Simulator::step_remove(std::uint64_t key) noexcept {
+  for (StepKey& k : step_keys_) {
+    if (k.key != key) continue;
+    if (--k.n == 0) {
+      k = step_keys_.back();
+      step_keys_.pop_back();
+    }
+    return;
+  }
+}
+
+void Simulator::count_step() {
+  step_stale_ = false;
+  step_keys_.clear();
+  // Nothing pending fires before the step time and a heap parent never
+  // fires after its children, so every pending event at the step time
+  // has only ancestors at that time: they form a connected subtree at the
+  // root. Descending only into children at the step time visits exactly
+  // those events, and the recursion is no deeper than the heap.
+  if (!heap_.empty() && heap_.front().time == step_time_) count_subtree(0);
+}
+
+void Simulator::count_subtree(std::size_t i) {
+  if (heap_[i].key != 0) step_add(heap_[i].key);
+  for (std::size_t c = 2 * i + 1; c <= 2 * i + 2 && c < heap_.size(); ++c) {
+    if (heap_[c].time == step_time_) count_subtree(c);
+  }
 }
 
 void Simulator::observe_lag_value(SimTime lag) {
@@ -105,10 +70,33 @@ void Simulator::at_ordered(SimTime t, std::uint64_t key, std::uint64_t order, Ha
   push_event(t, key, order, std::move(fn));
 }
 
+void Simulator::send_after(Simulator& dst, SimTime delay, std::uint64_t key, Handler fn) {
+  if (sched_lag_ns_ != nullptr) observe_lag_value(delay);
+  const SimTime t = now_ + delay;
+  const std::uint64_t order = allocate_order();
+  if (&dst == this || !in_window_) {
+    dst.at_ordered(t, key, order, std::move(fn));
+    return;
+  }
+  // Conservative-lookahead invariant: the destination runs the same
+  // window concurrently, so the event must land at or past its horizon.
+  assert(t >= horizon_ && "cross-shard send below the lookahead horizon");
+  outbox_.push_back(Outgoing{&dst, Event{t, order, key, std::move(fn)}});
+}
+
+void Simulator::flush_outbox() {
+  for (Outgoing& out : outbox_) {
+    Event& ev = out.event;
+    out.dst->at_ordered(ev.time, ev.key, ev.order, std::move(ev.fn));
+  }
+  outbox_.clear();  // capacity retained: steady-state barriers do not allocate
+}
+
 void Simulator::set_telemetry(telemetry::Telemetry* telemetry) noexcept {
   telemetry_ = telemetry;
   sched_lag_ns_ =
       telemetry_ == nullptr ? nullptr : &telemetry_->metrics.histogram("sim.sched_lag_ns");
+  if (telemetry_ != nullptr) telemetry_->set_order_cursor(&firing_order_);
 }
 
 void Simulator::export_stats() {
@@ -117,48 +105,37 @@ void Simulator::export_stats() {
   m.counter("sim.events_scheduled").inc(scheduled_);
   m.counter("sim.events_processed").inc(processed_);
   m.gauge("sim.queue_depth").set(static_cast<double>(heap_.size()));
-  // High-water heap depth depends on how events split across shard heaps
-  // — partition-variant, so rank mode (sharded runs) leaves it out to
-  // keep snapshots byte-identical across --shards.
-  if (!rank_ordering()) {
-    m.gauge("sim.max_queue_depth").set(static_cast<double>(max_queue_depth_));
-  }
 }
 
-Simulator::Event Simulator::pop_next() {
+void Simulator::fire_next() {
   // Move out before the handler runs: it may schedule new events and
   // reshape the heap under us.
   std::pop_heap(heap_.begin(), heap_.end(), Later{});
   Event ev = std::move(heap_.back());
   heap_.pop_back();
+  if (ev.time != step_time_) {
+    step_time_ = ev.time;
+    step_stale_ = true;
+  } else if (ev.key != 0 && !step_stale_) {
+    step_remove(ev.key);
+  }
   now_ = ev.time;
   firing_key_ = ev.key;
   firing_order_ = ev.order;
-  if (rank_ordering()) {
-    if (ev.key != 0) coalesce_.remove(ev.time.ns(), ev.key);
-    current_rank_ = static_cast<std::uint32_t>(ev.order >> 32);
-  }
+  current_rank_ = static_cast<std::uint32_t>(ev.order >> 32);
   ++processed_;
-  return ev;
+  ev.fn();
+  firing_key_ = 0;
+  firing_order_ = 0;
 }
 
 void Simulator::run(std::size_t max_events) {
-  while (!heap_.empty() && processed_ < max_events) {
-    Event ev = pop_next();
-    ev.fn();
-    firing_key_ = 0;
-    firing_order_ = 0;
-  }
+  while (!heap_.empty() && processed_ < max_events) fire_next();
   current_rank_ = kRootRank;
 }
 
 void Simulator::run_until(SimTime t) {
-  while (!heap_.empty() && heap_.front().time <= t) {
-    Event ev = pop_next();
-    ev.fn();
-    firing_key_ = 0;
-    firing_order_ = 0;
-  }
+  while (!heap_.empty() && heap_.front().time <= t) fire_next();
   current_rank_ = kRootRank;
   // Advance-only: a run_until into the past (t < now()) must not rewind
   // the clock, or subsequent after() calls would schedule "before" events
@@ -167,12 +144,10 @@ void Simulator::run_until(SimTime t) {
 }
 
 void Simulator::run_window(SimTime horizon) {
-  while (!heap_.empty() && heap_.front().time < horizon) {
-    Event ev = pop_next();
-    ev.fn();
-    firing_key_ = 0;
-    firing_order_ = 0;
-  }
+  in_window_ = true;
+  horizon_ = horizon;
+  while (!heap_.empty() && heap_.front().time < horizon) fire_next();
+  in_window_ = false;
   current_rank_ = kRootRank;
 }
 

@@ -4,18 +4,14 @@
 // bit-for-bit reproducible — a requirement for the attack/defence
 // experiments where we compare three scenarios.
 //
-// Two ordering modes share one event loop:
-//
-//  * Legacy (default): `order` is a global insertion counter, exactly the
-//    historical single-threaded tie-break. Used by every experiment that
-//    runs on one simulator instance.
-//  * Rank ordering (sharded engine): `order` is (rank << 32 | per-rank
-//    counter), where a rank is a topology-derived scheduling context
-//    (rank 0 = harness/root, rank 1 = controller, rank node.value+2 = a
-//    switch). Because each rank lives wholly on one shard, the counter
-//    sequence a rank produces is independent of how the topology is
-//    partitioned — the property that makes sharded runs byte-identical
-//    for any shard count (see docs/DESIGN.md "Sharded simulation").
+// `order` is (rank << 32 | per-rank counter), where a rank is a
+// topology-derived scheduling context (rank 0 = harness/root, rank 1 =
+// controller, rank node.value+2 = a switch). Because each rank lives
+// wholly on one shard, the counter sequence a rank produces is
+// independent of how the topology is partitioned — the property that
+// makes sharded runs byte-identical for any shard count (see
+// docs/DESIGN.md "Sharded simulation"). A standalone Simulator is simply
+// a one-shard engine: the same ordering, the same coalescing.
 //
 // Events carry their closures in a move-only InplaceHandler (inline up to
 // 64 bytes) and sit in a flat binary heap (std::vector + std::push_heap),
@@ -38,42 +34,15 @@ class Histogram;
 
 namespace p4auth::netsim {
 
-/// Pending-count index over (fire time, coalescing key): an open-addressing
-/// flat map used by rank-ordered simulators to answer "are more events with
-/// this (time, key) still pending?" without peeking at heap adjacency.
-/// Heap-front peeking is partition-variant (whether two same-key events sit
-/// adjacent depends on which other events share the heap); the count is a
-/// pure function of the schedule, so burst grouping stays byte-identical
-/// across shard counts. Allocation-free in steady state (the table grows
-/// geometrically and is never shrunk).
-class CoalesceIndex {
- public:
-  void add(std::uint64_t t_ns, std::uint64_t key);
-  void remove(std::uint64_t t_ns, std::uint64_t key) noexcept;
-  std::uint32_t count(std::uint64_t t_ns, std::uint64_t key) const noexcept;
-
- private:
-  struct Slot {
-    std::uint64_t t = 0;
-    std::uint64_t key = 0;
-    std::uint32_t n = 0;  ///< 0 = empty slot
-  };
-  static std::uint64_t hash(std::uint64_t t, std::uint64_t key) noexcept {
-    std::uint64_t x = t ^ (key * 0x9E3779B97F4A7C15ull);
-    x ^= x >> 30;
-    x *= 0xBF58476D1CE4E5B9ull;
-    x ^= x >> 27;
-    return x;
-  }
-  void grow();
-
-  std::vector<Slot> slots_;  ///< power-of-two capacity, linear probing
-  std::size_t size_ = 0;     ///< occupied slots
-};
-
 class Simulator {
  public:
   using Handler = InplaceHandler;
+
+  Simulator() = default;
+  // Shards share the root counter and telemetry bundles hold a pointer to
+  // the firing order, so a simulator never moves.
+  Simulator(const Simulator&) = delete;
+  Simulator& operator=(const Simulator&) = delete;
 
   SimTime now() const noexcept { return now_; }
 
@@ -94,16 +63,17 @@ class Simulator {
 
   /// True iff called from an event handler whose event carries a nonzero
   /// key and another pending event fires at the same time with the same
-  /// key. The network uses this to decide whether a staged delivery burst
-  /// keeps growing or must flush now — purely a peek; the heap order is
-  /// untouched, so burst grouping is a deterministic function of the
-  /// schedule. Legacy mode preserves the historical heap-front test
-  /// (consecutive events only); rank mode counts all pending (time, key)
-  /// events, which is the partition-invariant formulation.
-  bool coalesce_continues() const noexcept {
+  /// key, wherever it sits in the heap. The network uses this to decide
+  /// whether a staged delivery burst keeps growing or must flush now —
+  /// purely a count; the heap order is untouched, so burst grouping is a
+  /// deterministic function of the schedule.
+  bool coalesce_continues() {
     if (firing_key_ == 0) return false;
-    if (rank_ordering()) return coalesce_.count(now_.ns(), firing_key_) > 0;
-    return !heap_.empty() && heap_.front().time == now_ && heap_.front().key == firing_key_;
+    if (step_stale_) count_step();
+    for (const StepKey& k : step_keys_) {
+      if (k.key == firing_key_) return true;
+    }
+    return false;
   }
 
   /// Runs until the queue drains (or max_events fires as a runaway guard).
@@ -125,14 +95,11 @@ class Simulator {
     return static_cast<std::uint32_t>(node.value) + 2u;
   }
 
-  /// Switches this simulator to rank ordering. `root_counter` is the
-  /// engine-owned shared counter for rank-0 (harness) orders; root
+  /// Makes this simulator allocate rank-0 (harness) orders from `owner`'s
+  /// counter: every shard of one engine shares shard 0's. Root
   /// allocations only ever happen on the coordinator or on shard 0's
-  /// worker (never concurrently), so the pointer needs no synchronisation.
-  void enable_rank_ordering(std::uint64_t* root_counter) noexcept {
-    root_counter_ = root_counter;
-  }
-  bool rank_ordering() const noexcept { return root_counter_ != nullptr; }
+  /// worker (never concurrently), so the counter needs no synchronisation.
+  void share_root_counter(Simulator& owner) noexcept { root_counter_ = owner.root_counter_; }
 
   /// Overrides the scheduling context. Entry-point closures (frame
   /// delivery, channel legs) call this first thing so every order they
@@ -141,25 +108,27 @@ class Simulator {
   std::uint32_t context() const noexcept { return current_rank_; }
 
   /// Allocates the next (rank-invariant) order for the current context.
-  /// Legacy mode: the global insertion counter.
   std::uint64_t allocate_order() {
-    if (root_counter_ == nullptr) return next_seq_++;
     if (current_rank_ == kRootRank) return (*root_counter_)++;
     if (current_rank_ >= rank_counters_.size()) rank_counters_.resize(current_rank_ + 1, 0);
     return (static_cast<std::uint64_t>(current_rank_) << 32) |
            static_cast<std::uint64_t>(rank_counters_[current_rank_]++);
   }
 
-  /// Pushes an event whose order was already allocated (cross-shard
-  /// mailbox drain). Does not observe scheduling lag — the sender already
-  /// observed it into its own shard's bundle at send time.
+  /// Pushes an event whose order was already allocated. Does not observe
+  /// scheduling lag.
   void at_ordered(SimTime t, std::uint64_t key, std::uint64_t order, Handler fn);
 
-  /// Observes a scheduling lag on behalf of a cross-shard send (the event
-  /// itself is pushed on the destination shard via at_ordered).
-  void observe_lag(SimTime lag) {
-    if (sched_lag_ns_ != nullptr) observe_lag_value(lag);
-  }
+  /// Schedules `fn` `delay` from now on `dst` (this simulator or another
+  /// shard of the same engine): observes the lag and allocates the order
+  /// here, under the sending rank. Inside a window a cross-shard event
+  /// waits in this simulator's outbox until the engine's next barrier —
+  /// legal because the lookahead puts it at or past the horizon.
+  void send_after(Simulator& dst, SimTime delay, std::uint64_t key, Handler fn);
+
+  /// Moves every outboxed event onto its destination heap. Called by the
+  /// engine's coordinator at a barrier, when no window is running.
+  void flush_outbox();
 
   /// Fire time of the earliest pending event; `ok` false when empty.
   SimTime next_event_time(bool& ok) const noexcept {
@@ -178,9 +147,8 @@ class Simulator {
     if (t > now_) now_ = t;
   }
 
-  /// Order of the event currently firing (0 when quiescent). The span
-  /// tracker mixes this into span ids in sharded runs; the pointer stays
-  /// valid for the simulator's lifetime.
+  /// Order of the event currently firing (0 when quiescent). The bound
+  /// telemetry bundle stamps it onto records and mixes it into span ids.
   const std::uint64_t* firing_order_ptr() const noexcept { return &firing_order_; }
 
   // --- Self-observability --------------------------------------------------
@@ -190,14 +158,17 @@ class Simulator {
   std::size_t max_queue_depth() const noexcept { return max_queue_depth_; }
   std::uint64_t events_scheduled() const noexcept { return scheduled_; }
 
-  /// Attaches the shared telemetry bundle (null = off): every schedule
-  /// observes its lag (fire time minus now) into sim.sched_lag_ns. The
-  /// lag distribution is a function of simulation state only, so it is
-  /// deterministic and safe for byte-identical snapshots.
+  /// Attaches a telemetry bundle (null = off): every schedule observes
+  /// its lag (fire time minus now) into sim.sched_lag_ns, and the
+  /// bundle's order cursor is bound to this simulator's firing order.
+  /// The lag distribution is a function of simulation state only, so it
+  /// is deterministic and safe for byte-identical snapshots.
   void set_telemetry(telemetry::Telemetry* telemetry) noexcept;
 
   /// Writes queue/processing totals into the registry (sim.* series).
-  /// Call once per run, before the bundle is stamped/serialised.
+  /// Call once per run, before the bundle is stamped/serialised. The
+  /// high-water depth is left out: it depends on how events split across
+  /// shard heaps, so it would break byte-equivalence across --shards.
   void export_stats();
 
  private:
@@ -209,35 +180,59 @@ class Simulator {
   };
   /// Heap predicate: std::push_heap builds a max-heap, so "later fires
   /// lower" puts the earliest (time, order) at the front. (time, order)
-  /// pairs are unique in both ordering modes, which makes the fire order
-  /// total and deterministic.
+  /// pairs are unique, which makes the fire order total and deterministic.
   struct Later {
     bool operator()(const Event& a, const Event& b) const noexcept {
       if (a.time != b.time) return a.time > b.time;
       return a.order > b.order;
     }
   };
+  /// Pending events at the step time that carry `key` (n > 0 always).
+  struct StepKey {
+    std::uint64_t key;
+    std::uint32_t n;
+  };
+  struct Outgoing {
+    Simulator* dst;
+    Event event;
+  };
 
   void push_event(SimTime t, std::uint64_t key, std::uint64_t order, Handler fn);
   void observe_lag_value(SimTime lag);
+  void step_add(std::uint64_t key);
+  void step_remove(std::uint64_t key) noexcept;
+  /// Counts step_keys_ from the pending events at step_time_.
+  void count_step();
+  /// Adds heap node `i` (at step_time_) and its descendants at step_time_.
+  void count_subtree(std::size_t i);
 
-  /// Moves the earliest event out of the heap and advances the clock.
-  Event pop_next();
+  /// Pops the earliest event, advances the clock and runs the handler.
+  void fire_next();
 
   SimTime now_{};
-  std::uint64_t next_seq_ = 0;    ///< legacy insertion-order counter
-  std::uint64_t scheduled_ = 0;   ///< total pushes (== next_seq_ in legacy mode)
+  std::uint64_t scheduled_ = 0;   ///< total pushes
   std::uint64_t firing_key_ = 0;  ///< key of the event currently running
   std::uint64_t firing_order_ = 0;
   std::size_t processed_ = 0;
   std::vector<Event> heap_;
   std::size_t max_queue_depth_ = 0;
 
-  // Rank-ordering state (engine mode only; root_counter_ null = legacy).
-  std::uint64_t* root_counter_ = nullptr;
+  std::uint64_t own_root_counter_ = 0;
+  std::uint64_t* root_counter_ = &own_root_counter_;
   std::uint32_t current_rank_ = kRootRank;
   std::vector<std::uint32_t> rank_counters_;
-  CoalesceIndex coalesce_;
+
+  /// Per-key count of the pending events at step_time_ — the time of the
+  /// last popped event (0 before the first). Stale from the pop that
+  /// reaches a new time until the first coalesce_continues() of that step
+  /// counts it from the heap; kept exact by push (+1) and pop (-1) after.
+  SimTime step_time_{};
+  bool step_stale_ = false;
+  std::vector<StepKey> step_keys_;
+
+  std::vector<Outgoing> outbox_;  ///< cross-shard sends of the running window
+  bool in_window_ = false;
+  SimTime horizon_{};  ///< exclusive bound of the running window
 
   telemetry::Telemetry* telemetry_ = nullptr;
   telemetry::Histogram* sched_lag_ns_ = nullptr;  ///< cached series (stable ref)

@@ -72,6 +72,7 @@ class Switch : public Node {
   /// Attaches the shared telemetry bundle (null = off). Per-switch
   /// counters and the per-stage timing histogram are bound lazily.
   void set_telemetry(telemetry::Telemetry* telemetry);
+  telemetry::Telemetry* telemetry() const noexcept { return telemetry_; }
 
   /// Wired by the control channel; receives PacketIn messages that already
   /// crossed the OS boundary (to_controller hook).

@@ -407,7 +407,7 @@ ScenarioEvidence run_scenario(const ScenarioSpec& spec) {
     ev.os_dropped += fs->sw->stats().os_dropped;
   }
   ev.writes_after_install = topo.app_sw->agent->stats().writes_served - writes_baseline;
-  ev.link_tampered = fabric.net.stats().frames_tampered;
+  ev.link_tampered = fabric.net.merged_stats().frames_tampered;
 
   ev.ctrl_alerts_total = fabric.controller.alerts().size();
   for (const auto& alert : fabric.controller.alerts()) {

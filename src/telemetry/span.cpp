@@ -21,12 +21,10 @@ std::uint64_t derive_trace_id(std::uint64_t domain, std::uint64_t detail,
 }
 
 std::uint64_t SpanTracker::next_trace_id(std::uint64_t domain, std::uint64_t detail) {
-  if (order_cursor_ == nullptr) return derive_trace_id(domain, detail, ++next_trace_);
   return derive_trace_id(domain, detail, ++trace_counters_[{domain, detail}]);
 }
 
 std::uint32_t SpanTracker::next_span_id(std::uint64_t trace, std::uint32_t parent) noexcept {
-  if (order_cursor_ == nullptr) return ++next_span_;
   const std::uint64_t mixed = derive_trace_id(trace ^ *order_cursor_, parent, ++child_seq_);
   const auto id = static_cast<std::uint32_t>(mixed);
   return id == 0 ? 1u : id;
@@ -36,7 +34,7 @@ SpanTracker::Scope SpanTracker::start_trace(std::uint64_t domain, std::uint64_t 
   Scope scope(this, current_, child_seq_);
   const std::uint64_t trace = next_trace_id(domain, detail);
   const std::uint32_t span = next_span_id(trace, 0);
-  if (order_cursor_ != nullptr) child_seq_ = 0;
+  child_seq_ = 0;
   current_ = SpanContext{trace, span, 0};
   return scope;
 }
@@ -45,7 +43,7 @@ SpanTracker::Scope SpanTracker::start_child() {
   if (!current_.active()) return Scope{};
   Scope scope(this, current_, child_seq_);
   const std::uint32_t span = next_span_id(current_.trace_id, current_.span_id);
-  if (order_cursor_ != nullptr) child_seq_ = 0;
+  child_seq_ = 0;
   current_ = SpanContext{current_.trace_id, span, current_.span_id};
   return scope;
 }
@@ -64,12 +62,12 @@ SpanContext SpanTracker::root_for_schedule(std::uint64_t domain, std::uint64_t d
 SpanTracker::Scope SpanTracker::resume(const SpanContext& ctx) noexcept {
   Scope scope(this, current_, child_seq_);
   current_ = ctx;
-  if (order_cursor_ != nullptr) child_seq_ = 0;
+  child_seq_ = 0;
   return scope;
 }
 
 std::uint64_t SpanTracker::traces_started() const noexcept {
-  std::uint64_t n = next_trace_;
+  std::uint64_t n = 0;
   for (const auto& [origin, count] : trace_counters_) {
     (void)origin;
     n += count;

@@ -2,13 +2,13 @@
 // packet or one KMP operation across link -> switch -> pipeline ->
 // controller hops.
 //
-// The simulator is single-threaded, so "the span being worked on right
-// now" is a well-defined notion: SpanTracker keeps that current context,
-// RAII scopes restore the previous one, and event closures carry a
-// SpanContext across scheduling boundaries (capture at schedule time,
+// Each shard's simulator is single-threaded, so "the span being worked on
+// right now" is a well-defined notion: SpanTracker keeps that current
+// context, RAII scopes restore the previous one, and event closures carry
+// a SpanContext across scheduling boundaries (capture at schedule time,
 // resume at fire time). Ids are derived from simulation state only —
 // never wall-clock, never addresses — so same-seed runs produce
-// byte-identical traces.
+// byte-identical traces for any shard count.
 //
 // SpanContext is deliberately 16 bytes: the hot-path event closures that
 // carry one must stay within InplaceHandler's 64-byte inline buffer.
@@ -121,30 +121,31 @@ class SpanTracker {
   Scope start_operation(std::uint64_t domain, std::uint64_t detail);
 
   std::uint64_t traces_started() const noexcept;
-  std::uint64_t spans_started() const noexcept { return next_span_; }
 
-  /// Sharded mode: span and trace ids become pure functions of simulation
-  /// state instead of tracker-global counters. Trace ids run one counter
-  /// per (domain, detail) origin — every origin deterministically lives on
-  /// one tracker, so its sequence is partition-invariant — and span ids
-  /// mix the firing event's order (read through `cursor`, which stays
-  /// owned by the shard's simulator: Simulator::firing_order_ptr()) with
-  /// the parent span and a per-activation child counter. Result: the ids
-  /// a packet's hops receive do not depend on which other events happened
+  /// Span and trace ids are pure functions of simulation state, never of
+  /// tracker-global counters. Trace ids run one counter per (domain,
+  /// detail) origin — every origin deterministically lives on one
+  /// tracker, so its sequence is partition-invariant — and span ids mix
+  /// the firing event's order (read through `cursor`, which stays owned
+  /// by the shard's simulator: Simulator::firing_order_ptr()) with the
+  /// parent span and a per-activation child counter. Result: the ids a
+  /// packet's hops receive do not depend on which other events happened
   /// to share this tracker, which keeps traces byte-identical across
-  /// shard counts. Null cursor (default) = the historical global counters.
+  /// shard counts. Simulator::set_telemetry binds the cursor; an unbound
+  /// tracker reads order 0.
   void set_order_cursor(const std::uint64_t* cursor) noexcept { order_cursor_ = cursor; }
 
+  /// Order of the event firing right now (0 when unbound or quiescent).
+  std::uint64_t firing_order() const noexcept { return *order_cursor_; }
+
  private:
+  static constexpr std::uint64_t kNoOrder = 0;
+
   std::uint64_t next_trace_id(std::uint64_t domain, std::uint64_t detail);
   std::uint32_t next_span_id(std::uint64_t trace, std::uint32_t parent) noexcept;
 
   SpanContext current_{};
-  std::uint32_t next_span_ = 0;   ///< last span id handed out (0 = none)
-  std::uint64_t next_trace_ = 0;  ///< trace-counter fed into derive_trace_id
-
-  // Sharded-mode state (order_cursor_ null = legacy global counters).
-  const std::uint64_t* order_cursor_ = nullptr;
+  const std::uint64_t* order_cursor_ = &kNoOrder;
   std::uint64_t child_seq_ = 0;  ///< spans handed out under the current activation
   std::map<std::pair<std::uint64_t, std::uint64_t>, std::uint64_t> trace_counters_;
 };

@@ -30,11 +30,6 @@ struct Telemetry {
   /// Sim-time of the snapshot; set by the harness after the run so the
   /// serialised output is stamped in sim-time, never wall-clock.
   SimTime stamped{};
-  /// Sharded mode: the firing-order cursor of the owning shard's
-  /// simulator (Simulator::firing_order_ptr()); record() stamps *cursor
-  /// onto every trace/audit record as its merge-ordering key. Null
-  /// (default) = legacy single-timeline behavior.
-  const std::uint64_t* order_cursor = nullptr;
 
   Telemetry() = default;
   explicit Telemetry(std::size_t trace_capacity) : trace(trace_capacity) {}
@@ -48,17 +43,17 @@ struct Telemetry {
   void record(SimTime at, NodeId node, PortId port, TraceEventKind kind, std::uint64_t a = 0,
               std::uint64_t b = 0) {
     const SpanContext& span = spans.current();
-    const std::uint64_t ord = order_cursor == nullptr ? 0 : *order_cursor;
+    const std::uint64_t ord = spans.firing_order();
     trace.record(at, node, port, kind, a, b, span, ord);
     if (AuditTrail::is_audited(kind)) audit.append(at, node, port, kind, a, b, span, ord);
   }
 
-  /// Engages sharded-mode stamping: trace/audit records carry the firing
-  /// event's order and the span tracker derives partition-invariant ids.
-  void set_order_cursor(const std::uint64_t* cursor) noexcept {
-    order_cursor = cursor;
-    spans.set_order_cursor(cursor);
-  }
+  /// Binds the firing-order cursor of the owning shard's simulator
+  /// (Simulator::firing_order_ptr(); Simulator::set_telemetry does this).
+  /// record() stamps the firing event's order onto every trace/audit
+  /// record as its merge-ordering key, and the span tracker derives
+  /// partition-invariant ids from it.
+  void set_order_cursor(const std::uint64_t* cursor) noexcept { spans.set_order_cursor(cursor); }
 
   /// Folds another bundle into this one: metric series merge element-wise
   /// (counters/gauges add, histograms add bucket-wise), the stamp becomes

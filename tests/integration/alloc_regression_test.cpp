@@ -87,8 +87,7 @@ TEST(AllocRegression, SteadyStateHulaForwardingDoesNotAllocate) {
 
   fabric.sim.run_until(warmup_end);
 
-  const auto& s3_stats = fabric.net.stats();
-  const std::uint64_t delivered_before = s3_stats.frames_delivered;
+  const std::uint64_t delivered_before = fabric.net.merged_stats().frames_delivered;
 
   AllocProbe::reset();
   fabric.sim.run_until(measure_end);
@@ -96,7 +95,7 @@ TEST(AllocRegression, SteadyStateHulaForwardingDoesNotAllocate) {
 
   // The window really exercised the path: ~180 injections, each crossing
   // two links.
-  EXPECT_GT(s3_stats.frames_delivered, delivered_before + 300);
+  EXPECT_GT(fabric.net.merged_stats().frames_delivered, delivered_before + 300);
   EXPECT_EQ(allocations, 0u)
       << "steady-state hula forwarding must not touch the heap; "
       << AllocProbe::deallocations() << " frees in the same window";

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "netsim/sharded.hpp"
 #include "test_helpers.hpp"
 
 namespace p4auth::netsim {
@@ -52,8 +53,8 @@ TEST(Network, TransmitWithoutLinkDrops) {
   net.add<SinkNode>(NodeId{1});
   sim.after(SimTime::zero(), [&] { net.transmit(NodeId{1}, PortId{9}, Bytes{1}); });
   sim.run();
-  EXPECT_EQ(net.stats().frames_dropped_no_link, 1u);
-  EXPECT_EQ(net.stats().frames_delivered, 0u);
+  EXPECT_EQ(net.merged_stats().frames_dropped_no_link, 1u);
+  EXPECT_EQ(net.merged_stats().frames_delivered, 0u);
 }
 
 TEST(Network, TamperHookRewritesInFlight) {
@@ -70,7 +71,31 @@ TEST(Network, TamperHookRewritesInFlight) {
   sim.run();
   ASSERT_EQ(b->frames.size(), 1u);
   EXPECT_EQ(b->frames[0].second, Bytes{0xEE});
-  EXPECT_EQ(net.stats().frames_tampered, 1u);
+  EXPECT_EQ(net.merged_stats().frames_tampered, 1u);
+}
+
+TEST(Network, MergedStatsCountTamperOnShardOne) {
+  Simulator sim;
+  ShardedSimulator engine(sim, 2, 1);
+  engine.set_lookahead(SimTime::from_us(10));
+  Network net(sim);
+  net.add<SinkNode>(NodeId{1});
+  auto* b = net.add<SinkNode>(NodeId{2});
+  LinkConfig config;
+  config.latency = SimTime::from_us(10);
+  Link* link = net.connect(NodeId{1}, PortId{1}, NodeId{2}, PortId{1}, config);
+  link->set_tamper(NodeId{1}, [](Bytes& payload) {
+    payload[0] = 0xEE;
+    return TamperVerdict::Pass;
+  });
+  // Both ends live on shard 1, so shard 0 never counts the frame.
+  net.configure_shards(engine.shard_sims(), {nullptr, nullptr}, {{NodeId{1}, 1}, {NodeId{2}, 1}});
+  engine.shard(1).at(SimTime::from_us(5), [&] { net.transmit(NodeId{1}, PortId{1}, Bytes{0x11}); });
+  engine.run();
+  ASSERT_EQ(b->frames.size(), 1u);
+  EXPECT_EQ(b->frames[0].second, Bytes{0xEE});
+  EXPECT_EQ(net.merged_stats().frames_tampered, 1u);
+  EXPECT_EQ(net.merged_stats().frames_delivered, 1u);
 }
 
 TEST(Network, TamperHookOnlyAffectsItsDirection) {
@@ -87,7 +112,7 @@ TEST(Network, TamperHookOnlyAffectsItsDirection) {
   sim.run();
   ASSERT_EQ(a->frames.size(), 1u);
   EXPECT_EQ(a->frames[0].second, Bytes{0x22});  // reverse direction untouched
-  EXPECT_EQ(net.stats().frames_tampered, 0u);
+  EXPECT_EQ(net.merged_stats().frames_tampered, 0u);
 }
 
 TEST(Network, TamperHookCanDrop) {
@@ -100,7 +125,7 @@ TEST(Network, TamperHookCanDrop) {
   sim.after(SimTime::zero(), [&] { net.transmit(NodeId{1}, PortId{1}, Bytes{0x11}); });
   sim.run();
   EXPECT_TRUE(b->frames.empty());
-  EXPECT_EQ(net.stats().frames_dropped_by_tamper, 1u);
+  EXPECT_EQ(net.merged_stats().frames_dropped_by_tamper, 1u);
 }
 
 TEST(Network, InjectDeliversDirectly) {
@@ -149,8 +174,8 @@ TEST(Network, EgressQueueingDelaysBackToBackFrames) {
   sim.run();
   ASSERT_EQ(b->frames.size(), 2u);
   EXPECT_EQ(sim.now(), SimTime::from_us(30));  // 10 queue + 10 serialize + 10 latency
-  EXPECT_EQ(net.stats().frames_queued, 1u);
-  EXPECT_EQ(net.stats().total_queue_delay, SimTime::from_us(10));
+  EXPECT_EQ(net.merged_stats().frames_queued, 1u);
+  EXPECT_EQ(net.merged_stats().total_queue_delay, SimTime::from_us(10));
 }
 
 TEST(Network, QueueDrainsWhenIdle) {
@@ -165,7 +190,7 @@ TEST(Network, QueueDrainsWhenIdle) {
   sim.after(SimTime::zero(), [&] { net.transmit(NodeId{1}, PortId{1}, Bytes(1250, 1)); });
   sim.after(SimTime::from_us(100), [&] { net.transmit(NodeId{1}, PortId{1}, Bytes(1250, 2)); });
   sim.run();
-  EXPECT_EQ(net.stats().frames_queued, 0u);  // transmitter idle again
+  EXPECT_EQ(net.merged_stats().frames_queued, 0u);  // transmitter idle again
 }
 
 TEST(Network, DirectionsQueueIndependently) {
@@ -181,7 +206,7 @@ TEST(Network, DirectionsQueueIndependently) {
     net.transmit(NodeId{2}, PortId{1}, Bytes(1250, 2));  // reverse direction
   });
   sim.run();
-  EXPECT_EQ(net.stats().frames_queued, 0u);  // full duplex
+  EXPECT_EQ(net.merged_stats().frames_queued, 0u);  // full duplex
 }
 
 /// Sink that also records the delivery bursts the network forms around

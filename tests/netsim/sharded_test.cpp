@@ -1,4 +1,4 @@
-// ShardedSimulator mechanics: lookahead windows, cross-shard mailboxes,
+// ShardedSimulator mechanics: lookahead windows, cross-shard outboxes,
 // clock re-alignment, processed counts. The end-to-end determinism
 // contract (byte-identical output for any shard count) is pinned by
 // tests/integration/shard_equivalence_test.cpp; this file exercises the
@@ -56,9 +56,8 @@ TEST(ShardedSimulator, CrossShardMailboxDeliversAtOrPastHorizon) {
     // A cross-shard frame: the order is allocated by the sending rank on
     // the sending shard, the closure re-establishes its context on entry.
     sim0.set_context(Simulator::rank_of(NodeId{1}));
-    const std::uint64_t order = sim0.allocate_order();
     Simulator& dst = engine.shard(1);
-    engine.schedule(1, sim0.now() + us(10), 0, order, [&log, &dst] {
+    sim0.send_after(dst, us(10), 0, [&log, &dst] {
       dst.set_context(Simulator::rank_of(NodeId{1}));
       log.add("recv@" + std::to_string(dst.now().ns() / 1000));
     });
@@ -111,7 +110,7 @@ TEST(ShardedSimulator, ParallelWorkersDrainManyWindows) {
   engine.set_lookahead(us(10));
 
   // A relay ring: each shard k forwards a token to shard (k+1) % 4 one
-  // lookahead later, 32 hops total, all through the mailbox path.
+  // lookahead later, 32 hops total, all through the outbox path.
   std::vector<int> hops_seen(1, 0);
   std::mutex mu;
   struct Relay {
@@ -126,11 +125,10 @@ TEST(ShardedSimulator, ParallelWorkersDrainManyWindows) {
       if (hop >= 32) return;
       Simulator& sim = engine->shard(shard);
       sim.set_context(Simulator::rank_of(NodeId{static_cast<std::uint16_t>(shard + 1)}));
-      const std::uint64_t order = sim.allocate_order();
       const int next = (shard + 1) % 4;
       const Relay relay = *this;
-      engine->schedule(next, sim.now() + SimTime::from_us(10), 0, order,
-                       [relay, hop, next] { relay.fire(hop + 1, next); });
+      sim.send_after(engine->shard(next), SimTime::from_us(10), 0,
+                     [relay, hop, next] { relay.fire(hop + 1, next); });
     }
   };
   Relay relay{&engine, &hops_seen, &mu};

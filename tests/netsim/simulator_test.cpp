@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <random>
+#include <utility>
 #include <vector>
 
 namespace p4auth::netsim {
@@ -185,6 +188,103 @@ TEST(Simulator, CoalesceStopsAtKeyOrTimeBoundary) {
   sim.at_keyed(SimTime::from_ns(20), 43, record);  // queue empty after this
   sim.run();
   EXPECT_EQ(continues, (std::vector<bool>{false, false, false}));
+}
+
+TEST(Simulator, CoalesceCountsSameKeyEventsThatAreNotAdjacent) {
+  Simulator sim;
+  std::vector<bool> continues;
+  const auto record = [&] { continues.push_back(sim.coalesce_continues()); };
+  sim.at_keyed(SimTime::from_ns(10), 42, record);
+  sim.at_keyed(SimTime::from_ns(10), 43, record);
+  sim.at_keyed(SimTime::from_ns(10), 42, record);
+  sim.run();
+  // The first 42 sees the second one pending behind the 43; the 43 and
+  // the last 42 have no same-time same-key event left.
+  EXPECT_EQ(continues, (std::vector<bool>{true, false, false}));
+}
+
+/// Drives a simulator with a random schedule and checks every
+/// coalesce_continues() answer against a brute-force count of the pending
+/// events with the firing event's (time, key).
+class CoalesceOracle {
+ public:
+  explicit CoalesceOracle(std::uint64_t seed) : rng_(seed) {}
+
+  void schedule(SimTime t, std::uint64_t key) {
+    ++pending_[{t.ns(), key}];
+    auto fn = [this, t, key] { fire(t, key); };
+    if (pick(3) == 0) {
+      sim_.at_ordered(t, key, sim_.allocate_order(), std::move(fn));
+    } else {
+      sim_.at_keyed(t, key, std::move(fn));
+    }
+  }
+
+  void run(int rounds) {
+    for (int round = 0; round < rounds; ++round) {
+      const int batch = 1 + static_cast<int>(pick(12));
+      for (int i = 0; i < batch; ++i) schedule(sim_.now() + random_delay(), random_key());
+      if (pick(8) == 0) {
+        // More same-(time, key) events than the network's 64-frame burst cap.
+        const SimTime t = sim_.now() + random_delay();
+        const std::uint64_t key = 1 + pick(3);
+        for (int i = 0; i < 70; ++i) schedule(t, key);
+      }
+      switch (pick(3)) {
+        case 0:
+          sim_.run_until(sim_.now() + SimTime::from_ns(pick(6)));
+          break;
+        case 1:
+          sim_.run();
+          sim_.sync_clock(sim_.now() + SimTime::from_ns(pick(3)));  // quiescent jump
+          break;
+        default:
+          sim_.run(sim_.processed() + pick(20));
+          break;
+      }
+      EXPECT_FALSE(sim_.coalesce_continues()) << "quiescent";
+    }
+    sim_.run();
+  }
+
+  int checks() const noexcept { return checks_; }
+  int continued() const noexcept { return continued_; }
+
+ private:
+  std::uint64_t pick(std::uint64_t n) { return rng_() % n; }
+  std::uint64_t random_key() { return pick(4); }  // 0 = unkeyed
+  SimTime random_delay() { return SimTime::from_ns(pick(4) == 0 ? 0 : pick(5)); }
+
+  void fire(SimTime t, std::uint64_t key) {
+    const int left = --pending_[{t.ns(), key}];
+    const bool expected = key != 0 && left > 0;
+    EXPECT_EQ(sim_.coalesce_continues(), expected) << "t=" << t.ns() << " key=" << key;
+    ++checks_;
+    if (expected) ++continued_;
+    // Zero-delay and near-future pushes from inside the handler, under
+    // the handler's own rank.
+    if (spawned_ < 4000 && pick(3) == 0) {
+      ++spawned_;
+      schedule(sim_.now() + SimTime::from_ns(pick(2) == 0 ? 0 : pick(3)),
+               pick(2) == 0 ? key : random_key());
+    }
+  }
+
+  Simulator sim_;
+  std::mt19937_64 rng_;
+  std::map<std::pair<std::uint64_t, std::uint64_t>, int> pending_;
+  int spawned_ = 0;
+  int checks_ = 0;
+  int continued_ = 0;
+};
+
+TEST(Simulator, CoalesceMatchesBruteForceCountOnRandomSchedules) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    CoalesceOracle oracle(seed);
+    oracle.run(200);
+    EXPECT_GT(oracle.checks(), 1000) << "seed " << seed;
+    EXPECT_GT(oracle.continued(), 100) << "seed " << seed;
+  }
 }
 
 TEST(Simulator, KeyZeroNeverCoalesces) {

@@ -20,8 +20,8 @@
 // rejected with a usage message and exit code 2. Scenarios:
 // baseline | attack | p4auth | p4auth-clean.
 //
-// --shards N runs each simulation on the conservative-lookahead sharded
-// engine (N worker shards; --shard-workers caps the thread budget).
+// --shards N (default 1) runs each simulation on N shards of the
+// conservative-lookahead engine (--shard-workers caps the thread budget).
 // Every output — stdout, metrics, trace, audit — is byte-identical for
 // any --shards value; the flag only changes wall-clock time.
 //
@@ -65,7 +65,8 @@ void usage() {
   std::fprintf(stderr,
                "usage: p4auth_sim <hula|routescout|regops|kmp|multihop|scaling|table1|"
                "resources|attack-rate> [options]\n"
-               "  campaign options (hula, routescout): --seeds A..B --jobs N\n");
+               "  campaign options (hula, routescout): --seeds A..B --jobs N\n"
+               "  engine options (hula, multihop): --shards N (default 1) --shard-workers N\n");
 }
 
 /// Validates every token after the command: each must be a known
@@ -248,7 +249,7 @@ int run_hula(int argc, char** argv) {
   HulaOptions options;
   options.seed = arg_u64(argc, argv, "--seed", options.seed);
   options.duration = SimTime::from_ms(arg_u64(argc, argv, "--duration-ms", 1500));
-  options.shards = static_cast<int>(arg_u64(argc, argv, "--shards", 0));
+  options.shards = static_cast<int>(arg_u64(argc, argv, "--shards", options.shards));
   options.shard_workers = static_cast<int>(arg_u64(argc, argv, "--shard-workers", 0));
   const char* metrics_path = arg_value(argc, argv, "--metrics-out", nullptr);
   const char* trace_path = arg_value(argc, argv, "--trace", nullptr);
@@ -394,7 +395,7 @@ int run_multihop(int argc, char** argv) {
   MultihopOptions options;
   options.min_hops = static_cast<int>(arg_u64(argc, argv, "--min-hops", 2));
   options.max_hops = static_cast<int>(arg_u64(argc, argv, "--max-hops", 10));
-  options.shards = static_cast<int>(arg_u64(argc, argv, "--shards", 0));
+  options.shards = static_cast<int>(arg_u64(argc, argv, "--shards", options.shards));
   options.shard_workers = static_cast<int>(arg_u64(argc, argv, "--shard-workers", 0));
   for (const auto& point : run_multihop_experiment(options)) {
     std::printf("hops=%d base=%.1fus p4auth=%.1fus overhead=%.2f%%\n", point.hops,

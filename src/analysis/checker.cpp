@@ -41,12 +41,11 @@ std::string render_trace(const ExecutionTrace& trace) {
 }  // namespace
 
 ModelCheck check_model(const dataplane::PipelineModel& model,
-                       const dataplane::ProgramDeclaration& decl,
                        const ModelCheckOptions& options) {
   ModelCheck result;
   const auto add = [&](Severity severity, std::string rule, std::string message) {
     result.findings.push_back(
-        Finding{severity, std::move(rule), decl.name, std::move(message)});
+        Finding{severity, std::move(rule), model.name, std::move(message)});
   };
 
   if (model.empty()) {
@@ -75,7 +74,7 @@ ModelCheck check_model(const dataplane::PipelineModel& model,
   // deterministic — witness path).
   std::set<std::size_t> bypass_nodes;
   std::set<std::size_t> egress_nodes;
-  std::set<std::size_t> key_write_nodes;
+  std::set<std::size_t> key_install_nodes;
   const SymbolicPath* worst_stage_path = nullptr;
   const SymbolicPath* worst_hash_path = nullptr;
   for (const SymbolicPath& path : ex.paths) {
@@ -103,11 +102,11 @@ ModelCheck check_model(const dataplane::PipelineModel& model,
           tainted = false;
           break;
         case ModelNodeKind::RegisterRead:
-          if (node.secret) tainted = true;
+          if (node.reg.secret) tainted = true;
           break;
         case ModelNodeKind::RegisterWrite:
-          if (node.key_register && !verified &&
-              key_write_nodes.insert(index).second) {
+          if (node.reg.secret && !verified &&
+              key_install_nodes.insert(index).second) {
             add(Severity::Error, "model-unauth-key-write",
                 "key-register write '" + node.object +
                     "' is reachable with no successful digest-verify before it "
@@ -177,48 +176,6 @@ ModelCheck check_model(const dataplane::PipelineModel& model,
             "' out of " + std::string(model_node_kind_name(node.kind)) +
             (node.object.empty() ? "" : " '" + node.object + "'") +
             " is infeasible on every explored path (contradictory guards)");
-  }
-
-  // --- model vs declaration drift -------------------------------------------
-  std::set<std::string_view> model_tables;
-  std::set<std::string_view> model_registers;
-  for (const ModelNode& node : model.nodes) {
-    if (node.kind == ModelNodeKind::Table) model_tables.insert(node.object);
-    if (node.kind == ModelNodeKind::RegisterRead ||
-        node.kind == ModelNodeKind::RegisterWrite) {
-      model_registers.insert(node.object);
-    }
-  }
-  std::set<std::string_view> declared_tables;
-  for (const auto& table : decl.tables) declared_tables.insert(table.name);
-  std::set<std::string_view> declared_registers;
-  for (const auto& reg : decl.registers) declared_registers.insert(reg.name);
-
-  for (const auto& name : model_tables) {
-    if (!declared_tables.contains(name)) {
-      add(Severity::Error, "model-decl-drift",
-          "model references table '" + std::string(name) +
-              "' which is not in the program declaration");
-    }
-  }
-  for (const auto& name : declared_tables) {
-    if (!model_tables.contains(name)) {
-      add(Severity::Warning, "model-decl-drift",
-          "declared table '" + std::string(name) + "' never appears in the model");
-    }
-  }
-  for (const auto& name : model_registers) {
-    if (!declared_registers.contains(name)) {
-      add(Severity::Error, "model-decl-drift",
-          "model references register '" + std::string(name) +
-              "' which is not in the program declaration");
-    }
-  }
-  for (const auto& name : declared_registers) {
-    if (!model_registers.contains(name)) {
-      add(Severity::Warning, "model-decl-drift",
-          "declared register '" + std::string(name) + "' never appears in the model");
-    }
   }
 
   std::set<std::string> keys;

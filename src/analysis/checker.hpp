@@ -7,19 +7,16 @@
 //   model-verify-bypass      an emit on a protected port is reachable on
 //                            a path with no successful digest-verify
 //                            before it (the P4Auth headline property)
-//   model-secret-egress      a secret-tagged register read reaches an
+//   model-secret-egress      a read of a secret register reaches an
 //                            emit or punt without passing through the
 //                            digest extern (declassification point)
-//   model-unauth-key-write   a key-register install is reachable on a
-//                            path with no successful verify before it
+//   model-unauth-key-write   a write to a secret register (a key
+//                            install) is reachable on a path with no
+//                            successful verify before it
 //   model-budget-path        worst-case per-path stage / hash work
 //                            exceeds the declared ResourceBudget
 //   model-dead-branch        a reachable branch is infeasible on every
 //                            explored path (contradictory guards)
-//   model-decl-drift         model references a table/register absent
-//                            from the ProgramDeclaration (error) or a
-//                            declared table/register never appears in
-//                            the model (warning)
 //   model-exploration-limit  a path/depth/revisit cap fired; the path
 //                            set is incomplete and no property is proved
 //   model-unmodeled-path     a corpus execution's observable trace
@@ -50,10 +47,9 @@ struct ModelCheck {
   std::size_t projections = 0;  ///< distinct observable projections
 };
 
-/// Explores `model` and evaluates the static model rules against it and
-/// the program's declaration. Findings use decl.name as the program.
+/// Explores `model` and evaluates the static model rules against it.
+/// Findings use model.name as the program.
 ModelCheck check_model(const dataplane::PipelineModel& model,
-                       const dataplane::ProgramDeclaration& decl,
                        const ModelCheckOptions& options = {});
 
 struct ConformanceResult {

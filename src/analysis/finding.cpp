@@ -47,9 +47,6 @@ std::string_view rule_description(std::string_view rule) {
   if (rule == "model-dead-branch") {
     return "a reachable model branch is infeasible on every explored path";
   }
-  if (rule == "model-decl-drift") {
-    return "the pipeline model and the program declaration disagree about tables or registers";
-  }
   if (rule == "model-unmodeled-path") {
     return "a corpus execution matches no model path projection";
   }

@@ -253,7 +253,7 @@ ProgramReport lint_program(const LintEntry& entry, const LintOptions& options) {
                          std::make_move_iterator(conformance.end()));
   if (options.model) {
     const auto model = session.program().pipeline_model();
-    ModelCheck check = check_model(model, decl, {options.budget, options.limits});
+    ModelCheck check = check_model(model, {options.budget, options.limits});
     report.model.ran = true;
     report.model.truncated = check.exploration.truncated;
     report.model.nodes = model.nodes.size();

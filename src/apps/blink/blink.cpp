@@ -88,44 +88,33 @@ dataplane::PipelineOutput BlinkProgram::process(dataplane::Packet& packet,
   return dataplane::PipelineOutput::unicast(egress, packet.payload);
 }
 
-dataplane::ProgramDeclaration BlinkProgram::resources() const {
-  dataplane::ProgramDeclaration decl;
-  decl.name = "blink";
-  decl.add_register(*next_hops_);
-  decl.add_register(*active_idx_);
-  decl.add_register(*retx_cnt_);
-  decl.add_register(*retx_window_start_);
-  decl.add_table(
-      dataplane::TableShape{"bk_prefix_match", dataplane::MatchKind::Lpm, 32, 64, 2048});
-  decl.header_phv_bits = 8 + 88;
-  decl.metadata_phv_bits = 96;
-  return decl;
-}
-
 dataplane::PipelineModel BlinkProgram::pipeline_model() const {
   using M = dataplane::PipelineModel;
   M m;
   m.name = "blink";
+  m.header_phv_bits = 8 + 88;
+  m.metadata_phv_bits = 96;
   const auto entry = m.add(M::parse("tcp"));
   m.then(entry, M::drop(), "malformed", {{"hdr.tcp.valid", false}});
   const auto valid = m.then(entry, M::parse("retx_check"), "tcp",
                             {{"hdr.tcp.valid", true}});
   // Failure inference: sliding retransmission window per prefix.
-  const auto window = m.then(valid, M::reg_read("bk_retx_window"), "retx",
+  const auto window = m.then(valid, M::reg_read(*retx_window_start_), "retx",
                              {{"hdr.retx", true}});
-  const auto reset = m.add(M::reg_write("bk_retx_window"));
+  const auto reset = m.add(M::reg_write(*retx_window_start_));
   m.branch(window, reset, "window_expired", {{"retx.window_expired", true}});
-  const auto count = m.add(M::reg_write("bk_retx_cnt", 2));
+  const auto count = m.add(M::reg_write(*retx_cnt_, 2));
   m.branch(window, count, "window_live", {{"retx.window_expired", false}});
   m.branch(reset, count);
-  const auto lookup = m.add(M::reg_read("bk_active_idx"));
+  const auto lookup = m.add(M::reg_read(*active_idx_));
   m.branch(count, lookup, "below_threshold", {{"retx.threshold", false}});
-  const auto failover = m.then(count, M::reg_write("bk_active_idx", 4), "failover",
+  const auto failover = m.then(count, M::reg_write(*active_idx_, 4), "failover",
                                {{"retx.threshold", true}});
   m.branch(failover, lookup);
   m.branch(valid, lookup, "data", {{"hdr.retx", false}});
-  const auto hops = m.then(lookup, M::reg_read("bk_nexthops"));
-  const auto table = m.then(hops, M::table("bk_prefix_match"));
+  const auto hops = m.then(lookup, M::reg_read(*next_hops_));
+  const auto table =
+      m.then(hops, M::table({"bk_prefix_match", dataplane::MatchKind::Lpm, 32, 64, 2048}));
   m.then(table, M::drop(), "no_hop", {{"tbl.bk_prefix_match.hit", false}});
   m.then(table, M::emit("data"), "hit", {{"tbl.bk_prefix_match.hit", true}});
   return m;

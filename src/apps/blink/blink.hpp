@@ -46,7 +46,6 @@ class BlinkProgram : public dataplane::DataPlaneProgram {
 
   dataplane::PipelineOutput process(dataplane::Packet& packet,
                                     dataplane::PipelineContext& ctx) override;
-  dataplane::ProgramDeclaration resources() const override;
   dataplane::PipelineModel pipeline_model() const override;
 
   template <typename Agent>

@@ -80,41 +80,31 @@ dataplane::PipelineOutput FlowRadarProgram::process(dataplane::Packet& packet,
   return dataplane::PipelineOutput::unicast(config_.out_port, packet.payload);
 }
 
-dataplane::ProgramDeclaration FlowRadarProgram::resources() const {
-  dataplane::ProgramDeclaration decl;
-  decl.name = "flowradar";
-  decl.add_register(*flow_xor_);
-  decl.add_register(*flow_cnt_);
-  decl.add_register(*pkt_cnt_);
-  decl.add_register(*flow_filter_);
-  for (int h = 0; h < Config::kHashes; ++h) {
-    decl.hash_uses.push_back(dataplane::HashUse::crc32("fr_cell_hash"));
-  }
-  // Two more CRC units drive the flow filter (first-packet bloom check).
-  for (int h = 0; h < 2; ++h) {
-    decl.hash_uses.push_back(dataplane::HashUse::crc32("fr_filter_hash", 4));
-  }
-  decl.header_phv_bits = 8 + 32;
-  decl.metadata_phv_bits = 64;
-  return decl;
-}
-
 dataplane::PipelineModel FlowRadarProgram::pipeline_model() const {
   using M = dataplane::PipelineModel;
   M m;
   m.name = "flowradar";
+  for (int h = 0; h < Config::kHashes; ++h) {
+    m.hash_uses.push_back(dataplane::HashUse::crc32("fr_cell_hash"));
+  }
+  // Two more CRC units drive the flow filter (first-packet bloom check).
+  for (int h = 0; h < 2; ++h) {
+    m.hash_uses.push_back(dataplane::HashUse::crc32("fr_filter_hash", 4));
+  }
+  m.header_phv_bits = 8 + 32;
+  m.metadata_phv_bits = 64;
   const auto entry = m.add(M::parse("flow"));
   m.then(entry, M::drop(), "malformed", {{"hdr.flow.valid", false}});
   // Bloom-filter membership check + set (first-packet detection).
-  const auto filter_rd = m.then(entry, M::reg_read("fr_flow_filter", 2), "flow",
+  const auto filter_rd = m.then(entry, M::reg_read(*flow_filter_, 2), "flow",
                                 {{"hdr.flow.valid", true}});
-  const auto filter_wr = m.then(filter_rd, M::reg_write("fr_flow_filter", 2));
+  const auto filter_wr = m.then(filter_rd, M::reg_write(*flow_filter_, 2));
   // IBLT cell updates: flow set folded in once, packet count always.
-  const auto pkt = m.add(M::reg_write("fr_pkt_cnt", 2));
+  const auto pkt = m.add(M::reg_write(*pkt_cnt_, 2));
   m.branch(filter_wr, pkt, "seen", {{"flow.is_new", false}});
-  const auto fxor = m.then(filter_wr, M::reg_write("fr_flow_xor", 2), "new",
+  const auto fxor = m.then(filter_wr, M::reg_write(*flow_xor_, 2), "new",
                            {{"flow.is_new", true}});
-  const auto fcnt = m.then(fxor, M::reg_write("fr_flow_cnt", 2));
+  const auto fcnt = m.then(fxor, M::reg_write(*flow_cnt_, 2));
   m.branch(fcnt, pkt);
   m.then(pkt, M::emit("data"));
   return m;

@@ -60,37 +60,26 @@ dataplane::PipelineOutput FlowStatsProgram::process(dataplane::Packet& packet,
   return dataplane::PipelineOutput::unicast(config_.out_port, packet.payload);
 }
 
-dataplane::ProgramDeclaration FlowStatsProgram::resources() const {
-  dataplane::ProgramDeclaration decl;
-  decl.name = "flowstats";
-  decl.add_register(*ipd_sum_);
-  decl.add_register(*ipd_cnt_);
-  decl.add_register(*last_ts_);
-  decl.add_register(*blocked_);
-  decl.add_table(
-      dataplane::TableShape{"fs_flagged_flows", dataplane::MatchKind::Exact, 16, 64, 64});
-  decl.header_phv_bits = 8 + 48;
-  decl.metadata_phv_bits = 96;
-  return decl;
-}
-
 dataplane::PipelineModel FlowStatsProgram::pipeline_model() const {
   using M = dataplane::PipelineModel;
   M m;
   m.name = "flowstats";
+  m.header_phv_bits = 8 + 48;
+  m.metadata_phv_bits = 96;
   const auto entry = m.add(M::parse("flow"));
   m.then(entry, M::drop(), "malformed", {{"hdr.flow.valid", false}});
-  const auto flagged = m.then(entry, M::table("fs_flagged_flows"), "flow",
-                              {{"hdr.flow.valid", true}});
-  const auto blocked = m.then(flagged, M::reg_read("fs_blocked"));
+  const auto flagged =
+      m.then(entry, M::table({"fs_flagged_flows", dataplane::MatchKind::Exact, 16, 64, 64}),
+             "flow", {{"hdr.flow.valid", true}});
+  const auto blocked = m.then(flagged, M::reg_read(*blocked_));
   m.then(blocked, M::drop(), "blocked", {{"flow.blocked", true}});
-  const auto last = m.then(blocked, M::reg_read("fs_last_ts"), "clear",
+  const auto last = m.then(blocked, M::reg_read(*last_ts_), "clear",
                            {{"flow.blocked", false}});
-  const auto stamp = m.add(M::reg_write("fs_last_ts"));
+  const auto stamp = m.add(M::reg_write(*last_ts_));
   m.branch(last, stamp, "first_packet", {{"flow.has_ipd", false}});
-  const auto sum = m.then(last, M::reg_write("fs_ipd_sum", 2), "accrue",
+  const auto sum = m.then(last, M::reg_write(*ipd_sum_, 2), "accrue",
                           {{"flow.has_ipd", true}});
-  const auto cnt = m.then(sum, M::reg_write("fs_ipd_cnt", 2));
+  const auto cnt = m.then(sum, M::reg_write(*ipd_cnt_, 2));
   m.branch(cnt, stamp);
   m.then(stamp, M::emit("data"));
   return m;

@@ -223,27 +223,13 @@ std::optional<PortId> HulaProgram::best_hop(NodeId tor, SimTime now) const {
   return PortId{static_cast<std::uint16_t>(hop - 1)};
 }
 
-dataplane::ProgramDeclaration HulaProgram::resources() const {
-  dataplane::ProgramDeclaration decl;
-  decl.name = "hula";
-  decl.add_register(*best_hop_);
-  decl.add_register(*best_util_);
-  decl.add_register(*last_update_);
-  decl.add_register(*flowlet_port_);
-  decl.add_register(*flowlet_time_);
-  decl.add_register(*util_bytes_);
-  decl.add_register(*util_time_);
-  decl.add_table(dataplane::TableShape{"hula_tor_fwd", dataplane::MatchKind::Exact, 16, 64, 64});
-  decl.hash_uses.push_back(dataplane::HashUse::crc32("flowlet_hash"));
-  decl.header_phv_bits = 8 + 32 + 8 * static_cast<int>(kHopRecordSize);  // probe hdr + 1 record
-  decl.metadata_phv_bits = 128;
-  return decl;
-}
-
 dataplane::PipelineModel HulaProgram::pipeline_model() const {
   using M = dataplane::PipelineModel;
   M m;
   m.name = "hula";
+  m.hash_uses.push_back(dataplane::HashUse::crc32("flowlet_hash"));
+  m.header_phv_bits = 8 + 32 + 8 * static_cast<int>(kHopRecordSize);  // probe hdr + 1 record
+  m.metadata_phv_bits = 128;
   const auto entry = m.add(M::parse("hula"));
   m.then(entry, M::drop(), "malformed", {{"hdr.hula.valid", false}});
 
@@ -260,42 +246,43 @@ dataplane::PipelineModel HulaProgram::pipeline_model() const {
   const auto probe = m.then(entry, M::parse("probe"),
                             "probe", {{"hdr.hula.valid", true}, {"hdr.probe", true}});
   m.then(probe, M::drop(), "loop", {{"probe.seen_self", true}});
-  const auto util = m.then(probe, M::reg_read("hula_util_bytes"), "fresh",
+  const auto util = m.then(probe, M::reg_read(*util_bytes_), "fresh",
                            {{"probe.seen_self", false}});
-  const auto util2 = m.then(util, M::reg_read("hula_util_time"));
+  const auto util2 = m.then(util, M::reg_read(*util_time_));
   m.then(util2, M::drop(), "tor_oob", {{"probe.tor_in_range", false}});
-  const auto best = m.then(util2, M::reg_read("hula_best_hop"), "in_range",
+  const auto best = m.then(util2, M::reg_read(*best_hop_), "in_range",
                            {{"probe.tor_in_range", true}});
-  const auto best2 = m.then(best, M::reg_read("hula_best_util"));
-  const auto best3 = m.then(best2, M::reg_read("hula_last_update"));
+  const auto best2 = m.then(best, M::reg_read(*best_util_));
+  const auto best3 = m.then(best2, M::reg_read(*last_update_));
   const auto fwd_probe =
       m.add(M::emit("probe", /*protected_port=*/false, /*multi=*/true));
   m.branch(best3, fwd_probe, "keep", {{"probe.adopt", false}});
-  const auto adopt = m.then(best3, M::reg_write("hula_best_hop"), "adopt",
+  const auto adopt = m.then(best3, M::reg_write(*best_hop_), "adopt",
                             {{"probe.adopt", true}});
-  const auto adopt2 = m.then(adopt, M::reg_write("hula_best_util"));
-  const auto adopt3 = m.then(adopt2, M::reg_write("hula_last_update"));
+  const auto adopt2 = m.then(adopt, M::reg_write(*best_util_));
+  const auto adopt3 = m.then(adopt2, M::reg_write(*last_update_));
   m.branch(adopt3, fwd_probe);
 
   // Data forwarding: flowlet stickiness, then the best-hop table.
   const auto data = m.then(entry, M::parse("data"),
                            "data", {{"hdr.hula.valid", true}, {"hdr.data", true}});
   m.then(data, M::consume(), "self_sink", {{"data.self_sink", true}});
-  const auto fp = m.then(data, M::reg_read("hula_flowlet_port"), "transit",
+  const auto fp = m.then(data, M::reg_read(*flowlet_port_), "transit",
                          {{"data.self_sink", false}});
-  const auto ft = m.then(fp, M::reg_read("hula_flowlet_time"));
-  const auto tor_fwd = m.then(ft, M::table("hula_tor_fwd"));
-  const auto choose_best = m.then(tor_fwd, M::reg_read("hula_best_hop"), "flowlet_stale",
+  const auto ft = m.then(fp, M::reg_read(*flowlet_time_));
+  const auto tor_fwd =
+      m.then(ft, M::table({"hula_tor_fwd", dataplane::MatchKind::Exact, 16, 64, 64}));
+  const auto choose_best = m.then(tor_fwd, M::reg_read(*best_hop_), "flowlet_stale",
                                   {{"flowlet.live", false}});
-  const auto choose_best2 = m.then(choose_best, M::reg_read("hula_last_update"));
+  const auto choose_best2 = m.then(choose_best, M::reg_read(*last_update_));
   const auto no_hop = m.add(M::drop());
   m.branch(choose_best2, no_hop, "no_hop", {{"hop.known", false}});
-  const auto pin = m.add(M::reg_write("hula_flowlet_port"));
+  const auto pin = m.add(M::reg_write(*flowlet_port_));
   m.branch(tor_fwd, pin, "flowlet_hit", {{"flowlet.live", true}});
   m.branch(choose_best2, pin, "best_hop", {{"hop.known", true}});
-  const auto pin2 = m.then(pin, M::reg_write("hula_flowlet_time"));
-  const auto bump = m.then(pin2, M::reg_write("hula_util_bytes"));
-  const auto bump2 = m.then(bump, M::reg_write("hula_util_time"));
+  const auto pin2 = m.then(pin, M::reg_write(*flowlet_time_));
+  const auto bump = m.then(pin2, M::reg_write(*util_bytes_));
+  const auto bump2 = m.then(bump, M::reg_write(*util_time_));
   m.then(bump2, M::emit("data"));
   return m;
 }

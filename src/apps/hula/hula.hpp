@@ -39,7 +39,6 @@ class HulaProgram : public dataplane::DataPlaneProgram {
 
   dataplane::PipelineOutput process(dataplane::Packet& packet,
                                     dataplane::PipelineContext& ctx) override;
-  dataplane::ProgramDeclaration resources() const override;
   dataplane::PipelineModel pipeline_model() const override;
 
   /// Burst pre-pass: warms the flowlet slot and best-hop cells of staged

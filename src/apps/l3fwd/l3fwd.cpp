@@ -73,30 +73,21 @@ void L3FwdProgram::plan_burst(std::span<const dataplane::BurstFrameView> frames)
   }
 }
 
-dataplane::ProgramDeclaration L3FwdProgram::resources() const {
-  // Mirrors the paper's base: 2 MATs + 1 register (Table II baseline row).
-  dataplane::ProgramDeclaration decl;
-  decl.name = "baseline_l3";
-  decl.add_table(routes_.shape());
-  decl.add_table(port_map_.shape());
-  decl.add_register(*stats_);
-  decl.header_phv_bits = 112 + 160;  // eth + ipv4
-  decl.metadata_phv_bits = 178;
-  return decl;
-}
-
 dataplane::PipelineModel L3FwdProgram::pipeline_model() const {
   using M = dataplane::PipelineModel;
+  // The paper's base: 2 MATs + 1 register (Table II baseline row).
   M m;
   m.name = "baseline_l3";
+  m.header_phv_bits = 112 + 160;  // eth + ipv4
+  m.metadata_phv_bits = 178;
   const auto entry = m.add(M::parse("ipv4"));
   m.then(entry, M::drop(), "malformed", {{"hdr.ipv4.valid", false}});
-  const auto lpm = m.then(entry, M::table("ipv4_lpm"), "ipv4",
+  const auto lpm = m.then(entry, M::table(routes_.shape()), "ipv4",
                           {{"hdr.ipv4.valid", true}});
   m.then(lpm, M::drop(), "miss", {{"tbl.ipv4_lpm.hit", false}});
-  const auto pmap = m.then(lpm, M::table("port_fwd"), "hit",
+  const auto pmap = m.then(lpm, M::table(port_map_.shape()), "hit",
                            {{"tbl.ipv4_lpm.hit", true}});
-  const auto stats = m.then(pmap, M::reg_write("l3_stats", 2));
+  const auto stats = m.then(pmap, M::reg_write(*stats_, 2));
   m.then(stats, M::emit("data"));
   return m;
 }

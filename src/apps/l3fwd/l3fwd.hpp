@@ -31,7 +31,6 @@ class L3FwdProgram : public dataplane::DataPlaneProgram {
 
   dataplane::PipelineOutput process(dataplane::Packet& packet,
                                     dataplane::PipelineContext& ctx) override;
-  dataplane::ProgramDeclaration resources() const override;
   dataplane::PipelineModel pipeline_model() const override;
 
   /// Burst pre-pass: warms the LPM probe groups and the stats cell of

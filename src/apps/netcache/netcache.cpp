@@ -102,37 +102,27 @@ dataplane::PipelineOutput NetCacheProgram::process(dataplane::Packet& packet,
   return dataplane::PipelineOutput::unicast(config_.server_port, packet.payload);
 }
 
-dataplane::ProgramDeclaration NetCacheProgram::resources() const {
-  dataplane::ProgramDeclaration decl;
-  decl.name = "netcache";
-  decl.add_register(*cache_key_);
-  decl.add_register(*cache_val_);
-  decl.add_register(*cms_);
-  decl.add_table(dataplane::TableShape{"nc_cache_lookup", dataplane::MatchKind::Exact, 32, 64,
-                                       config_.cache_slots});
-  for (int row = 0; row < Config::kCmsRows; ++row) {
-    decl.hash_uses.push_back(dataplane::HashUse::crc32("nc_cms_row"));
-  }
-  decl.header_phv_bits = 8 + 32 + 64;
-  decl.metadata_phv_bits = 64;
-  return decl;
-}
-
 dataplane::PipelineModel NetCacheProgram::pipeline_model() const {
   using M = dataplane::PipelineModel;
   M m;
   m.name = "netcache";
+  for (int row = 0; row < Config::kCmsRows; ++row) {
+    m.hash_uses.push_back(dataplane::HashUse::crc32("nc_cms_row"));
+  }
+  m.header_phv_bits = 8 + 32 + 64;
+  m.metadata_phv_bits = 64;
   const auto entry = m.add(M::parse("kv"));
   m.then(entry, M::drop(), "malformed", {{"hdr.kv.valid", false}});
   // Server replies pass straight back toward the client.
   m.then(entry, M::emit("client"), "response",
          {{"hdr.kv.valid", true}, {"hdr.response", true}});
   // Queries: popularity sketch update, then the cache lookup.
-  const auto cms = m.then(entry, M::reg_write("nc_cms", 2 * Config::kCmsRows), "query",
+  const auto cms = m.then(entry, M::reg_write(*cms_, 2 * Config::kCmsRows), "query",
                           {{"hdr.kv.valid", true}, {"hdr.response", false}});
-  const auto lookup = m.then(cms, M::table("nc_cache_lookup"));
-  const auto keys = m.then(lookup, M::reg_read("nc_cache_key"));
-  m.then(m.then(keys, M::reg_read("nc_cache_val"), "hit",
+  const auto lookup = m.then(cms, M::table({"nc_cache_lookup", dataplane::MatchKind::Exact, 32,
+                                            64, config_.cache_slots}));
+  const auto keys = m.then(lookup, M::reg_read(*cache_key_));
+  m.then(m.then(keys, M::reg_read(*cache_val_), "hit",
                 {{"tbl.nc_cache_lookup.hit", true}}),
          M::emit("client"));
   m.then(keys, M::emit("server"), "miss", {{"tbl.nc_cache_lookup.hit", false}});

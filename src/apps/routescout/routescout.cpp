@@ -101,34 +101,25 @@ dataplane::PipelineOutput RouteScoutProgram::process(dataplane::Packet& packet,
   return dataplane::PipelineOutput::drop();
 }
 
-dataplane::ProgramDeclaration RouteScoutProgram::resources() const {
-  dataplane::ProgramDeclaration decl;
-  decl.name = "routescout";
-  decl.add_register(*lat_sum_);
-  decl.add_register(*lat_cnt_);
-  decl.add_register(*split_);
-  decl.add_table(dataplane::TableShape{"rs_path_select", dataplane::MatchKind::Exact, 8, 64, 16});
-  decl.hash_uses.push_back(dataplane::HashUse::crc32("rs_flow_hash"));
-  decl.header_phv_bits = 8 + 96;
-  decl.metadata_phv_bits = 96;
-  return decl;
-}
-
 dataplane::PipelineModel RouteScoutProgram::pipeline_model() const {
   using M = dataplane::PipelineModel;
   M m;
   m.name = "routescout";
+  m.hash_uses.push_back(dataplane::HashUse::crc32("rs_flow_hash"));
+  m.header_phv_bits = 8 + 96;
+  m.metadata_phv_bits = 96;
   const auto entry = m.add(M::parse("rs"));
   m.then(entry, M::drop(), "malformed", {{"hdr.rs.valid", false}});
   // Latency samples feed the per-path aggregates and stop here.
-  const auto sum = m.then(entry, M::reg_write("rs_lat_sum", 2), "sample",
+  const auto sum = m.then(entry, M::reg_write(*lat_sum_, 2), "sample",
                           {{"hdr.rs.valid", true}, {"hdr.sample", true}});
-  const auto cnt = m.then(sum, M::reg_write("rs_lat_cnt", 2));
+  const auto cnt = m.then(sum, M::reg_write(*lat_cnt_, 2));
   m.then(cnt, M::consume());
   // Data packets follow the weighted split toward a path port.
-  const auto split = m.then(entry, M::reg_read("rs_split"), "data",
+  const auto split = m.then(entry, M::reg_read(*split_), "data",
                             {{"hdr.rs.valid", true}, {"hdr.sample", false}});
-  const auto select = m.then(split, M::table("rs_path_select"));
+  const auto select =
+      m.then(split, M::table({"rs_path_select", dataplane::MatchKind::Exact, 8, 64, 16}));
   m.then(select, M::emit("data"));
   return m;
 }

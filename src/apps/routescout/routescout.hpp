@@ -51,7 +51,6 @@ class RouteScoutProgram : public dataplane::DataPlaneProgram {
 
   dataplane::PipelineOutput process(dataplane::Packet& packet,
                                     dataplane::PipelineContext& ctx) override;
-  dataplane::ProgramDeclaration resources() const override;
   dataplane::PipelineModel pipeline_model() const override;
 
   /// Wires the three state registers into a P4Auth agent's mapping table.

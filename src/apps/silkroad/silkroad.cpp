@@ -76,39 +76,29 @@ dataplane::PipelineOutput SilkRoadProgram::process(dataplane::Packet& packet,
   return dataplane::PipelineOutput::unicast(config_.out_port, std::move(forwarded));
 }
 
-dataplane::ProgramDeclaration SilkRoadProgram::resources() const {
-  dataplane::ProgramDeclaration decl;
-  decl.name = "silkroad";
-  decl.add_register(*transit_);
-  decl.add_register(*dips_old_);
-  decl.add_register(*dips_new_);
-  decl.add_register(*conn_dip_);
-  decl.add_table(dataplane::TableShape{"slk_conn_table", dataplane::MatchKind::Exact, 64, 64,
-                                       config_.conn_slots});
-  decl.hash_uses.push_back(dataplane::HashUse::crc32("slk_conn_hash"));
-  decl.header_phv_bits = 8 + 80;
-  decl.metadata_phv_bits = 64;
-  return decl;
-}
-
 dataplane::PipelineModel SilkRoadProgram::pipeline_model() const {
   using M = dataplane::PipelineModel;
   M m;
   m.name = "silkroad";
+  m.hash_uses.push_back(dataplane::HashUse::crc32("slk_conn_hash"));
+  m.header_phv_bits = 8 + 80;
+  m.metadata_phv_bits = 64;
   const auto entry = m.add(M::parse("conn"));
   m.then(entry, M::drop(), "malformed", {{"hdr.conn.valid", false}});
-  const auto table = m.then(entry, M::table("slk_conn_table"), "conn",
-                            {{"hdr.conn.valid", true}});
-  const auto pinned = m.then(table, M::reg_read("slk_conn_dip"));
+  const auto table = m.then(entry,
+                            M::table({"slk_conn_table", dataplane::MatchKind::Exact, 64, 64,
+                                      config_.conn_slots}),
+                            "conn", {{"hdr.conn.valid", true}});
+  const auto pinned = m.then(table, M::reg_read(*conn_dip_));
   const auto out = m.add(M::emit("data"));
   m.branch(pinned, out, "pinned", {{"conn.pinned", true}});
-  const auto transit = m.then(pinned, M::reg_read("slk_transit"), "fresh",
+  const auto transit = m.then(pinned, M::reg_read(*transit_), "fresh",
                               {{"conn.pinned", false}});
-  const auto old_pool = m.then(transit, M::reg_read("slk_dips_old"), "in_transit",
+  const auto old_pool = m.then(transit, M::reg_read(*dips_old_), "in_transit",
                                {{"vip.in_transit", true}});
-  const auto new_pool = m.then(transit, M::reg_read("slk_dips_new"), "stable",
+  const auto new_pool = m.then(transit, M::reg_read(*dips_new_), "stable",
                                {{"vip.in_transit", false}});
-  const auto pin = m.add(M::reg_write("slk_conn_dip", 3));
+  const auto pin = m.add(M::reg_write(*conn_dip_, 3));
   m.branch(old_pool, pin);
   m.branch(new_pool, pin);
   m.branch(pin, out);

@@ -43,7 +43,6 @@ class SilkRoadProgram : public dataplane::DataPlaneProgram {
 
   dataplane::PipelineOutput process(dataplane::Packet& packet,
                                     dataplane::PipelineContext& ctx) override;
-  dataplane::ProgramDeclaration resources() const override;
   dataplane::PipelineModel pipeline_model() const override;
 
   template <typename Agent>

@@ -86,7 +86,6 @@ class P4AuthAgent : public dataplane::DataPlaneProgram {
 
   dataplane::PipelineOutput process(dataplane::Packet& packet,
                                     dataplane::PipelineContext& ctx) override;
-  dataplane::ProgramDeclaration resources() const override;
   dataplane::PipelineModel pipeline_model() const override;
 
   /// Burst pre-pass: precomputes the MAC tags of every staged DpData
@@ -185,6 +184,7 @@ class P4AuthAgent : public dataplane::DataPlaneProgram {
   void note_key_install(dataplane::PipelineContext& ctx, PortId slot);
 
   Config config_;
+  dataplane::RegisterFile& registers_;  // exposed arrays, resolved by pipeline_model()
   std::unique_ptr<dataplane::DataPlaneProgram> inner_;
   DataPlaneKeyStore keys_;
   dataplane::DigestExtern digest_;

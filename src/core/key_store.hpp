@@ -69,6 +69,12 @@ class DataPlaneKeyStore {
   std::optional<Key64> get(PortId slot, KeyVersion version) const;
   void install(PortId slot, Key64 key);
 
+  /// The backing arrays, for the agent's pipeline model: the two key
+  /// banks (secret) and the install counter.
+  const dataplane::RegisterArray& bank_a() const noexcept { return *reg_a_; }
+  const dataplane::RegisterArray& bank_b() const noexcept { return *reg_b_; }
+  const dataplane::RegisterArray& install_counter() const noexcept { return *reg_installs_; }
+
  private:
   int num_ports_;
   std::vector<VersionedKeyChain> chains_;

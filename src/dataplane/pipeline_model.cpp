@@ -1,8 +1,22 @@
 #include "dataplane/pipeline_model.hpp"
 
+#include <algorithm>
 #include <utility>
 
 namespace p4auth::dataplane {
+
+namespace {
+
+ModelNode register_node(ModelNodeKind kind, RegisterShape shape, int accesses) {
+  ModelNode node;
+  node.kind = kind;
+  node.object = shape.name;
+  node.reg = std::move(shape);
+  node.register_cost = accesses;
+  return node;
+}
+
+}  // namespace
 
 std::string_view model_node_kind_name(ModelNodeKind kind) noexcept {
   switch (kind) {
@@ -58,7 +72,31 @@ std::size_t PipelineModel::splice(const PipelineModel& inner) {
     }
     nodes.push_back(std::move(copy));
   }
+  hash_uses.insert(hash_uses.end(), inner.hash_uses.begin(), inner.hash_uses.end());
+  header_phv_bits += inner.header_phv_bits;
+  metadata_phv_bits += inner.metadata_phv_bits;
   return offset;
+}
+
+ProgramDeclaration PipelineModel::declaration() const {
+  const auto add_once = [](auto& shapes, const auto& shape) {
+    if (std::find(shapes.begin(), shapes.end(), shape) == shapes.end()) {
+      shapes.push_back(shape);
+    }
+  };
+  ProgramDeclaration decl;
+  decl.name = name;
+  for (const ModelNode& node : nodes) {
+    if (node.kind == ModelNodeKind::Table) add_once(decl.tables, node.table);
+    if (node.kind == ModelNodeKind::RegisterRead ||
+        node.kind == ModelNodeKind::RegisterWrite) {
+      add_once(decl.registers, node.reg);
+    }
+  }
+  decl.hash_uses = hash_uses;
+  decl.header_phv_bits = header_phv_bits;
+  decl.metadata_phv_bits = metadata_phv_bits;
+  return decl;
 }
 
 ModelNode PipelineModel::parse(std::string object) {
@@ -68,40 +106,29 @@ ModelNode PipelineModel::parse(std::string object) {
   return node;
 }
 
-ModelNode PipelineModel::table(std::string name) {
+ModelNode PipelineModel::table(TableShape shape) {
   ModelNode node;
   node.kind = ModelNodeKind::Table;
-  node.object = std::move(name);
+  node.object = shape.name;
+  node.table = std::move(shape);
   node.stage_cost = 1;
   return node;
 }
 
-ModelNode PipelineModel::reg_read(std::string name, int accesses) {
-  ModelNode node;
-  node.kind = ModelNodeKind::RegisterRead;
-  node.object = std::move(name);
-  node.register_cost = accesses;
-  return node;
+ModelNode PipelineModel::reg_read(const RegisterArray& reg, int accesses) {
+  return reg_read(RegisterShape::of(reg), accesses);
 }
 
-ModelNode PipelineModel::secret_read(std::string name, int accesses) {
-  ModelNode node = reg_read(std::move(name), accesses);
-  node.secret = true;
-  return node;
+ModelNode PipelineModel::reg_write(const RegisterArray& reg, int accesses) {
+  return reg_write(RegisterShape::of(reg), accesses);
 }
 
-ModelNode PipelineModel::reg_write(std::string name, int accesses) {
-  ModelNode node;
-  node.kind = ModelNodeKind::RegisterWrite;
-  node.object = std::move(name);
-  node.register_cost = accesses;
-  return node;
+ModelNode PipelineModel::reg_read(RegisterShape shape, int accesses) {
+  return register_node(ModelNodeKind::RegisterRead, std::move(shape), accesses);
 }
 
-ModelNode PipelineModel::key_write(std::string name, int accesses) {
-  ModelNode node = reg_write(std::move(name), accesses);
-  node.key_register = true;
-  return node;
+ModelNode PipelineModel::reg_write(RegisterShape shape, int accesses) {
+  return register_node(ModelNodeKind::RegisterWrite, std::move(shape), accesses);
 }
 
 ModelNode PipelineModel::verify(std::string label) {

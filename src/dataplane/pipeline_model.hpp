@@ -1,9 +1,10 @@
-// Guarded control-flow IR for a data-plane program: the behavioural
-// contract a program declares alongside its ProgramDeclaration so the
-// symbolic model checker (src/analysis/model.*, checker.*) can *prove*
-// pipeline-wide properties — verify-before-emit, secret-flow safety,
-// authenticated key installs, per-path stage budgets — instead of
-// sampling them at runtime.
+// Guarded control-flow IR for a data-plane program: the one declaration a
+// program makes about itself. The symbolic model checker
+// (src/analysis/model.*, checker.*) explores it to *prove* pipeline-wide
+// properties — verify-before-emit, secret-flow safety, authenticated key
+// installs, per-path stage budgets — and declaration() derives the
+// ProgramDeclaration the resource model, the static checks and the
+// conformance audit read, so the two can never disagree.
 //
 // The IR is a graph of ModelNodes connected by guarded ModelBranches.
 // Node 0 is the entry (the parser). Each node is one pipeline construct:
@@ -12,7 +13,9 @@
 // (emit / punt-to-CPU / drop / consume). Branches carry symbolic
 // conditions (ModelCond) over named boolean atoms — header validity,
 // table hit/miss, verify outcomes — and the path explorer rejects any
-// path that would require an atom to be both true and false.
+// path that would require an atom to be both true and false. Table
+// nodes carry the TableShape and register nodes the RegisterShape they
+// bill; the model itself carries the program's hash uses and PHV bits.
 //
 // Conventions the checker relies on (documented in docs/ANALYSIS.md):
 //  * a branch labelled "ok" out of a DigestVerify node is the successful
@@ -21,10 +24,11 @@
 //  * Emit nodes with `protected_port` carry a frame class that must only
 //    cross a P4Auth-protected link authenticated (DpData, port-scope
 //    KMP). Discovery/raw traffic emits leave the flag clear.
-//  * RegisterRead with `secret` taints the path (key material in
+//  * A RegisterRead of a secret register (RegisterShape::secret, taken
+//    from RegisterArray::secret()) taints the path (key material in
 //    flight); DigestVerify/DigestCompute declassify (the key is consumed
 //    as a MAC key, not copied into output bytes).
-//  * RegisterWrite with `key_register` marks a key-store install; the
+//  * A RegisterWrite to a secret register is a key-store install; the
 //    checker requires a successful verify earlier on every such path.
 //  * Emit/Punt nodes with `multi` model runtime replication (probe
 //    flooding, LLDP announce): they match one-or-more observed outputs.
@@ -34,6 +38,10 @@
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "dataplane/register_file.hpp"
+#include "dataplane/resources.hpp"
+#include "dataplane/table.hpp"
 
 namespace p4auth::dataplane {
 
@@ -66,27 +74,35 @@ struct ModelBranch {
 
 struct ModelNode {
   ModelNodeKind kind = ModelNodeKind::Drop;
-  /// Table/register name, verify/digest label, or emit port class. Table
-  /// and register objects are diffed against the ProgramDeclaration.
+  /// Table/register name, verify/digest label, or emit port class.
   std::string object;
+  TableShape table;             ///< Table: the shape declaration() bills
+  RegisterShape reg;            ///< RegisterRead/Write: the array touched
   bool protected_port = false;  ///< Emit: authenticated-class frame on a P4Auth link
   bool multi = false;           ///< Emit/Punt: replicated 1..N times at runtime
-  bool secret = false;          ///< RegisterRead: source holds key material
-  bool key_register = false;    ///< RegisterWrite: target holds key material
   int stage_cost = 0;           ///< match-action stages this node occupies
   int hash_cost = 0;            ///< hash-distribution units billed here
   int register_cost = 0;        ///< register accesses billed here
   std::vector<ModelBranch> next;  ///< empty == terminal
 };
 
-/// The model itself plus a small builder API; apps assemble their model
-/// in pipeline_model() the same way they assemble resources().
+/// The model itself plus a small builder API; apps assemble it in
+/// pipeline_model() from the tables and registers they own.
 class PipelineModel {
  public:
   std::string name;
   std::vector<ModelNode> nodes;  ///< node 0 is the entry
+  std::vector<HashUse> hash_uses;
+  int header_phv_bits = 0;
+  int metadata_phv_bits = 0;
 
   bool empty() const noexcept { return nodes.empty(); }
+
+  /// The program's resource declaration: tables and registers from the
+  /// nodes in node order, plus the hash uses and PHV bits. A shape named
+  /// by several nodes is declared once; two different shapes under one
+  /// name are both kept, so decl-duplicate-* flags the conflict.
+  ProgramDeclaration declaration() const;
 
   /// Appends a node; returns its index.
   std::size_t add(ModelNode node);
@@ -99,18 +115,21 @@ class PipelineModel {
   void branch(std::size_t from, std::size_t to, std::string label = {},
               std::vector<ModelCond> when = {});
 
-  /// Imports every node of `inner` (index-shifted); returns the offset of
-  /// its entry so the host model can branch into it. Used by wrapper
-  /// programs (the P4Auth agent) to embed the wrapped program's model.
+  /// Imports every node of `inner` (index-shifted) plus its hash uses and
+  /// PHV bits; returns the offset of its entry so the host model can
+  /// branch into it. Used by wrapper programs (the P4Auth agent) to embed
+  /// the wrapped program's model.
   std::size_t splice(const PipelineModel& inner);
 
   // --- node factories -------------------------------------------------------
   static ModelNode parse(std::string object);
-  static ModelNode table(std::string name);
-  static ModelNode reg_read(std::string name, int accesses = 1);
-  static ModelNode secret_read(std::string name, int accesses = 1);
-  static ModelNode reg_write(std::string name, int accesses = 1);
-  static ModelNode key_write(std::string name, int accesses = 1);
+  static ModelNode table(TableShape shape);
+  /// Register effects on a real array: size and secrecy come from it.
+  static ModelNode reg_read(const RegisterArray& reg, int accesses = 1);
+  static ModelNode reg_write(const RegisterArray& reg, int accesses = 1);
+  /// Register effects on notional state with no backing array.
+  static ModelNode reg_read(RegisterShape shape, int accesses = 1);
+  static ModelNode reg_write(RegisterShape shape, int accesses = 1);
   static ModelNode verify(std::string label);
   static ModelNode digest(std::string label);
   static ModelNode emit(std::string port_class, bool protected_port = false,

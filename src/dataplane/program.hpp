@@ -60,10 +60,10 @@ class PipelineContext {
   BufferPool* pool() const noexcept { return pool_; }
   AuditSink* audit() const noexcept { return audit_; }
 
-  /// Reports a lookup against the named declared table; free when no
-  /// audit is attached. Programs call this where they bill
-  /// costs().table_lookups so the auditor can match observed lookups to
-  /// the ProgramDeclaration by name.
+  /// Reports a lookup against the named table; free when no audit is
+  /// attached. Programs call this where they bill costs().table_lookups
+  /// so the auditor can match observed lookups, by name, to the Table
+  /// nodes of the program's PipelineModel (its declared tables).
   void note_table(std::string_view table) {
     if (audit_ != nullptr) audit_->on_table_lookup(table);
   }
@@ -123,13 +123,17 @@ class DataPlaneProgram {
   /// plan_burst by the hosting switch.
   virtual void end_burst() {}
 
-  /// Declared resource footprint (what the P4 compiler would report).
-  virtual ProgramDeclaration resources() const { return {}; }
+  /// Declared resource footprint (what the P4 compiler would report),
+  /// derived from pipeline_model(). Virtual only so decorators can
+  /// forward it; programs declare themselves through the model.
+  virtual ProgramDeclaration resources() const { return pipeline_model().declaration(); }
 
-  /// Guarded control-flow model for the symbolic checker (empty by
-  /// default: the program opts out of model checking). Programs that
-  /// declare one keep it in lock-step with process(); the path
-  /// conformance audit flags drift mechanically.
+  /// The program's one declaration: the guarded control-flow model the
+  /// symbolic checker explores and resources() derives from (empty by
+  /// default: the program declares nothing and opts out of model
+  /// checking). Programs keep it in lock-step with process(); the path
+  /// conformance audit and the audit-undeclared-*/audit-dead-* rules
+  /// flag drift mechanically.
   virtual PipelineModel pipeline_model() const { return {}; }
 };
 

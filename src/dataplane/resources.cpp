@@ -83,18 +83,6 @@ int HashUse::stages() const noexcept {
   return 0;
 }
 
-void ProgramDeclaration::add_register_shape(RegisterShape shape) {
-  const auto known = std::find_if(registers.begin(), registers.end(), [&](const RegisterShape& r) {
-    return r.name == shape.name;
-  });
-  if (known != registers.end()) return;
-  registers.push_back(std::move(shape));
-}
-
-void ProgramDeclaration::add_registers(const RegisterFile& file) {
-  for (const auto& reg : file.arrays()) add_register(*reg);
-}
-
 ResourceUsage compute_usage(const ProgramDeclaration& program, const ResourceBudget& budget) {
   ResourceUsage usage;
   usage.sram_blocks += program.parser_overhead_sram_blocks;

@@ -66,10 +66,21 @@ struct HashUse {
 struct RegisterShape {
   std::string name;
   std::size_t total_bits = 0;
+  /// Holds key material (K_auth/K_local/K_port): a read taints the path
+  /// until the digest extern consumes it, a write is a key install.
+  bool secret = false;
+
+  /// A real array's shape: its name, storage and secrecy.
+  static RegisterShape of(const RegisterArray& reg) {
+    return RegisterShape{reg.name(), reg.total_bits(), reg.secret()};
+  }
+
+  friend bool operator==(const RegisterShape&, const RegisterShape&) = default;
 };
 
-/// Everything the resource model needs about a program, assembled from the
-/// program's real tables/registers plus its declared hash uses and headers.
+/// Everything the resource model needs about a program. Programs do not
+/// build one by hand: PipelineModel::declaration() derives it from the
+/// shapes on the model's nodes plus the model's hash uses and PHV bits.
 struct ProgramDeclaration {
   std::string name;
   std::vector<TableShape> tables;
@@ -78,16 +89,6 @@ struct ProgramDeclaration {
   int header_phv_bits = 0;
   int metadata_phv_bits = 0;
   int parser_overhead_sram_blocks = 1;
-
-  void add_table(const TableShape& shape) { tables.push_back(shape); }
-  /// Deduplicates by name: declaring the same array twice (e.g. once by
-  /// the inner program and once by a wrapper) must not double-charge its
-  /// SRAM.
-  void add_register(const RegisterArray& reg) {
-    add_register_shape(RegisterShape{reg.name(), reg.total_bits()});
-  }
-  void add_register_shape(RegisterShape shape);
-  void add_registers(const RegisterFile& file);
 };
 
 /// Absolute block/unit/bit counts plus utilization percentages.

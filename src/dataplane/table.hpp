@@ -10,7 +10,8 @@
 // every match kind in O(1) pipeline stages, and the software engine
 // approximates that — flat-hash exact lookup, populated-length-bitmap
 // LPM, mask-grouped ternary — with allocation-free steady-state lookups.
-// The original structures survive as reference_table.hpp, which the
+// The original structures survive as reference_table.hpp (library
+// p4auth_reference_tables, outside p4auth_dataplane), which the
 // differential test and bench/micro_tables drive against these.
 #pragma once
 
@@ -40,6 +41,8 @@ struct TableShape {
   int key_bits = 0;
   int action_bits = 64;
   std::size_t capacity = 0;
+
+  friend bool operator==(const TableShape&, const TableShape&) = default;
 };
 
 /// Exact-match table keyed on raw bytes: open-addressing flat hash with

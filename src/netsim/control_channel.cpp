@@ -21,7 +21,14 @@ ControlChannel::ControlChannel(Simulator& sim, Switch& sw, ChannelModel model,
   // coalescing group the controller can batch-verify across.
   switch_.set_packet_in_sink([this](Bytes message) {
     ++stats_.to_controller;
-    const SimTime delay = jittered(model_.to_controller_delay(message.size()), to_controller_rng_);
+    SimTime delay = jittered(model_.to_controller_delay(message.size()), to_controller_rng_);
+    // The transports modelled (gRPC over TCP, CPU-port PacketIn) are
+    // in-order: a small message must not overtake a larger one sent
+    // before it. The clamp only lengthens delays, so the lookahead floor
+    // still holds.
+    const SimTime now = switch_sim_->now();
+    if (now + delay < to_controller_tail_) delay = to_controller_tail_ - now;
+    to_controller_tail_ = now + delay;
     telemetry::SpanContext span;
     if (telemetry::Telemetry* side = switch_.telemetry()) span = side->spans.child_for_schedule();
     auto fire = [this, span, message = std::move(message)]() mutable {

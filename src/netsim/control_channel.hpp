@@ -130,6 +130,7 @@ class ControlChannel {
   Stats stats_;
   Xoshiro256 to_switch_rng_;
   Xoshiro256 to_controller_rng_;
+  SimTime to_controller_tail_{};  ///< arrival time of the latest PacketIn sent
   telemetry::Telemetry* telemetry_ = nullptr;
 };
 

@@ -37,7 +37,7 @@ bool has_rule(const std::vector<Finding>& findings, std::string_view rule,
 ProgramDeclaration small_program() {
   ProgramDeclaration program;
   program.name = "broken";
-  program.add_table(TableShape{"t", MatchKind::Exact, 32, 64, 128});
+  program.tables.push_back(TableShape{"t", MatchKind::Exact, 32, 64, 128});
   program.registers.push_back(RegisterShape{"r", 1024});
   return program;
 }
@@ -48,13 +48,12 @@ TEST(StaticChecks, CleanProgramHasNoFindings) {
 
 TEST(StaticChecks, DuplicateTable) {
   auto program = small_program();
-  program.add_table(TableShape{"t", MatchKind::Exact, 16, 64, 64});
+  program.tables.push_back(TableShape{"t", MatchKind::Exact, 16, 64, 64});
   EXPECT_TRUE(has_rule(run_static_checks(program), "decl-duplicate-table", Severity::Error));
 }
 
 TEST(StaticChecks, DuplicateRegister) {
   auto program = small_program();
-  // push_back deliberately: add_register_shape would dedupe (see below).
   program.registers.push_back(RegisterShape{"r", 1024});
   EXPECT_TRUE(
       has_rule(run_static_checks(program), "decl-duplicate-register", Severity::Error));
@@ -62,7 +61,7 @@ TEST(StaticChecks, DuplicateRegister) {
 
 TEST(StaticChecks, ZeroCapacityTable) {
   auto program = small_program();
-  program.add_table(TableShape{"empty", MatchKind::Exact, 32, 64, 0});
+  program.tables.push_back(TableShape{"empty", MatchKind::Exact, 32, 64, 0});
   EXPECT_TRUE(
       has_rule(run_static_checks(program), "decl-zero-capacity-table", Severity::Error));
 }
@@ -76,7 +75,7 @@ TEST(StaticChecks, ZeroSizeRegister) {
 
 TEST(StaticChecks, TcamOvercommit) {
   auto program = small_program();
-  program.add_table(TableShape{"lpm", MatchKind::Lpm, 32, 64, 1u << 20});
+  program.tables.push_back(TableShape{"lpm", MatchKind::Lpm, 32, 64, 1u << 20});
   EXPECT_TRUE(has_rule(run_static_checks(program), "budget-tcam-overcommit", Severity::Error));
 }
 
@@ -101,7 +100,7 @@ TEST(StaticChecks, PhvOverflow) {
 TEST(StaticChecks, StageTcamInfeasible) {
   auto program = small_program();
   // 1100 key bits need 25 key units; one stage provides 288/12 = 24.
-  program.add_table(TableShape{"wide", MatchKind::Ternary, 1100, 64, 128});
+  program.tables.push_back(TableShape{"wide", MatchKind::Ternary, 1100, 64, 128});
   const auto findings = run_static_checks(program);
   EXPECT_TRUE(has_rule(findings, "stage-tcam-infeasible", Severity::Error));
 }
@@ -116,7 +115,7 @@ TEST(StaticChecks, StageHashInfeasible) {
 
 TEST(StaticChecks, ExactTablesAreNotStageTcamChecked) {
   auto program = small_program();
-  program.add_table(TableShape{"wide_exact", MatchKind::Exact, 1100, 64, 128});
+  program.tables.push_back(TableShape{"wide_exact", MatchKind::Exact, 1100, 64, 128});
   EXPECT_FALSE(
       has_rule(run_static_checks(program), "stage-tcam-infeasible", Severity::Error));
 }
@@ -230,7 +229,7 @@ TEST(ConformanceAudit, UndeclaredTable) {
 TEST(ConformanceAudit, DeadTable) {
   AuditSession session;
   ProgramDeclaration decl;
-  decl.add_table(TableShape{"never_looked_up", MatchKind::Exact, 32, 64, 16});
+  decl.tables.push_back(TableShape{"never_looked_up", MatchKind::Exact, 32, 64, 16});
   install(session, std::move(decl));
   session.inject(Bytes{1}, PortId{1});
   EXPECT_TRUE(has_rule(run_conformance_audit(session), "audit-dead-table", Severity::Warning));
@@ -294,7 +293,7 @@ TEST(ConformanceAudit, MatchingUsageIsClean) {
   auto* reg = session.registers().create("counted", RegisterId{1}, 8, 32).value();
   ProgramDeclaration decl;
   decl.registers.push_back(RegisterShape{"counted", 256});
-  decl.add_table(TableShape{"noted", MatchKind::Exact, 32, 64, 16});
+  decl.tables.push_back(TableShape{"noted", MatchKind::Exact, 32, 64, 16});
   decl.hash_uses.push_back(HashUse::crc32("used"));
   auto& program = install(session, std::move(decl));
   program.touch_register = reg;

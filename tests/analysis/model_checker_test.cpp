@@ -4,7 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <set>
+#include <string>
 #include <string_view>
 #include <thread>
 #include <vector>
@@ -13,13 +13,13 @@
 #include "analysis/checker.hpp"
 #include "analysis/model.hpp"
 #include "analysis/registry.hpp"
+#include "analysis/static_checks.hpp"
 
 namespace p4auth::analysis {
 namespace {
 
 using dataplane::ModelNodeKind;
 using dataplane::PipelineModel;
-using dataplane::ProgramDeclaration;
 using dataplane::RegisterShape;
 using dataplane::TableShape;
 using M = PipelineModel;
@@ -37,24 +37,15 @@ bool has_model_rule(const std::vector<Finding>& findings) {
   });
 }
 
-/// A declaration that covers exactly what `model` references, so fixture
-/// checks exercise one rule without incidental drift findings.
-ProgramDeclaration decl_for(const PipelineModel& model) {
-  ProgramDeclaration decl;
-  decl.name = model.name;
-  std::set<std::string> tables;
-  std::set<std::string> registers;
-  for (const auto& node : model.nodes) {
-    if (node.kind == ModelNodeKind::Table && tables.insert(node.object).second) {
-      decl.add_table(TableShape{node.object, dataplane::MatchKind::Exact, 32, 64, 16});
-    }
-    if ((node.kind == ModelNodeKind::RegisterRead ||
-         node.kind == ModelNodeKind::RegisterWrite) &&
-        registers.insert(node.object).second) {
-      decl.add_register_shape(RegisterShape{node.object, 1024});
-    }
-  }
-  return decl;
+/// A table node with a plausible shape; the rule fixtures only care
+/// about its name.
+dataplane::ModelNode table(std::string name) {
+  return M::table(TableShape{std::move(name), dataplane::MatchKind::Exact, 32, 64, 16});
+}
+
+/// A register holding key material: reads taint, writes install keys.
+RegisterShape secret_register(std::string name) {
+  return RegisterShape{std::move(name), 1024, /*secret=*/true};
 }
 
 // ---------------------------------------------------------------------------
@@ -66,7 +57,7 @@ TEST(ModelChecker, VerifyBypassFiresOnUnverifiedProtectedEmit) {
   m.name = "bypass";
   const auto entry = m.add(M::parse("p"));
   m.then(entry, M::emit("dp_data", /*protected_port=*/true));
-  const auto check = check_model(m, decl_for(m));
+  const auto check = check_model(m);
   EXPECT_TRUE(has_rule(check.findings, "model-verify-bypass", Severity::Error));
 }
 
@@ -74,11 +65,11 @@ TEST(ModelChecker, VerifyDominatingProtectedEmitIsClean) {
   M m;
   m.name = "verified";
   const auto entry = m.add(M::parse("p"));
-  const auto key = m.then(entry, M::secret_read("keys"));
+  const auto key = m.then(entry, M::reg_read(secret_register("keys")));
   const auto verify = m.then(key, M::verify("dp_verify"));
   m.then(verify, M::drop(), "fail");
   m.then(verify, M::emit("dp_data", /*protected_port=*/true), "ok");
-  const auto check = check_model(m, decl_for(m));
+  const auto check = check_model(m);
   EXPECT_FALSE(has_model_rule(check.findings));
   // Two feasible paths: verify-ok emit, verify-fail drop.
   EXPECT_EQ(check.exploration.paths.size(), 2u);
@@ -92,7 +83,7 @@ TEST(ModelChecker, FailEdgeEmitStillFiresBypass) {
   const auto verify = m.then(entry, M::verify("dp_verify"));
   m.then(verify, M::drop(), "ok");
   m.then(verify, M::emit("dp_data", /*protected_port=*/true), "fail");
-  const auto check = check_model(m, decl_for(m));
+  const auto check = check_model(m);
   EXPECT_TRUE(has_rule(check.findings, "model-verify-bypass", Severity::Error));
 }
 
@@ -100,9 +91,9 @@ TEST(ModelChecker, SecretEgressFiresOnUndigestedEmit) {
   M m;
   m.name = "egress";
   const auto entry = m.add(M::parse("p"));
-  const auto key = m.then(entry, M::secret_read("keys"));
+  const auto key = m.then(entry, M::reg_read(secret_register("keys")));
   m.then(key, M::emit("data"));
-  const auto check = check_model(m, decl_for(m));
+  const auto check = check_model(m);
   EXPECT_TRUE(has_rule(check.findings, "model-secret-egress", Severity::Error));
 }
 
@@ -110,9 +101,9 @@ TEST(ModelChecker, SecretEgressFiresOnUndigestedPunt) {
   M m;
   m.name = "egress-punt";
   const auto entry = m.add(M::parse("p"));
-  const auto key = m.then(entry, M::secret_read("keys"));
+  const auto key = m.then(entry, M::reg_read(secret_register("keys")));
   m.then(key, M::punt());
-  const auto check = check_model(m, decl_for(m));
+  const auto check = check_model(m);
   EXPECT_TRUE(has_rule(check.findings, "model-secret-egress", Severity::Error));
 }
 
@@ -120,10 +111,10 @@ TEST(ModelChecker, DigestDeclassifiesSecretRead) {
   M m;
   m.name = "declassified";
   const auto entry = m.add(M::parse("p"));
-  const auto key = m.then(entry, M::secret_read("keys"));
+  const auto key = m.then(entry, M::reg_read(secret_register("keys")));
   const auto tag = m.then(key, M::digest("digest_compute"));
   m.then(tag, M::punt());
-  const auto check = check_model(m, decl_for(m));
+  const auto check = check_model(m);
   EXPECT_FALSE(has_model_rule(check.findings));
 }
 
@@ -131,9 +122,9 @@ TEST(ModelChecker, UnauthKeyWriteFiresWithoutVerify) {
   M m;
   m.name = "key-write";
   const auto entry = m.add(M::parse("p"));
-  const auto install = m.then(entry, M::key_write("keys"));
+  const auto install = m.then(entry, M::reg_write(secret_register("keys")));
   m.then(install, M::consume());
-  const auto check = check_model(m, decl_for(m));
+  const auto check = check_model(m);
   EXPECT_TRUE(has_rule(check.findings, "model-unauth-key-write", Severity::Error));
 }
 
@@ -143,9 +134,9 @@ TEST(ModelChecker, KeyWriteAfterVerifyIsClean) {
   const auto entry = m.add(M::parse("p"));
   const auto verify = m.then(entry, M::verify("kmp_verify"));
   m.then(verify, M::drop(), "fail");
-  const auto install = m.then(verify, M::key_write("keys"), "ok");
+  const auto install = m.then(verify, M::reg_write(secret_register("keys")), "ok");
   m.then(install, M::consume());
-  const auto check = check_model(m, decl_for(m));
+  const auto check = check_model(m);
   EXPECT_FALSE(has_model_rule(check.findings));
 }
 
@@ -153,13 +144,13 @@ TEST(ModelChecker, BudgetPathFiresOnStageOverrun) {
   M m;
   m.name = "stages";
   const auto entry = m.add(M::parse("p"));
-  const auto t1 = m.then(entry, M::table("t1"));
-  const auto t2 = m.then(t1, M::table("t2"));
-  const auto t3 = m.then(t2, M::table("t3"));
+  const auto t1 = m.then(entry, table("t1"));
+  const auto t2 = m.then(t1, table("t2"));
+  const auto t3 = m.then(t2, table("t3"));
   m.then(t3, M::emit("data"));
   ModelCheckOptions options;
   options.budget.stages = 2;
-  const auto check = check_model(m, decl_for(m), options);
+  const auto check = check_model(m, options);
   EXPECT_TRUE(has_rule(check.findings, "model-budget-path", Severity::Error));
 }
 
@@ -173,7 +164,7 @@ TEST(ModelChecker, BudgetPathFiresOnHashOverrun) {
   m.then(kdf, M::emit("data"));
   ModelCheckOptions options;
   options.budget.hash_units = 1;  // the worst path bills 2
-  const auto check = check_model(m, decl_for(m), options);
+  const auto check = check_model(m, options);
   EXPECT_TRUE(has_rule(check.findings, "model-budget-path", Severity::Error));
 }
 
@@ -181,25 +172,11 @@ TEST(ModelChecker, DeadBranchFiresOnContradictoryGuards) {
   M m;
   m.name = "dead";
   const auto entry = m.add(M::parse("p"));
-  const auto mid = m.then(entry, M::table("t"), "only", {{"hdr.valid", true}});
+  const auto mid = m.then(entry, table("t"), "only", {{"hdr.valid", true}});
   m.then(mid, M::emit("data"), "live", {{"hdr.valid", true}});
   m.then(mid, M::drop(), "dead", {{"hdr.valid", false}});  // contradicts entry guard
-  const auto check = check_model(m, decl_for(m));
+  const auto check = check_model(m);
   EXPECT_TRUE(has_rule(check.findings, "model-dead-branch", Severity::Warning));
-}
-
-TEST(ModelChecker, DeclDriftBothDirections) {
-  M m;
-  m.name = "drift";
-  const auto entry = m.add(M::parse("p"));
-  const auto t = m.then(entry, M::table("ghost_table"));  // not declared
-  m.then(t, M::drop());
-  ProgramDeclaration decl;
-  decl.name = "drift";
-  decl.add_register_shape(RegisterShape{"orphan_register", 1024});  // not modelled
-  const auto check = check_model(m, decl);
-  EXPECT_TRUE(has_rule(check.findings, "model-decl-drift", Severity::Error));
-  EXPECT_TRUE(has_rule(check.findings, "model-decl-drift", Severity::Warning));
 }
 
 TEST(ModelChecker, ExplorationLimitFiresOnCycle) {
@@ -207,7 +184,7 @@ TEST(ModelChecker, ExplorationLimitFiresOnCycle) {
   m.name = "cycle";
   const auto entry = m.add(M::parse("p"));
   m.branch(entry, entry);  // unbounded loop
-  const auto check = check_model(m, decl_for(m));
+  const auto check = check_model(m);
   EXPECT_TRUE(check.exploration.truncated);
   EXPECT_TRUE(has_rule(check.findings, "model-exploration-limit", Severity::Error));
   // Conformance must refuse to judge a partial path set.
@@ -218,10 +195,36 @@ TEST(ModelChecker, ExplorationLimitFiresOnCycle) {
 }
 
 TEST(ModelChecker, MissingModelIsAnError) {
-  ProgramDeclaration decl;
-  decl.name = "no-model";
-  const auto check = check_model(PipelineModel{}, decl);
+  PipelineModel m;
+  m.name = "no-model";
+  const auto check = check_model(m);
   EXPECT_TRUE(has_rule(check.findings, "model-missing", Severity::Error));
+}
+
+// ---------------------------------------------------------------------------
+// The declaration derived from the model.
+// ---------------------------------------------------------------------------
+
+TEST(ModelDeclaration, ConflictingShapesUnderOneNameFireDuplicates) {
+  // One register name at two sizes and one table name at two capacities:
+  // both shapes of each are declared, so the static checks see the
+  // conflict instead of billing whichever node came first.
+  M m;
+  m.name = "conflict";
+  const auto entry = m.add(M::parse("p"));
+  const auto small = m.then(entry, M::reg_read(RegisterShape{"state", 1024}));
+  const auto big = m.then(small, M::reg_write(RegisterShape{"state", 4096}));
+  const auto first =
+      m.then(big, M::table(TableShape{"t", dataplane::MatchKind::Exact, 32, 64, 16}));
+  const auto second =
+      m.then(first, M::table(TableShape{"t", dataplane::MatchKind::Exact, 32, 64, 32}));
+  m.then(second, M::drop());
+  const auto decl = m.declaration();
+  ASSERT_EQ(decl.registers.size(), 2u);
+  ASSERT_EQ(decl.tables.size(), 2u);
+  const auto findings = run_static_checks(decl);
+  EXPECT_TRUE(has_rule(findings, "decl-duplicate-register", Severity::Error));
+  EXPECT_TRUE(has_rule(findings, "decl-duplicate-table", Severity::Error));
 }
 
 // ---------------------------------------------------------------------------
@@ -259,7 +262,7 @@ TEST(ModelConformance, MatchingTraceMapsToExactlyOneProjection) {
   M m;
   m.name = "match";
   const auto entry = m.add(M::parse("p"));
-  const auto t = m.then(entry, M::table("fwd"), "valid", {{"hdr.valid", true}});
+  const auto t = m.then(entry, table("fwd"), "valid", {{"hdr.valid", true}});
   m.then(t, M::emit("data"), "hit", {{"tbl.fwd.hit", true}});
   m.then(t, M::drop(), "miss", {{"tbl.fwd.hit", false}});
   m.then(entry, M::drop(), "malformed", {{"hdr.valid", false}});
@@ -302,17 +305,16 @@ TEST(ModelRegistry, AgentModelProvesVerifyBeforeEmit) {
   ASSERT_NE(entry, nullptr);
   AuditSession session;
   entry->run(session);
-  const auto decl = session.program().resources();
   auto model = session.program().pipeline_model();
   ASSERT_FALSE(model.empty());
 
-  const auto clean = check_model(model, decl);
+  const auto clean = check_model(model);
   EXPECT_FALSE(has_model_rule(clean.findings));
 
   for (auto& node : model.nodes) {
     if (node.kind == ModelNodeKind::DigestVerify) node.kind = ModelNodeKind::Parse;
   }
-  const auto mutated = check_model(model, decl);
+  const auto mutated = check_model(model);
   EXPECT_TRUE(has_rule(mutated.findings, "model-verify-bypass", Severity::Error));
   EXPECT_TRUE(has_rule(mutated.findings, "model-unauth-key-write", Severity::Error));
 }

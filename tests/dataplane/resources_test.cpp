@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "dataplane/pipeline_model.hpp"
+#include "dataplane/register_file.hpp"
+
 namespace p4auth::dataplane {
 namespace {
 
@@ -35,8 +38,8 @@ ProgramDeclaration baseline_l3() {
   // two match-action tables and one register (§IX-B).
   ProgramDeclaration program;
   program.name = "baseline_l3";
-  program.add_table(TableShape{"ipv4_lpm", MatchKind::Lpm, 32, 64, 12288});
-  program.add_table(TableShape{"port_fwd", MatchKind::Exact, 32, 64, 2048});
+  program.tables.push_back(TableShape{"ipv4_lpm", MatchKind::Lpm, 32, 64, 12288});
+  program.tables.push_back(TableShape{"port_fwd", MatchKind::Exact, 32, 64, 2048});
   program.registers.push_back(RegisterShape{"stats", 32768u * 32u});
   program.header_phv_bits = 112 + 160;  // eth + ipv4
   program.metadata_phv_bits = 178;
@@ -48,7 +51,7 @@ ProgramDeclaration with_p4auth() {
   // key/seq/alert registers, and the reg_id_to_name mapping table (§VII).
   ProgramDeclaration program = baseline_l3();
   program.name = "with_p4auth";
-  program.add_table(TableShape{"reg_id_to_name_mapping", MatchKind::Exact, 40, 64, 256});
+  program.tables.push_back(TableShape{"reg_id_to_name_mapping", MatchKind::Exact, 40, 64, 256});
   program.registers.push_back(RegisterShape{"p4auth_keys", 65u * 64u});
   program.registers.push_back(RegisterShape{"p4auth_seq", 16384u * 32u});
   program.registers.push_back(RegisterShape{"p4auth_alert_cnt", 2u * 4096u * 32u});
@@ -130,7 +133,7 @@ TEST(ResourceModel, PercentagesAgainstCustomBudget) {
 
 int tcam_blocks_for(int key_bits, std::size_t capacity) {
   ProgramDeclaration program;
-  program.add_table(TableShape{"t", MatchKind::Lpm, key_bits, 64, capacity});
+  program.tables.push_back(TableShape{"t", MatchKind::Lpm, key_bits, 64, capacity});
   return compute_usage(program).tcam_blocks;
 }
 
@@ -170,7 +173,7 @@ TEST(ChargingRules, ExactTableCapacityBoundaryAt1024Entries) {
   const auto blocks_for = [](std::size_t capacity) {
     ProgramDeclaration program;
     // 64-bit key + 64-bit action = one 128-bit SRAM word per entry.
-    program.add_table(TableShape{"e", MatchKind::Exact, 64, 64, capacity});
+    program.tables.push_back(TableShape{"e", MatchKind::Exact, 64, 64, capacity});
     return compute_usage(program).sram_blocks;
   };
   // ceil(capacity/1024) data blocks + 1 hash-way overhead block.
@@ -178,15 +181,45 @@ TEST(ChargingRules, ExactTableCapacityBoundaryAt1024Entries) {
   EXPECT_EQ(blocks_for(2 * kSramEntriesPerBlock), blocks_for(kSramEntriesPerBlock + 1));
 }
 
-TEST(ProgramDeclaration, AddRegisterShapeDeduplicatesByName) {
-  ProgramDeclaration program;
-  program.add_register_shape(RegisterShape{"dup", 1024});
-  program.add_register_shape(RegisterShape{"dup", 4096});  // ignored: same name
-  program.add_register_shape(RegisterShape{"other", 512});
-  ASSERT_EQ(program.registers.size(), 2u);
-  EXPECT_EQ(program.registers[0].name, "dup");
-  EXPECT_EQ(program.registers[0].total_bits, 1024u);
-  EXPECT_EQ(program.registers[1].name, "other");
+TEST(ProgramDeclaration, DerivedFromModelDeclaresEachShapeOnce) {
+  RegisterFile registers;
+  RegisterArray* keys = registers.create("keys", RegisterId{1}, 9, 64).value();
+  keys->mark_secret();
+  RegisterArray* stats = registers.create("stats", RegisterId{2}, 1024, 32).value();
+
+  using M = PipelineModel;
+  M inner;
+  inner.name = "inner";
+  inner.hash_uses.push_back(HashUse::crc32("inner_hash"));
+  inner.header_phv_bits = 100;
+  inner.metadata_phv_bits = 10;
+  inner.then(inner.add(M::parse("p")), M::reg_write(*stats));
+
+  M m;
+  m.name = "outer";
+  m.hash_uses.push_back(HashUse::crc32("outer_hash"));
+  m.header_phv_bits = 50;
+  const auto entry = m.add(M::parse("p"));
+  const auto read = m.then(entry, M::reg_read(*keys));
+  const auto fwd = m.then(read, M::table(TableShape{"fwd", MatchKind::Exact, 32, 64, 16}));
+  const auto write = m.then(fwd, M::reg_write(*keys));  // same array: declared once
+  m.branch(write, m.splice(inner));
+  m.then(entry, M::table(TableShape{"fwd", MatchKind::Exact, 32, 64, 16}));  // declared once
+  m.then(entry, M::reg_read(RegisterShape{"notional", 512}));
+
+  const ProgramDeclaration decl = m.declaration();
+  EXPECT_EQ(decl.name, "outer");
+  ASSERT_EQ(decl.tables.size(), 1u);
+  EXPECT_EQ(decl.tables[0].capacity, 16u);
+  ASSERT_EQ(decl.registers.size(), 3u);  // node order: keys, stats, notional
+  EXPECT_EQ(decl.registers[0], (RegisterShape{"keys", 9u * 64u, /*secret=*/true}));
+  EXPECT_EQ(decl.registers[1], (RegisterShape{"stats", 1024u * 32u, /*secret=*/false}));
+  EXPECT_EQ(decl.registers[2], (RegisterShape{"notional", 512, /*secret=*/false}));
+  ASSERT_EQ(decl.hash_uses.size(), 2u);  // splice carries the inner program's
+  EXPECT_EQ(decl.hash_uses[0].label, "outer_hash");
+  EXPECT_EQ(decl.hash_uses[1].label, "inner_hash");
+  EXPECT_EQ(decl.header_phv_bits, 150);
+  EXPECT_EQ(decl.metadata_phv_bits, 10);
 }
 
 // Digest-width sweep backing the §XI ablation bench.

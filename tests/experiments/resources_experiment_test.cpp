@@ -22,6 +22,21 @@ TEST(ResourcesExperiment, TwoRowsMatchingTableII) {
   EXPECT_NEAR(rows[1].usage.phv_pct, 23.1, 1.5);
 }
 
+TEST(ResourcesExperiment, AbsoluteCountsArePinned) {
+  // The exact blocks/units/bits behind Table II, so a change to how a
+  // program declares itself cannot move the table within tolerance.
+  const auto rows = run_resources_experiment();
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows[0].usage.tcam_blocks, 24);
+  EXPECT_EQ(rows[0].usage.sram_blocks, 24);
+  EXPECT_EQ(rows[0].usage.hash_units, 1);
+  EXPECT_EQ(rows[0].usage.phv_bits, 450);
+  EXPECT_EQ(rows[1].usage.tcam_blocks, 24);
+  EXPECT_EQ(rows[1].usage.sram_blocks, 37);
+  EXPECT_EQ(rows[1].usage.hash_units, 38);
+  EXPECT_EQ(rows[1].usage.phv_bits, 946);
+}
+
 TEST(ResourcesExperiment, P4AuthNeverAddsTcam) {
   const auto rows = run_resources_experiment();
   EXPECT_EQ(rows[0].usage.tcam_blocks, rows[1].usage.tcam_blocks);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "test_helpers.hpp"
 
 namespace p4auth::netsim {
@@ -50,6 +52,35 @@ TEST(ControlChannel, RoundTripCarriesSwitchId) {
   EXPECT_EQ(received, Bytes{0xAB});
   EXPECT_EQ(channel.stats().to_switch, 1u);
   EXPECT_EQ(channel.stats().to_controller, 1u);
+}
+
+TEST(ControlChannel, PacketInsArriveInSendOrder) {
+  // A large PacketIn followed closely by a small one: with a per-byte
+  // cost the small one's own delay is far shorter, but the channel is an
+  // in-order transport and must not let it overtake.
+  Fixture f;
+  f.sw->set_program(std::make_unique<ToCpuProgram>());
+  ChannelModel model;
+  model.to_switch_base = SimTime::from_us(10);
+  model.to_controller_base = SimTime::from_us(10);
+  model.per_byte_ns = 100.0;  // 1000 bytes: +100us each way
+  ControlChannel channel(f.sim, *f.sw, model);
+
+  std::vector<std::size_t> sizes;
+  std::vector<SimTime> arrivals;
+  channel.set_controller_sink([&](NodeId, Bytes b) {
+    sizes.push_back(b.size());
+    arrivals.push_back(f.sim.now());
+  });
+  // The large message reaches the switch at ~110us and its PacketIn is
+  // due at ~220us; the small one reaches the switch at ~121us.
+  f.sim.after(SimTime::zero(), [&] { channel.to_switch(Bytes(1000, 0xAA)); });
+  f.sim.after(SimTime::from_us(111), [&] { channel.to_switch(Bytes{0xBB}); });
+  f.sim.run();
+  ASSERT_EQ(sizes.size(), 2u);
+  EXPECT_EQ(sizes[0], 1000u);
+  EXPECT_EQ(sizes[1], 1u);
+  EXPECT_GE(arrivals[1], arrivals[0]);
 }
 
 TEST(ControlChannel, PerByteCostScalesDelay) {

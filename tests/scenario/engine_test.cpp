@@ -135,5 +135,60 @@ TEST(ScenarioEngine, ClaimBenignTurnsRealDetectionIntoViolations) {
   EXPECT_TRUE(no_false_alarm);
 }
 
+ScenarioSpec poison_before_rotation(std::uint64_t seed, std::uint32_t index, AppKind app,
+                                    TopologyShape topology, std::uint32_t extra_switches,
+                                    std::uint64_t inject_at_us, std::uint64_t window_us,
+                                    std::uint32_t benign) {
+  ScenarioSpec spec;
+  spec.seed = seed;
+  spec.index = index;
+  spec.app = app;
+  spec.topology = topology;
+  spec.extra_switches = extra_switches;
+  spec.attack = AttackKind::TablePoison;
+  spec.attack_count = 1;
+  spec.rotation = RotationPhase::Before;
+  spec.inject_at_us = inject_at_us;
+  spec.inject_window_us = window_us;
+  spec.benign_packets = benign;
+  EXPECT_TRUE(spec_valid(spec)) << spec_json(spec);
+  return spec;
+}
+
+TEST(ScenarioEngine, AlertAfterRotationReachesControllerAuthenticated) {
+  // A single forged write just after a rotation round: the switch alerts
+  // under its new key version, in a small PacketIn sent after the larger
+  // key-update ack that installs that version at the controller. These
+  // fuzzer-found specs (campaign seed-index in the comments) once had
+  // the alert overtake the ack on the jittered channel and count as
+  // inauthentic (detect-implies-alert).
+  const ScenarioSpec specs[] = {
+      // 15212506146343009075-697
+      poison_before_rotation(17044874588671594675ull, 697, AppKind::L3Fwd,
+                             TopologyShape::Single, 0, 231, 497, 35),
+      // 1-8624
+      poison_before_rotation(17067292139015356925ull, 8624, AppKind::NetCache,
+                             TopologyShape::Line, 1, 232, 241, 34),
+      // 2-7421
+      poison_before_rotation(4071822895331994193ull, 7421, AppKind::L3Fwd, TopologyShape::Line,
+                             2, 231, 705, 55),
+      // 9-4406
+      poison_before_rotation(16131721181752891767ull, 4406, AppKind::L3Fwd, TopologyShape::Line,
+                             3, 232, 957, 75),
+      // 16-4673
+      poison_before_rotation(16981692909815551561ull, 4673, AppKind::Blink, TopologyShape::Line,
+                             3, 232, 509, 35),
+  };
+  for (const ScenarioSpec& spec : specs) {
+    SCOPED_TRACE(spec_json(spec));
+    const ScenarioEvidence ev = run_scenario(spec);
+    ASSERT_TRUE(ev.init_ok) << ev.init_error;
+    EXPECT_GT(ev.ctrl_alerts_authentic, 0u);
+    EXPECT_EQ(ev.ctrl_inauthentic_alerts, 0u);
+    const Verdict verdict = judge(ev);
+    EXPECT_TRUE(verdict.pass()) << first_violation(verdict);
+  }
+}
+
 }  // namespace
 }  // namespace p4auth::scenario

@@ -4,6 +4,8 @@
 // modified DH, and full message tag/verify.
 #include <benchmark/benchmark.h>
 
+#include <array>
+#include <string>
 #include <vector>
 
 #include "core/auth.hpp"
@@ -37,12 +39,14 @@ void BM_HalfSipHash13(benchmark::State& state) {
 BENCHMARK(BM_HalfSipHash13)->Arg(26)->Arg(256);
 
 // Multi-lane HalfSipHash at the burst pipeline's job shape (26-byte
-// header scratch + 64-byte payload tail, two-span). One row per lane
-// count: 1 (degenerate), one SIMD group (4/8/16 depending on backend),
-// a full planner batch (32), and a full burst (64). The per-iteration
-// rate divided by the lane count is the per-digest cost; the lanes=1
-// row is the dispatch floor.
-void BM_HalfSipHashLanes(benchmark::State& state) {
+// header scratch + 64-byte payload tail, two-span), once per backend
+// this host can run (registered in main() as
+// BM_HalfSipHashLanes/<backend>/<lanes>). One row per lane count: 1
+// (degenerate), one SIMD group (4/8/16 depending on backend), a full
+// planner batch (32), and a full burst (64). The per-iteration rate
+// divided by the lane count is the per-digest cost; the lanes=1 row is
+// the dispatch floor.
+void BM_HalfSipHashLanes(benchmark::State& state, crypto::SipLaneBackend backend) {
   const auto lanes = static_cast<std::size_t>(state.range(0));
   std::vector<std::array<std::uint8_t, 26>> heads(lanes);
   std::array<std::uint8_t, 64> tail;
@@ -57,15 +61,34 @@ void BM_HalfSipHashLanes(benchmark::State& state) {
     jobs.push_back(crypto::SipLaneJob{0x1234 + l, heads[l], tail});
   }
   std::vector<std::uint32_t> out(lanes, 0);
+  crypto::force_sip_lane_backend(backend);
   for (auto _ : state) {
     crypto::halfsiphash_lanes(jobs, out);
     benchmark::DoNotOptimize(out.data());
   }
+  crypto::reset_sip_lane_backend();
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(lanes));
-  state.SetLabel(crypto::sip_lane_backend_name(crypto::active_sip_lane_backend()));
+  state.SetLabel(crypto::sip_lane_backend_name(backend));
 }
-BENCHMARK(BM_HalfSipHashLanes)->Arg(1)->Arg(4)->Arg(8)->Arg(16)->Arg(32)->Arg(64);
+
+void register_lane_benchmarks() {
+  for (crypto::SipLaneBackend backend :
+       {crypto::SipLaneBackend::Portable, crypto::SipLaneBackend::Avx2,
+        crypto::SipLaneBackend::Avx512}) {
+    if (!crypto::force_sip_lane_backend(backend)) continue;
+    const std::string name =
+        std::string("BM_HalfSipHashLanes/") + crypto::sip_lane_backend_name(backend);
+    benchmark::RegisterBenchmark(name.c_str(), BM_HalfSipHashLanes, backend)
+        ->Arg(1)
+        ->Arg(4)
+        ->Arg(8)
+        ->Arg(16)
+        ->Arg(32)
+        ->Arg(64);
+  }
+  crypto::reset_sip_lane_backend();
+}
 
 void BM_Crc32(benchmark::State& state) {
   Bytes data(static_cast<std::size_t>(state.range(0)), 0xAB);
@@ -153,4 +176,11 @@ BENCHMARK(BM_WireEncodeDecode);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  register_lane_benchmarks();
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

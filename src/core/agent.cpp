@@ -6,7 +6,6 @@
 #include "core/auth.hpp"
 #include "core/lldp.hpp"
 #include "crypto/stream_cipher.hpp"
-#include "telemetry/profile.hpp"
 
 namespace p4auth::core {
 namespace {
@@ -325,11 +324,8 @@ void P4AuthAgent::plan_burst(std::span<const dataplane::BurstFrameView> frames) 
 
   if (njobs > 0) {
     std::array<Digest32, dataplane::kMaxBurst> digests;
-    {
-      P4AUTH_PROFILE_SCOPE("crypto.lanes");
-      digest_.compute_lanes(std::span<const crypto::DigestJob>(jobs.data(), njobs),
-                            std::span<Digest32>(digests.data(), njobs));
-    }
+    digest_.compute_lanes(std::span<const crypto::DigestJob>(jobs.data(), njobs),
+                          std::span<Digest32>(digests.data(), njobs));
     for (std::size_t i = 0; i < njobs; ++i) {
       pending[i].digest = digests[i];
       burst_plan_.add(pending[i]);

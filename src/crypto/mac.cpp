@@ -61,8 +61,8 @@ void compute_digest(MacKind kind, std::span<const DigestJob> jobs,
     case MacKind::HalfSipHash24:
     case MacKind::HalfSipHash13: {
       // DigestJob is the lane-kernel job type, so the batch goes to the
-      // SIMD dispatcher as-is — it pairs full-width groups to overlap
-      // their round chains and masks ragged tails internally.
+      // SIMD dispatcher as-is; it splits the batch into lane groups and
+      // masks ragged tails internally.
       const SipRounds rounds =
           kind == MacKind::HalfSipHash24 ? kHalfSipHash24 : kHalfSipHash13;
       halfsiphash_lanes(jobs, out, rounds);

@@ -46,10 +46,10 @@ class DigestExtern {
     return crypto::verify_digest(kind_, key, head, tail, tag);
   }
 
-  /// Burst-planning digest computation: 4–8 tags per SIMD pass, *not*
-  /// billed to any packet. Billing happens when each planned tag is
-  /// consumed by its own pipeline pass (verify_planned), so per-packet
-  /// costs are identical whether or not a burst plan ran.
+  /// Burst-planning digest computation: 4–16 tags per SIMD lane group,
+  /// by backend, *not* billed to any packet. Billing happens when each
+  /// planned tag is consumed by its own pipeline pass (verify_planned),
+  /// so per-packet costs are identical whether or not a burst plan ran.
   void compute_lanes(std::span<const crypto::DigestJob> jobs,
                      std::span<Digest32> out) const noexcept {
     crypto::compute_digest(kind_, jobs, out);

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <bit>
 
-#include "telemetry/profile.hpp"
-
 namespace p4auth::dataplane {
 
 // ---------------------------------------------------------------------------
@@ -98,7 +96,6 @@ bool ExactTable::erase(ByteView key) {
 }
 
 std::optional<Action> ExactTable::lookup(ByteView key) const noexcept {
-  P4AUTH_PROFILE_SCOPE("table.exact");
   const std::size_t i = probe(key, hash_bytes(key));
   if (i == slots_.size()) return std::nullopt;
   return slots_[i].action;
@@ -155,7 +152,6 @@ Status LpmTable::insert(std::uint32_t prefix, int prefix_len, Action action) {
 }
 
 std::optional<Action> LpmTable::lookup(std::uint32_t key) const noexcept {
-  P4AUTH_PROFILE_SCOPE("table.lpm");
   // Walk populated prefix lengths longest-first; the first hit wins.
   for (std::size_t i = 0; i < lengths_.size(); ++i) {
     const Action* hit =
@@ -232,7 +228,6 @@ void TernaryTable::rebuild_scan_order() {
 }
 
 std::optional<Action> TernaryTable::lookup(std::uint64_t key) const noexcept {
-  P4AUTH_PROFILE_SCOPE("table.ternary");
   // Groups are probed a batch at a time: within a batch the probes are
   // independent dependency chains (find_batch), and batches run in
   // descending max_priority order so the scan can stop early once the

@@ -1,7 +1,6 @@
 #include "netsim/switch.hpp"
 
 #include "common/logging.hpp"
-#include "telemetry/profile.hpp"
 
 namespace p4auth::netsim {
 
@@ -40,7 +39,6 @@ void Switch::on_frame(PortId ingress, Bytes payload) {
 }
 
 void Switch::on_burst_prepare(std::span<const dataplane::BurstFrameView> frames) {
-  P4AUTH_PROFILE_SCOPE("switch.burst");
   if (burst_planning_ && program_ != nullptr) program_->plan_burst(frames);
 }
 
@@ -83,7 +81,6 @@ void Switch::handle_packet_out(Bytes message) {
 }
 
 void Switch::run_pipeline(dataplane::Packet packet) {
-  P4AUTH_PROFILE_SCOPE("switch.pipeline");
   if (program_ == nullptr || network_ == nullptr) {
     ++stats_.drops;
     return;

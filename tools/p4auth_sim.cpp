@@ -34,9 +34,7 @@
 // mode); --trace writes the per-packet event ring as JSONL and --audit
 // the security audit trail (both single-seed only). In campaign mode
 // --trace-dir DIR writes per-seed trace_seed<N>.jsonl and
-// audit_seed<N>.jsonl files instead. When the P4AUTH_PROFILE environment
-// variable is set (and the build compiled with -DP4AUTH_PROFILER=ON),
-// metrics snapshots additionally carry profile.* wall-clock histograms.
+// audit_seed<N>.jsonl files instead.
 // See docs/OBSERVABILITY.md for the schemas.
 #include <cstdio>
 #include <cstdlib>
@@ -53,7 +51,6 @@
 #include "experiments/routescout_experiment.hpp"
 #include "experiments/table1_experiment.hpp"
 #include "runner/runner.hpp"
-#include "telemetry/profile.hpp"
 #include "telemetry/telemetry.hpp"
 
 using namespace p4auth;
@@ -128,13 +125,9 @@ std::uint64_t arg_u64(int argc, char** argv, const char* flag, std::uint64_t fal
 }
 
 /// Writes the requested telemetry artifacts; returns 0 or an exit code.
-/// Folds any profiler histograms (P4AUTH_PROFILE + -DP4AUTH_PROFILER
-/// builds) into the metrics snapshot first — wall-clock series, so they
-/// are opt-in and never part of the deterministic default output.
 int write_telemetry(telemetry::Telemetry& telemetry, const char* metrics_path,
                     const char* trace_path, const char* audit_path = nullptr) {
   if (metrics_path != nullptr) {
-    telemetry::profile::export_into(telemetry.metrics);
     if (auto s = telemetry.write_metrics_file(metrics_path); !s.ok()) {
       std::fprintf(stderr, "%s\n", s.error().message.c_str());
       return 3;

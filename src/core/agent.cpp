@@ -294,10 +294,10 @@ dataplane::PipelineOutput P4AuthAgent::process(dataplane::Packet& packet,
 void P4AuthAgent::plan_burst(std::span<const dataplane::BurstFrameView> frames) {
   burst_plan_.clear();
   std::size_t njobs = 0;
-  std::array<crypto::DigestJob, dataplane::kMaxBurst> jobs;
-  std::array<dataplane::PlannedDigest, dataplane::kMaxBurst> pending;
+  auto& jobs = burst_scratch_.jobs;
+  auto& pending = burst_scratch_.pending;
   std::size_t ninner = 0;
-  std::array<dataplane::BurstFrameView, dataplane::kMaxBurst> inner_views;
+  auto& inner_views = burst_scratch_.inner_views;
 
   for (const auto& view : frames) {
     const std::span<const std::uint8_t> f = view.frame;

@@ -20,6 +20,7 @@
 // and tagged; everything else passes untouched.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -205,6 +206,13 @@ class P4AuthAgent : public dataplane::DataPlaneProgram {
 
   RateLimiter alert_limiter_;
   dataplane::DigestPlan burst_plan_;
+  /// plan_burst's staging, kept across calls so a burst pays no zero fill
+  /// of ~6 KB; each call writes entries [0, n) before it reads them.
+  struct BurstScratch {
+    std::array<crypto::DigestJob, dataplane::kMaxBurst> jobs;
+    std::array<dataplane::PlannedDigest, dataplane::kMaxBurst> pending;
+    std::array<dataplane::BurstFrameView, dataplane::kMaxBurst> inner_views;
+  } burst_scratch_;
   Stats stats_;
   TeleSeries tele_;
 };

@@ -4,9 +4,12 @@
 // (a) heap-allocates for any capture larger than the implementation's
 // tiny buffer — a captured packet payload always overflows it — and
 // (b) requires copyable callables. InplaceHandler stores closures up to
-// kInlineSize bytes inside the event itself (the common "deliver this
-// packet at time t" capture: an object pointer, a port, a moved Bytes),
-// falling back to a single heap box only for oversized captures.
+// kInlineSize bytes inside the handler object itself (the common
+// "deliver this packet at time t" capture: an object pointer, a port, a
+// moved Bytes), falling back to a single heap box only for oversized
+// captures. The simulator keeps pending handlers in a reused slab and
+// sifts only small {time, order, key, slot} entries, so a handler is
+// relocated once into its slot and once out when it fires.
 #pragma once
 
 #include <cstddef>

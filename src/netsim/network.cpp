@@ -1,7 +1,6 @@
 #include "netsim/network.hpp"
 
 #include <algorithm>
-#include <array>
 #include <string>
 
 #include "common/logging.hpp"
@@ -112,7 +111,7 @@ void Network::export_pool_stats() {
 }
 
 void Network::schedule_delivery(ShardState& src, NodeId dst, SimTime delay, std::uint64_t key,
-                                Simulator::Handler fn) {
+                                Simulator::Handler&& fn) {
   src.sim->send_after(*shards_[static_cast<std::size_t>(shard_of(dst))].sim, delay, key,
                       std::move(fn));
 }
@@ -137,7 +136,8 @@ void Network::transmit(NodeId from, PortId port, Bytes payload) {
 
   if (TamperHook* hook = link->tamper_for(from)) {
     const std::size_t before = payload.size();
-    Bytes original = payload;
+    Bytes& original = st.tamper_original;
+    original.assign(payload.begin(), payload.end());
     if ((*hook)(payload) == TamperVerdict::Drop) {
       ++st.stats.frames_dropped_by_tamper;
       if (st.telemetry != nullptr) {
@@ -248,7 +248,7 @@ void Network::flush_slot(ShardState& st, std::uint32_t index) {
   // planning), then the unchanged per-frame path in staged order — so
   // telemetry records, trace spans, and scheduled follow-on events keep
   // exactly the packet-at-a-time order.
-  std::array<dataplane::BurstFrameView, dataplane::kMaxBurst> views;
+  auto& views = st.views;
   for (std::size_t i = 0; i < burst; ++i) {
     views[i] = dataplane::BurstFrameView{
         slot.frames[i].port, {slot.frames[i].payload.data(), slot.frames[i].payload.size()}};

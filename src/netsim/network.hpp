@@ -8,6 +8,7 @@
 // a one-shard fabric) uses exactly one ShardState, index 0.
 #pragma once
 
+#include <array>
 #include <memory>
 #include <unordered_map>
 #include <utility>
@@ -181,6 +182,11 @@ class Network {
     std::size_t burst_highwater = 0;  ///< largest burst flushed this run
     std::vector<BurstSlot> slots;     ///< indexed by Node::burst_index
     std::vector<std::uint32_t> open;  ///< slots with staged frames, open order
+    /// Scratch reused across calls: the views a flush hands to the burst
+    /// pre-pass (no per-burst zero fill), and the copy of a frame taken
+    /// before its tamper hook runs (no per-frame allocation).
+    std::array<dataplane::BurstFrameView, dataplane::kMaxBurst> views;
+    Bytes tamper_original;
   };
 
   ShardState& cur() noexcept {
@@ -203,7 +209,7 @@ class Network {
   /// sending rank (each rank's counter lives on one shard, so the
   /// sequence is partition-invariant), then routed to `dst`'s home shard.
   void schedule_delivery(ShardState& src, NodeId dst, SimTime delay, std::uint64_t key,
-                         Simulator::Handler fn);
+                         Simulator::Handler&& fn);
 
   /// Coalescing key for deliveries to `node`: nonzero, distinct per node.
   static std::uint64_t delivery_key(NodeId node) noexcept {

@@ -6,12 +6,27 @@
 
 namespace p4auth::netsim {
 
-void Simulator::push_event(SimTime t, std::uint64_t key, std::uint64_t order, Handler fn) {
+void Simulator::push_event(SimTime t, std::uint64_t key, std::uint64_t order, Handler&& fn) {
   ++scheduled_;
   if (key != 0 && t == step_time_ && !step_stale_) step_add(key);
-  heap_.push_back(Event{t, order, key, std::move(fn)});
+  heap_.push_back(Entry{t, order, key, park(std::move(fn))});
   if (heap_.size() > max_queue_depth_) max_queue_depth_ = heap_.size();
   std::push_heap(heap_.begin(), heap_.end(), Later{});
+}
+
+std::uint32_t Simulator::park(Handler&& fn) {
+  if (!free_slots_.empty()) {
+    const std::uint32_t slot = free_slots_.back();
+    free_slots_.pop_back();
+    slab_[slot] = std::move(fn);
+    return slot;
+  }
+  slab_.push_back(std::move(fn));
+  // Every slot is either pending or free, so the free list never needs
+  // more room than the slab has: fire_next() can release without
+  // allocating.
+  if (free_slots_.capacity() < slab_.capacity()) free_slots_.reserve(slab_.capacity());
+  return static_cast<std::uint32_t>(slab_.size() - 1);
 }
 
 void Simulator::step_add(std::uint64_t key) {
@@ -57,20 +72,20 @@ void Simulator::observe_lag_value(SimTime lag) {
   sched_lag_ns_->observe(static_cast<double>(lag.ns()));
 }
 
-void Simulator::at_keyed(SimTime t, std::uint64_t key, Handler fn) {
+void Simulator::at_keyed(SimTime t, std::uint64_t key, Handler&& fn) {
   assert(t >= now_ && "cannot schedule into the past");
   if (t < now_) t = now_;  // release builds: fire immediately, never rewind
   if (sched_lag_ns_ != nullptr) observe_lag_value(t - now_);
   push_event(t, key, allocate_order(), std::move(fn));
 }
 
-void Simulator::at_ordered(SimTime t, std::uint64_t key, std::uint64_t order, Handler fn) {
+void Simulator::at_ordered(SimTime t, std::uint64_t key, std::uint64_t order, Handler&& fn) {
   assert(t >= now_ && "cannot schedule into the past");
   if (t < now_) t = now_;
   push_event(t, key, order, std::move(fn));
 }
 
-void Simulator::send_after(Simulator& dst, SimTime delay, std::uint64_t key, Handler fn) {
+void Simulator::send_after(Simulator& dst, SimTime delay, std::uint64_t key, Handler&& fn) {
   if (sched_lag_ns_ != nullptr) observe_lag_value(delay);
   const SimTime t = now_ + delay;
   const std::uint64_t order = allocate_order();
@@ -81,13 +96,12 @@ void Simulator::send_after(Simulator& dst, SimTime delay, std::uint64_t key, Han
   // Conservative-lookahead invariant: the destination runs the same
   // window concurrently, so the event must land at or past its horizon.
   assert(t >= horizon_ && "cross-shard send below the lookahead horizon");
-  outbox_.push_back(Outgoing{&dst, Event{t, order, key, std::move(fn)}});
+  outbox_.push_back(Outgoing{&dst, t, order, key, std::move(fn)});
 }
 
 void Simulator::flush_outbox() {
   for (Outgoing& out : outbox_) {
-    Event& ev = out.event;
-    out.dst->at_ordered(ev.time, ev.key, ev.order, std::move(ev.fn));
+    out.dst->at_ordered(out.time, out.key, out.order, std::move(out.fn));
   }
   outbox_.clear();  // capacity retained: steady-state barriers do not allocate
 }
@@ -108,11 +122,13 @@ void Simulator::export_stats() {
 }
 
 void Simulator::fire_next() {
-  // Move out before the handler runs: it may schedule new events and
-  // reshape the heap under us.
+  // Move the closure out and free its slot before it runs: it may
+  // schedule new events, which can reuse the slot or grow the slab.
   std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  Event ev = std::move(heap_.back());
+  const Entry ev = heap_.back();
   heap_.pop_back();
+  Handler fn = std::move(slab_[ev.slot]);
+  free_slots_.push_back(ev.slot);
   if (ev.time != step_time_) {
     step_time_ = ev.time;
     step_stale_ = true;
@@ -124,7 +140,7 @@ void Simulator::fire_next() {
   firing_order_ = ev.order;
   current_rank_ = static_cast<std::uint32_t>(ev.order >> 32);
   ++processed_;
-  ev.fn();
+  fn();
   firing_key_ = 0;
   firing_order_ = 0;
 }

@@ -13,15 +13,21 @@
 // docs/DESIGN.md "Sharded simulation"). A standalone Simulator is simply
 // a one-shard engine: the same ordering, the same coalescing.
 //
-// Events carry their closures in a move-only InplaceHandler (inline up to
-// 64 bytes) and sit in a flat binary heap (std::vector + std::push_heap),
-// so the steady-state schedule/fire cycle performs no heap allocations:
-// std::priority_queue was dropped because its const top() forces either a
-// copyable handler or a const_cast move.
+// The binary heap (std::vector + std::push_heap) orders 32-byte,
+// trivially copyable entries {time, order, key, slot}; the closures stay
+// put. Each closure is a move-only InplaceHandler (inline up to 64 bytes)
+// parked in a slab, `slot` names its place there, and freed slots go on a
+// free list for reuse. A closure is moved once into its slot when it is
+// scheduled and once out when it fires, however far it travels through
+// the heap. The free list never holds more indices than the slab has
+// slots, and it is reserved to the slab's capacity whenever the slab
+// grows, so once the slab has reached the run's high-water depth the
+// schedule/fire cycle performs no heap allocations.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "common/types.hpp"
@@ -47,17 +53,17 @@ class Simulator {
   SimTime now() const noexcept { return now_; }
 
   /// Schedules `fn` at absolute time `t`. Precondition: t >= now().
-  void at(SimTime t, Handler fn) { at_keyed(t, 0, std::move(fn)); }
+  void at(SimTime t, Handler&& fn) { at_keyed(t, 0, std::move(fn)); }
   /// Schedules `fn` `delay` after now().
-  void after(SimTime delay, Handler fn) { at(now_ + delay, std::move(fn)); }
+  void after(SimTime delay, Handler&& fn) { at(now_ + delay, std::move(fn)); }
 
   /// Schedules `fn` at `t` under a coalescing key (0 = none). Events
   /// sharing a fire time and a nonzero key form a burst: while one of
   /// them is running, coalesce_continues() reports whether more of the
   /// burst is still pending. Keys affect nothing else — fire order stays
   /// strictly (time, order).
-  void at_keyed(SimTime t, std::uint64_t key, Handler fn);
-  void after_keyed(SimTime delay, std::uint64_t key, Handler fn) {
+  void at_keyed(SimTime t, std::uint64_t key, Handler&& fn);
+  void after_keyed(SimTime delay, std::uint64_t key, Handler&& fn) {
     at_keyed(now_ + delay, key, std::move(fn));
   }
 
@@ -117,14 +123,14 @@ class Simulator {
 
   /// Pushes an event whose order was already allocated. Does not observe
   /// scheduling lag.
-  void at_ordered(SimTime t, std::uint64_t key, std::uint64_t order, Handler fn);
+  void at_ordered(SimTime t, std::uint64_t key, std::uint64_t order, Handler&& fn);
 
   /// Schedules `fn` `delay` from now on `dst` (this simulator or another
   /// shard of the same engine): observes the lag and allocates the order
   /// here, under the sending rank. Inside a window a cross-shard event
   /// waits in this simulator's outbox until the engine's next barrier —
   /// legal because the lookahead puts it at or past the horizon.
-  void send_after(Simulator& dst, SimTime delay, std::uint64_t key, Handler fn);
+  void send_after(Simulator& dst, SimTime delay, std::uint64_t key, Handler&& fn);
 
   /// Moves every outboxed event onto its destination heap. Called by the
   /// engine's coordinator at a barrier, when no window is running.
@@ -172,17 +178,19 @@ class Simulator {
   void export_stats();
 
  private:
-  struct Event {
+  /// One pending event as the heap sees it; its closure waits in slab_.
+  struct Entry {
     SimTime time;
     std::uint64_t order;
-    std::uint64_t key;  ///< coalescing key (0 = never coalesces)
-    Handler fn;
+    std::uint64_t key;   ///< coalescing key (0 = never coalesces)
+    std::uint32_t slot;  ///< index of the closure in slab_
   };
+  static_assert(sizeof(Entry) == 32 && std::is_trivially_copyable_v<Entry>);
   /// Heap predicate: std::push_heap builds a max-heap, so "later fires
   /// lower" puts the earliest (time, order) at the front. (time, order)
   /// pairs are unique, which makes the fire order total and deterministic.
   struct Later {
-    bool operator()(const Event& a, const Event& b) const noexcept {
+    bool operator()(const Entry& a, const Entry& b) const noexcept {
       if (a.time != b.time) return a.time > b.time;
       return a.order > b.order;
     }
@@ -192,12 +200,19 @@ class Simulator {
     std::uint64_t key;
     std::uint32_t n;
   };
+  /// A cross-shard send held until the barrier, closure beside its entry.
   struct Outgoing {
     Simulator* dst;
-    Event event;
+    SimTime time;
+    std::uint64_t order;
+    std::uint64_t key;
+    Handler fn;
   };
 
-  void push_event(SimTime t, std::uint64_t key, std::uint64_t order, Handler fn);
+  void push_event(SimTime t, std::uint64_t key, std::uint64_t order, Handler&& fn);
+  /// Parks `fn` in a free slab slot (growing the slab only when none is
+  /// free) and returns the slot.
+  std::uint32_t park(Handler&& fn);
   void observe_lag_value(SimTime lag);
   void step_add(std::uint64_t key);
   void step_remove(std::uint64_t key) noexcept;
@@ -214,7 +229,9 @@ class Simulator {
   std::uint64_t firing_key_ = 0;  ///< key of the event currently running
   std::uint64_t firing_order_ = 0;
   std::size_t processed_ = 0;
-  std::vector<Event> heap_;
+  std::vector<Entry> heap_;
+  std::vector<Handler> slab_;              ///< closures of pending events, by slot
+  std::vector<std::uint32_t> free_slots_;  ///< capacity >= slab_.capacity()
   std::size_t max_queue_depth_ = 0;
 
   std::uint64_t own_root_counter_ = 0;

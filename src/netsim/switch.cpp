@@ -49,17 +49,17 @@ void Switch::on_burst_end() {
 void Switch::handle_packet_out(Bytes message) {
   ++stats_.packet_outs;
   if (interposer_.to_dataplane) {
-    Bytes original = message;
+    os_original_.assign(message.begin(), message.end());
     if (interposer_.to_dataplane(message) == TamperVerdict::Drop) {
       ++stats_.os_dropped;
       if (telemetry_ != nullptr) {
         telemetry_->record(network_ != nullptr ? network_->sim().now() : SimTime::zero(), id(),
-                           kCpuPort, telemetry::TraceEventKind::TamperDrop, original.size(),
+                           kCpuPort, telemetry::TraceEventKind::TamperDrop, os_original_.size(),
                            /*b=*/1);  // toward the data plane (AttackInject convention)
       }
       return;
     }
-    if (message != original) {
+    if (message != os_original_) {
       ++stats_.os_tampered;
       // The OS seam is an attack surface just like a link: audit the
       // rewrite so the cause chain shows the adversary action, not only
@@ -145,17 +145,17 @@ void Switch::run_pipeline(dataplane::Packet packet) {
 
 void Switch::send_packet_in(Bytes message) {
   if (interposer_.to_controller) {
-    Bytes original = message;
+    os_original_.assign(message.begin(), message.end());
     if (interposer_.to_controller(message) == TamperVerdict::Drop) {
       ++stats_.os_dropped;
       if (telemetry_ != nullptr) {
         telemetry_->record(network_ != nullptr ? network_->sim().now() : SimTime::zero(), id(),
-                           kCpuPort, telemetry::TraceEventKind::TamperDrop, original.size(),
+                           kCpuPort, telemetry::TraceEventKind::TamperDrop, os_original_.size(),
                            /*b=*/2);  // toward the controller
       }
       return;
     }
-    if (message != original) {
+    if (message != os_original_) {
       ++stats_.os_tampered;
       if (telemetry_ != nullptr) {
         telemetry_->record(network_ != nullptr ? network_->sim().now() : SimTime::zero(), id(),

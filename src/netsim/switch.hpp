@@ -102,6 +102,9 @@ class Switch : public Node {
   dataplane::RegisterFile registers_;
   std::unique_ptr<dataplane::DataPlaneProgram> program_;
   OsInterposer interposer_;
+  /// Copy of a message taken before an interposer runs, to tell a
+  /// rewrite from a pass; reused so interposed messages do not allocate.
+  Bytes os_original_;
   std::function<void(Bytes)> packet_in_sink_;
   bool burst_planning_ = true;
   Stats stats_;

@@ -1,11 +1,15 @@
-// Zero-allocation regression test for the steady-state forwarding path.
+// Zero-allocation regression tests for the steady-state forwarding path.
 //
-// Builds a 3-switch hula line (S1 tor -> S2 -> S3 tor) with P4Auth
-// enabled, runs one probe round plus a data warmup so every table, pool
-// buffer, and event-queue slot exists, then counts global operator new
+// Each case builds a 3-switch hula line (S1 tor -> S2 -> S3 tor) with
+// P4Auth enabled, warms it up so every table entry, pool buffer, burst
+// scratch array and event slot exists, then counts global operator new
 // calls across a measurement window that contains only data forwarding.
 // The pooled-buffer + inline-closure + scratch-digest design must keep
-// that window at exactly zero allocations.
+// that window at exactly zero allocations. The simulator parks each
+// pending closure in a slot of a reused slab; the slab grows only past
+// the run's high-water queue depth, and its free list is reserved to the
+// slab's capacity, so a warm queue can drain and refill without touching
+// the heap.
 //
 // This binary compiles src/common/alloc_probe.cpp directly (see that
 // file's header comment): the counting operator new is per-binary and an
@@ -40,15 +44,21 @@ experiments::Fabric::ProgramFactory make_hula(NodeId self, bool is_tor,
   };
 }
 
-TEST(AllocRegression, SteadyStateHulaForwardingDoesNotAllocate) {
-  ASSERT_TRUE(AllocProbe::active());
-
+experiments::Fabric::Options line_options() {
   experiments::Fabric::Options options;
   options.p4auth = true;
   options.seed = 7;
   options.protected_magics = {hula::kProbeMagic};
-  experiments::Fabric fabric(options);
+  return options;
+}
 
+/// Adds S1 -> S2 -> S3, installs every key, and runs one probe round from
+/// S3 so S2 and S1 learn the route toward S3. The probe path (trace
+/// growth, p4auth wrap + verify) is allowed to allocate; it stays outside
+/// every measurement window. Returns the clock the bring-up ended at:
+/// init_all_keys() ran the simulator through the whole KMP bring-up, so
+/// the clock is already a few ms in.
+SimTime build_line(experiments::Fabric& fabric) {
   fabric.add_switch(kS1, make_hula(kS1, /*is_tor=*/true, {}));
   fabric.add_switch(kS2, make_hula(kS2, /*is_tor=*/false, {PortId{1}}));
   fabric.add_switch(kS3, make_hula(kS3, /*is_tor=*/true, {PortId{1}}));
@@ -58,52 +68,139 @@ TEST(AllocRegression, SteadyStateHulaForwardingDoesNotAllocate) {
   link.bandwidth_gbps = 10.0;
   fabric.connect(kS1, PortId{1}, kS2, PortId{1}, link);
   fabric.connect(kS2, PortId{2}, kS3, PortId{1}, link);
-  ASSERT_TRUE(fabric.init_all_keys().ok());
-
-  // init_all_keys() ran the simulator through the whole KMP bring-up, so
-  // the clock is already a few ms in; all times below are relative to it
-  // (inject() delays are relative already, run_until targets are not).
+  EXPECT_TRUE(fabric.init_all_keys().ok());
   const SimTime t0 = fabric.sim.now();
-
-  // One probe round from S3 teaches S2 and S1 the route toward S3. The
-  // probe path (trace growth, p4auth wrap + verify) is allowed to
-  // allocate; it stays outside the measurement window.
   fabric.net.inject(kS3, kHostPort, hula::encode_probe_gen(), SimTime::from_us(50));
+  return t0;
+}
 
-  // All injections are scheduled up front so the event heap reaches its
-  // high-water mark before the window opens and the payload vectors are
-  // born outside it. Flow ids repeat so warmup creates every flowlet
-  // entry the measurement window touches.
+Bytes data_frame(std::uint64_t seq) {
+  hula::DataPacket packet;
+  packet.dst_tor = kS3;
+  packet.flow_id = seq % 8;  // flow ids repeat, so warmup creates every flowlet entry
+  packet.size_bytes = 200;
+  return hula::encode_data(packet);
+}
+
+struct Window {
+  std::uint64_t allocations = 0;
+  std::uint64_t deallocations = 0;
+  std::uint64_t frames_delivered = 0;  ///< delivered inside the window
+};
+
+/// Schedules a data frame into S1 every 10 us from t0 + 200 us up to
+/// t0 + 4 ms, runs the first 2 ms as warmup and counts allocations over
+/// the remaining 2 ms. All injections are scheduled up front so the event
+/// queue reaches its high-water mark before the window opens and the
+/// payload vectors are born outside it.
+Window measure_forwarding(experiments::Fabric& fabric, SimTime t0) {
   const SimTime warmup_end = t0 + SimTime::from_ms(2);
   const SimTime measure_end = t0 + SimTime::from_ms(4);
   std::uint64_t seq = 0;
   for (SimTime t = SimTime::from_us(200); t0 + t < measure_end; t += SimTime::from_us(10), ++seq) {
-    hula::DataPacket packet;
-    packet.dst_tor = kS3;
-    packet.flow_id = seq % 8;
-    packet.size_bytes = 200;
-    fabric.net.inject(kS1, kHostPort, hula::encode_data(packet), t);
+    fabric.net.inject(kS1, kHostPort, data_frame(seq), t);
   }
-
   fabric.sim.run_until(warmup_end);
 
   const std::uint64_t delivered_before = fabric.net.merged_stats().frames_delivered;
-
   AllocProbe::reset();
   fabric.sim.run_until(measure_end);
-  const std::uint64_t allocations = AllocProbe::allocations();
+  Window window;
+  window.allocations = AllocProbe::allocations();
+  window.deallocations = AllocProbe::deallocations();
+  window.frames_delivered = fabric.net.merged_stats().frames_delivered - delivered_before;
+  return window;
+}
+
+TEST(AllocRegression, SteadyStateHulaForwardingDoesNotAllocate) {
+  ASSERT_TRUE(AllocProbe::active());
+  experiments::Fabric fabric(line_options());
+  const SimTime t0 = build_line(fabric);
+
+  const Window window = measure_forwarding(fabric, t0);
 
   // The window really exercised the path: ~180 injections, each crossing
   // two links.
-  EXPECT_GT(fabric.net.merged_stats().frames_delivered, delivered_before + 300);
-  EXPECT_EQ(allocations, 0u)
-      << "steady-state hula forwarding must not touch the heap; "
-      << AllocProbe::deallocations() << " frees in the same window";
+  EXPECT_GT(window.frames_delivered, 300u);
+  EXPECT_EQ(window.allocations, 0u)
+      << "steady-state hula forwarding must not touch the heap; " << window.deallocations
+      << " frees in the same window";
 
   // The pool closed the buffer cycle: recycled storage, bounded list.
   const auto& pool_stats = fabric.net.pool().stats();
   EXPECT_GT(pool_stats.releases, 0u);
   EXPECT_LE(fabric.net.pool().free_buffers(), fabric.net.pool().config().max_buffers);
+}
+
+TEST(AllocRegression, PassThroughTamperHookDoesNotAllocate) {
+  ASSERT_TRUE(AllocProbe::active());
+  experiments::Fabric fabric(line_options());
+  const SimTime t0 = build_line(fabric);
+
+  // An on-link observer on S1 -> S2 that never rewrites: every data frame
+  // crosses it, and the network's before/after compare must reuse its
+  // scratch copy instead of allocating one per frame.
+  std::uint64_t hooked = 0;
+  netsim::Link* s1_s2 = fabric.net.link_at(kS1, PortId{1});
+  ASSERT_NE(s1_s2, nullptr);
+  s1_s2->set_tamper(kS1, [&hooked](Bytes&) {
+    ++hooked;
+    return netsim::TamperVerdict::Pass;
+  });
+
+  const std::uint64_t hooked_before_window = hooked;
+  const Window window = measure_forwarding(fabric, t0);
+
+  EXPECT_GT(window.frames_delivered, 300u);
+  EXPECT_GT(hooked, hooked_before_window + 150);
+  EXPECT_EQ(fabric.net.merged_stats().frames_tampered, 0u);
+  EXPECT_EQ(window.allocations, 0u)
+      << "a pass-through tamper hook must not allocate per frame; " << window.deallocations
+      << " frees in the same window";
+}
+
+TEST(AllocRegression, DrainedQueueRefillsWithoutAllocating) {
+  ASSERT_TRUE(AllocProbe::active());
+  experiments::Fabric fabric(line_options());
+  build_line(fabric);
+  fabric.run_all();
+
+  // Two identical batches, each run to an empty queue. The first sizes
+  // the event slab and warms every table and buffer; the second must
+  // reuse all of it.
+  constexpr std::uint64_t kFrames = 200;
+  const auto schedule_batch = [&](std::vector<Bytes>& frames) {
+    for (std::uint64_t i = 0; i < kFrames; ++i) {
+      fabric.net.inject(kS1, kHostPort, std::move(frames[i]), SimTime::from_us(10 * (i + 1)));
+    }
+  };
+  std::vector<Bytes> first;
+  std::vector<Bytes> second;
+  for (std::uint64_t i = 0; i < kFrames; ++i) {
+    first.push_back(data_frame(i));
+    second.push_back(data_frame(i));
+  }
+
+  schedule_batch(first);
+  const std::size_t depth = fabric.sim.queue_depth();
+  fabric.run_all();
+  ASSERT_TRUE(fabric.sim.empty());
+  const std::size_t high_water = fabric.sim.max_queue_depth();
+  const std::uint64_t delivered_before = fabric.net.merged_stats().frames_delivered;
+
+  AllocProbe::reset();
+  schedule_batch(second);
+  const std::size_t refilled = fabric.sim.queue_depth();
+  fabric.run_all();
+  const std::uint64_t allocations = AllocProbe::allocations();
+
+  EXPECT_EQ(depth, kFrames);
+  EXPECT_EQ(refilled, depth);
+  EXPECT_TRUE(fabric.sim.empty());
+  EXPECT_EQ(fabric.sim.max_queue_depth(), high_water);
+  EXPECT_GE(fabric.net.merged_stats().frames_delivered, delivered_before + 2 * kFrames);
+  EXPECT_EQ(allocations, 0u) << "a drained queue must refill into its old slots; "
+                             << AllocProbe::deallocations() << " frees in the same window";
 }
 
 }  // namespace

@@ -309,5 +309,50 @@ TEST(Simulator, KeysDoNotChangeFireOrder) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
 }
 
+/// A callable that counts its own moves, and on its call records how many
+/// it has seen.
+struct MoveCounted {
+  std::vector<int>* moves;
+  std::vector<int>* moves_at_call;
+  std::size_t id;
+
+  MoveCounted(std::vector<int>* m, std::vector<int>* at_call, std::size_t i) noexcept
+      : moves(m), moves_at_call(at_call), id(i) {}
+  MoveCounted(MoveCounted&& other) noexcept
+      : moves(other.moves), moves_at_call(other.moves_at_call), id(other.id) {
+    ++(*moves)[id];
+  }
+  void operator()() { (*moves_at_call)[id] = (*moves)[id]; }
+};
+
+TEST(Simulator, PendingHandlersMoveAtMostTwiceFromScheduleToCall) {
+  constexpr std::size_t kPending = 2048;
+  Simulator sim;
+  std::mt19937_64 rng(17);
+  const auto random_time = [&] { return sim.now() + SimTime::from_ns(1 + rng() % 1'000'000); };
+
+  // A first round grows the closure storage to the queue depth this test
+  // reaches (growing relocates what is stored, as any vector does); from
+  // then on a closure's only moves are into its slot and out of it.
+  for (std::size_t i = 0; i < kPending; ++i) sim.at(random_time(), [] {});
+  sim.run();
+
+  std::vector<int> moves(kPending, 0);
+  std::vector<int> moves_at_call(kPending, -1);
+  for (std::size_t i = 0; i < kPending; ++i) {
+    Simulator::Handler handler(MoveCounted(&moves, &moves_at_call, i));
+    ASSERT_FALSE(handler.heap_allocated());
+    moves[i] = 0;  // count from the at() call on
+    sim.at(random_time(), std::move(handler));
+  }
+  ASSERT_EQ(sim.queue_depth(), kPending);
+  sim.run();
+
+  for (std::size_t i = 0; i < kPending; ++i) {
+    ASSERT_GE(moves_at_call[i], 0) << "handler " << i << " never ran";
+    EXPECT_LE(moves_at_call[i], 2) << "handler " << i;
+  }
+}
+
 }  // namespace
 }  // namespace p4auth::netsim

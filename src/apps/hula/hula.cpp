@@ -64,11 +64,9 @@ dataplane::PipelineOutput HulaProgram::process(dataplane::Packet& packet,
     case kProbeGenMagic:
       if (!config_.is_tor) return dataplane::PipelineOutput::drop();
       return generate_probe(ctx);
-    case kProbeMagic: {
-      auto probe = decode_probe(packet.payload);
-      if (!probe.ok()) return dataplane::PipelineOutput::drop();
-      return handle_probe(probe.value(), packet, ctx);
-    }
+    case kProbeMagic:
+      if (!decode_probe_into(packet.payload, probe_).ok()) return dataplane::PipelineOutput::drop();
+      return handle_probe(packet, ctx);
     case kDataMagic: {
       auto data = decode_data(packet.payload);
       if (!data.ok()) return dataplane::PipelineOutput::drop();
@@ -97,31 +95,42 @@ void HulaProgram::plan_burst(std::span<const dataplane::BurstFrameView> frames) 
 }
 
 dataplane::PipelineOutput HulaProgram::generate_probe(dataplane::PipelineContext& ctx) {
-  Probe probe;
-  probe.origin_tor = config_.self;
-  probe.max_util = 0;
-  probe.trace.push_back(HopRecord{config_.self, kCpuPort, 0});
+  probe_.origin_tor = config_.self;
+  probe_.max_util = 0;
+  probe_.trace.clear();
+  probe_.trace.push_back(HopRecord{config_.self, kCpuPort, 0});
   ++stats_.probes_generated;
+  return replicate_probe(std::nullopt, ctx);
+}
+
+dataplane::PipelineOutput HulaProgram::replicate_probe(std::optional<PortId> except,
+                                                       dataplane::PipelineContext& ctx) {
+  // Each copy lands in a recycled pool buffer. The probe is encoded once,
+  // straight into the first copy, and the others copy its bytes.
   dataplane::PipelineOutput out;
-  const Bytes encoded = encode_probe(probe);
+  const std::size_t size = encoded_probe_size(probe_);
   for (const PortId port : config_.probe_ports) {
-    // Probe replication: each copy lands in a recycled pool buffer.
-    Bytes copy = ctx.acquire_buffer(encoded.size());
-    copy.assign(encoded.begin(), encoded.end());
+    if (port == except) continue;
+    Bytes copy = ctx.acquire_buffer(size);
+    if (out.emits.empty()) {
+      encode_probe_into(probe_, copy);
+    } else {
+      const Bytes& first = out.emits[0].payload;
+      copy.assign(first.begin(), first.end());
+    }
     out.emits.push_back(dataplane::Emit{port, std::move(copy)});
   }
   return out;
 }
 
-dataplane::PipelineOutput HulaProgram::handle_probe(const Probe& incoming,
-                                                    dataplane::Packet& packet,
+dataplane::PipelineOutput HulaProgram::handle_probe(dataplane::Packet& packet,
                                                     dataplane::PipelineContext& ctx) {
   ++stats_.probes_processed;
   const SimTime now = ctx.now();
   stats_.last_probe_time = now;
   ctx.costs().register_accesses += 2;
 
-  Probe probe = incoming;
+  Probe& probe = probe_;
   // Loop prevention: never process a probe we already stamped.
   for (const auto& hop : probe.trace) {
     if (hop.node == config_.self) return dataplane::PipelineOutput::drop();
@@ -150,16 +159,7 @@ dataplane::PipelineOutput HulaProgram::handle_probe(const Probe& incoming,
   }
 
   probe.trace.push_back(HopRecord{config_.self, packet.ingress, link_util});
-
-  dataplane::PipelineOutput out;
-  const Bytes encoded = encode_probe(probe);
-  for (const PortId port : config_.probe_ports) {
-    if (port == packet.ingress) continue;
-    Bytes copy = ctx.acquire_buffer(encoded.size());
-    copy.assign(encoded.begin(), encoded.end());
-    out.emits.push_back(dataplane::Emit{port, std::move(copy)});
-  }
-  return out;
+  return replicate_probe(packet.ingress, ctx);
 }
 
 dataplane::PipelineOutput HulaProgram::handle_data(const DataPacket& data,

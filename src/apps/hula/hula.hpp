@@ -66,11 +66,16 @@ class HulaProgram : public dataplane::DataPlaneProgram {
   void bump_util(PortId port, std::size_t bytes, SimTime now);
   std::uint8_t util_pct(PortId port, SimTime now) const;
 
-  dataplane::PipelineOutput handle_probe(const Probe& probe, dataplane::Packet& packet,
+  /// Updates best-hop state from probe_ (the decoded arrival), stamps
+  /// this hop into it and replicates it.
+  dataplane::PipelineOutput handle_probe(dataplane::Packet& packet,
                                          dataplane::PipelineContext& ctx);
   dataplane::PipelineOutput handle_data(const DataPacket& data, dataplane::Packet& packet,
                                         dataplane::PipelineContext& ctx);
   dataplane::PipelineOutput generate_probe(dataplane::PipelineContext& ctx);
+  /// Emits probe_ on every probe port except `except`.
+  dataplane::PipelineOutput replicate_probe(std::optional<PortId> except,
+                                            dataplane::PipelineContext& ctx);
 
   Config config_;
   dataplane::RegisterArray* best_hop_;
@@ -81,6 +86,10 @@ class HulaProgram : public dataplane::DataPlaneProgram {
   dataplane::RegisterArray* util_bytes_;  ///< fixed-point decayed byte counts
   dataplane::RegisterArray* util_time_;   ///< last decay timestamp per port
   Stats stats_;
+  /// The probe being generated or forwarded. Kept across packets so its
+  /// trace keeps its capacity and a probe hop decodes, stamps and
+  /// re-encodes without allocating.
+  Probe probe_;
 };
 
 }  // namespace p4auth::apps::hula

@@ -4,7 +4,23 @@ namespace p4auth::apps::hula {
 
 Bytes encode_probe(const Probe& probe) {
   Bytes out;
-  ByteWriter w(out);
+  encode_probe_into(probe, out);
+  return out;
+}
+
+Result<Probe> decode_probe(std::span<const std::uint8_t> frame) {
+  Probe probe;
+  if (auto status = decode_probe_into(frame, probe); !status.ok()) return status.error();
+  return probe;
+}
+
+std::size_t encoded_probe_size(const Probe& probe) noexcept {
+  return 5 + kHopRecordSize * probe.trace.size();
+}
+
+void encode_probe_into(const Probe& probe, Bytes& out) {
+  out.resize(encoded_probe_size(probe));
+  ScratchWriter w(out.data());
   w.u8(kProbeMagic)
       .u16(probe.origin_tor.value)
       .u8(probe.max_util)
@@ -12,20 +28,20 @@ Bytes encode_probe(const Probe& probe) {
   for (const auto& hop : probe.trace) {
     w.u16(hop.node.value).u16(hop.ingress.value).u8(hop.util).u8(0).u16(0);
   }
-  return out;
 }
 
-Result<Probe> decode_probe(std::span<const std::uint8_t> frame) {
+Status decode_probe_into(std::span<const std::uint8_t> frame, Probe& probe) {
   ByteReader r(frame);
   const auto magic = r.u8();
   if (!magic.ok() || magic.value() != kProbeMagic) return make_error("not a HULA probe");
-  Probe probe;
   if (r.remaining() < 4) return make_error("probe truncated");
   probe.origin_tor = NodeId{r.u16().value()};
   probe.max_util = r.u8().value();
   const std::uint8_t hops = r.u8().value();
+  if (r.remaining() < kHopRecordSize * hops) return make_error("probe trace truncated");
+  if (r.remaining() > kHopRecordSize * hops) return make_error("probe has trailing bytes");
+  probe.trace.clear();
   for (std::uint8_t i = 0; i < hops; ++i) {
-    if (r.remaining() < kHopRecordSize) return make_error("probe trace truncated");
     HopRecord hop;
     hop.node = NodeId{r.u16().value()};
     hop.ingress = PortId{r.u16().value()};
@@ -34,12 +50,12 @@ Result<Probe> decode_probe(std::span<const std::uint8_t> frame) {
     (void)r.u16();
     probe.trace.push_back(hop);
   }
-  if (!r.exhausted()) return make_error("probe has trailing bytes");
-  return probe;
+  return {};
 }
 
 Bytes encode_data(const DataPacket& packet) {
   Bytes out;
+  out.reserve(15);  // magic, dst_tor, flow_id, size_bytes
   ByteWriter w(out);
   w.u8(kDataMagic).u16(packet.dst_tor.value).u64(packet.flow_id).u32(packet.size_bytes);
   return out;

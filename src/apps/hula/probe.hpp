@@ -40,6 +40,18 @@ struct Probe {
 Bytes encode_probe(const Probe& probe);
 Result<Probe> decode_probe(std::span<const std::uint8_t> frame);
 
+/// Encoded size of `probe`: the 5-byte header plus one record per hop.
+std::size_t encoded_probe_size(const Probe& probe) noexcept;
+
+/// encode_probe into `out`, resized once to the exact size: a recycled
+/// buffer with that much capacity is filled without allocating.
+void encode_probe_into(const Probe& probe, Bytes& out);
+
+/// decode_probe into `probe`, reusing its trace storage: once the trace
+/// has held as many hops as the frame carries, decoding does not
+/// allocate. On failure `probe` holds a partial decode.
+Status decode_probe_into(std::span<const std::uint8_t> frame, Probe& probe);
+
 struct DataPacket {
   NodeId dst_tor{};
   std::uint64_t flow_id = 0;

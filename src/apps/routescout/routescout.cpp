@@ -9,6 +9,7 @@ namespace p4auth::apps::routescout {
 
 Bytes encode_data(const RsData& data) {
   Bytes out;
+  out.reserve(13);  // magic, flow_id, size_bytes
   ByteWriter w(out);
   w.u8(kDataMagic).u64(data.flow_id).u32(data.size_bytes);
   return out;

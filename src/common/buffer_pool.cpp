@@ -1,20 +1,30 @@
 #include "common/buffer_pool.hpp"
 
+#include <algorithm>
+
 namespace p4auth {
 
 Bytes BufferPool::acquire(std::size_t capacity_hint) {
   ++stats_.acquires;
+  const std::size_t capacity = std::max(capacity_hint, config_.min_capacity);
   if (!free_.empty()) {
-    ++stats_.reuses;
     Bytes buffer = std::move(free_.back());
     free_.pop_back();
     buffer.clear();
-    if (buffer.capacity() < capacity_hint) buffer.reserve(capacity_hint);
+    if (buffer.capacity() >= capacity_hint) {
+      ++stats_.reuses;
+      return buffer;
+    }
+    // Too small, e.g. an exact-size frame born outside the pool. Growing
+    // it allocates, so it is a miss; growing to the floor, not to the
+    // bare hint, spares the next slightly larger acquire a second growth.
+    ++stats_.misses;
+    buffer.reserve(capacity);
     return buffer;
   }
   ++stats_.misses;
   Bytes buffer;
-  buffer.reserve(capacity_hint > config_.min_capacity ? capacity_hint : config_.min_capacity);
+  buffer.reserve(capacity);
   return buffer;
 }
 

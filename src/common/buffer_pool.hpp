@@ -26,15 +26,16 @@ class BufferPool {
     /// Free-list cap: releases beyond this are freed, not parked, so a
     /// burst cannot pin memory forever.
     std::size_t max_buffers = 1024;
-    /// Capacity given to buffers the pool allocates fresh; recycled
-    /// buffers keep whatever capacity they grew to.
+    /// Capacity floor for every buffer the pool allocates, fresh or
+    /// grown from a recycled buffer below the hint. Recycled buffers
+    /// keep whatever capacity they grew to.
     std::size_t min_capacity = 256;
   };
 
   struct Stats {
     std::uint64_t acquires = 0;  ///< total acquire() calls
-    std::uint64_t reuses = 0;    ///< acquires served from the free list
-    std::uint64_t misses = 0;    ///< acquires that had to allocate
+    std::uint64_t reuses = 0;    ///< acquires served from the free list without allocating
+    std::uint64_t misses = 0;    ///< acquires that had to allocate (fresh or grown)
     std::uint64_t releases = 0;  ///< buffers parked on the free list
     std::uint64_t dropped = 0;   ///< releases refused (list full / no storage)
     std::uint64_t high_water = 0;  ///< max free-list length observed

@@ -37,6 +37,37 @@ class ByteWriter {
   Bytes& out_;
 };
 
+/// ByteWriter-compatible writer into caller-sized storage: a fixed
+/// scratch array, or a buffer resized once to the exact output size. Hot
+/// paths use it where growing a vector byte by byte would reallocate.
+/// The caller guarantees capacity; nothing is bounds-checked.
+class ScratchWriter {
+ public:
+  explicit ScratchWriter(std::uint8_t* out) noexcept : begin_(out), p_(out) {}
+
+  ScratchWriter& u8(std::uint8_t v) noexcept {
+    *p_++ = v;
+    return *this;
+  }
+  ScratchWriter& u16(std::uint16_t v) noexcept {
+    return u8(static_cast<std::uint8_t>(v >> 8)).u8(static_cast<std::uint8_t>(v));
+  }
+  ScratchWriter& u32(std::uint32_t v) noexcept {
+    for (int shift = 24; shift >= 0; shift -= 8) u8(static_cast<std::uint8_t>(v >> shift));
+    return *this;
+  }
+  ScratchWriter& u64(std::uint64_t v) noexcept {
+    for (int shift = 56; shift >= 0; shift -= 8) u8(static_cast<std::uint8_t>(v >> shift));
+    return *this;
+  }
+
+  std::size_t written() const noexcept { return static_cast<std::size_t>(p_ - begin_); }
+
+ private:
+  std::uint8_t* begin_;
+  std::uint8_t* p_;
+};
+
 /// Reads fixed-width integers from a byte span in network byte order.
 /// Reads past the end fail with an Error instead of invoking UB.
 class ByteReader {

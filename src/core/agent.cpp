@@ -229,12 +229,13 @@ dataplane::PipelineOutput P4AuthAgent::process(dataplane::Packet& packet,
   }
 
   if (looks_like_p4auth(packet.payload)) {
-    auto decoded = decode(packet.payload);
+    const auto header = decode_header(packet.payload);
+    if (header.ok() && header.value().hdr_type == HdrType::DpData) {
+      return handle_dp_data(header.value(), packet, ctx);
+    }
+    const auto decoded = decode(packet.payload);
     if (decoded.ok()) {
-      Message& msg = decoded.value();
-      if (msg.header.hdr_type == HdrType::DpData) {
-        return handle_dp_data(msg, packet, ctx);
-      }
+      const Message& msg = decoded.value();
       if (msg.header.hdr_type == HdrType::KeyExchange) {
         return handle_key_exchange_port(msg, packet.ingress, ctx);
       }
@@ -629,7 +630,7 @@ dataplane::PipelineOutput P4AuthAgent::handle_key_exchange_cpu(const Message& ms
   return out;
 }
 
-dataplane::PipelineOutput P4AuthAgent::handle_dp_data(Message& msg,
+dataplane::PipelineOutput P4AuthAgent::handle_dp_data(const Header& header,
                                                       dataplane::Packet& packet,
                                                       dataplane::PipelineContext& ctx) {
   const PortId port = packet.ingress;
@@ -640,54 +641,55 @@ dataplane::PipelineOutput P4AuthAgent::handle_dp_data(Message& msg,
   // chain changed between planning and processing.
   const dataplane::PlannedDigest* planned =
       burst_plan_.claim(packet.payload.data(), packet.payload.size());
-  const auto key = keys_.get(port, msg.header.key_version);
+  const auto key = keys_.get(port, header.key_version);
   bool verified = false;
   if (key.has_value()) {
+    // The digest input is the wire bytes minus the digest field: head
+    // frame[0..10) (the header's other fields) + tail frame[14..) (the
+    // inner payload), the same seam the burst pre-pass hashes. Both paths
+    // bill those frame.size() - 4 bytes.
+    const std::span<const std::uint8_t> frame(packet.payload);
     if (planned != nullptr && planned->key == *key) {
-      // The burst pre-pass already hashed this frame's wire bytes under
-      // the same key. The digest input is head (10 header bytes) + tail
-      // (payload past the digest field) = frame minus the 4 digest
-      // bytes; bill those, exactly like the scalar verify below.
-      verified = digest_.verify_planned(planned->digest, packet.payload.size() - 4,
-                                        msg.header.digest, ctx.costs());
+      verified = digest_.verify_planned(planned->digest, frame.size() - 4, header.digest,
+                                        ctx.costs());
     } else {
-      DigestScratch scratch;
-      const DigestView input = digest_input_into(msg, scratch);
-      verified = digest_.verify(*key, input.head, input.tail, msg.header.digest, ctx.costs());
+      verified = digest_.verify(*key, frame.first(10), frame.subspan(kHeaderSize), header.digest,
+                                ctx.costs());
     }
   }
   ctx.note_verify("dp_verify", verified);
-  note_verify(ctx, verified, port, msg.header.seq_num, HdrType::DpData);
+  note_verify(ctx, verified, port, header.seq_num, HdrType::DpData);
   if (!verified) {
     ++stats_.digest_failures;
     ++stats_.feedback_rejected;
     out = dataplane::PipelineOutput::drop();
-    push_alert(out, ctx, AlertMsg::DigestMismatch, port.value, msg.header.seq_num, 0);
+    push_alert(out, ctx, AlertMsg::DigestMismatch, port.value, header.seq_num, 0);
     return out;
   }
-  if (!port_rx_[port].accept(msg.header.seq_num)) {
+  if (!port_rx_[port].accept(header.seq_num)) {
     ++stats_.replay_rejections;
-    note_replay(ctx, port, msg.header.seq_num, port_rx_[port].last());
+    note_replay(ctx, port, header.seq_num, port_rx_[port].last());
     out = dataplane::PipelineOutput::drop();
-    push_alert(out, ctx, AlertMsg::ReplayDetected, port.value, msg.header.seq_num,
+    push_alert(out, ctx, AlertMsg::ReplayDetected, port.value, header.seq_num,
                port_rx_[port].last());
     return out;
   }
   ++stats_.feedback_verified;
 
-  dataplane::Packet inner_packet;
-  inner_packet.payload = std::move(std::get<DpDataPayload>(msg.payload).inner);
-  if (msg.header.is_encrypted()) {
+  // Verified and fresh: only now strip the header, in place. The inner
+  // program runs on the ingress buffer, which the switch recycles as
+  // usual once the pass is over.
+  packet.payload.erase(packet.payload.begin(),
+                       packet.payload.begin() + static_cast<std::ptrdiff_t>(kHeaderSize));
+  if (header.is_encrypted()) {
     // MAC already verified over the ciphertext; now decrypt with the key
     // derived from the same port master secret.
     const Key64 enc_key =
         config_.schedule.kdf.derive_labeled(*key, 0, crypto::kEncryptionLabel);
-    crypto::xor_keystream(enc_key, feedback_nonce(msg.header), inner_packet.payload);
-    ctx.costs().add_hash(inner_packet.payload.size());
+    crypto::xor_keystream(enc_key, feedback_nonce(header), packet.payload);
+    ctx.costs().add_hash(packet.payload.size());
   }
-  inner_packet.ingress = port;
-  inner_packet.arrival = packet.arrival;
-  return run_inner(inner_packet, ctx);
+  return run_inner(packet, ctx);
 }
 
 dataplane::PipelineOutput P4AuthAgent::handle_key_exchange_port(const Message& msg,

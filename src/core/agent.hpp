@@ -132,10 +132,10 @@ class P4AuthAgent : public dataplane::DataPlaneProgram {
                                                dataplane::PipelineContext& ctx);
   dataplane::PipelineOutput handle_key_exchange_cpu(const Message& msg,
                                                     dataplane::PipelineContext& ctx);
-  // DP-DP dispatch (data-port arrivals). Takes the message by mutable
-  // reference so the verified DpData inner payload can be moved out
-  // instead of copied.
-  dataplane::PipelineOutput handle_dp_data(Message& msg, dataplane::Packet& packet,
+  // DP-DP dispatch (data-port arrivals). A DpData frame is verified
+  // over its wire bytes, then stripped to its inner payload in place, so
+  // the inner program runs on the ingress buffer itself.
+  dataplane::PipelineOutput handle_dp_data(const Header& header, dataplane::Packet& packet,
                                            dataplane::PipelineContext& ctx);
   dataplane::PipelineOutput handle_key_exchange_port(const Message& msg, PortId ingress,
                                                      dataplane::PipelineContext& ctx);

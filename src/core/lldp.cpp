@@ -4,6 +4,7 @@ namespace p4auth::core {
 
 Bytes encode_lldp(const LldpAnnouncement& announcement) {
   Bytes out;
+  out.reserve(5);  // magic, sender, sender_port
   ByteWriter w(out);
   w.u8(kLldpMagic).u16(announcement.sender.value).u16(announcement.sender_port.value);
   return out;
@@ -22,6 +23,7 @@ Result<LldpAnnouncement> decode_lldp(std::span<const std::uint8_t> frame) {
 
 Bytes encode_lldp_report(const LldpReport& report) {
   Bytes out;
+  out.reserve(9);  // magic, two (node, port) pairs
   ByteWriter w(out);
   w.u8(kLldpReportMagic)
       .u16(report.sender.value)

@@ -5,37 +5,6 @@
 namespace p4auth::core {
 namespace {
 
-/// ByteWriter-compatible writer into a fixed caller-provided buffer —
-/// the digest scratch path, where the output must not heap-allocate.
-/// The caller guarantees capacity (DigestScratch is sized for the
-/// header plus the largest fixed payload).
-class ScratchWriter {
- public:
-  explicit ScratchWriter(std::uint8_t* out) noexcept : begin_(out), p_(out) {}
-
-  ScratchWriter& u8(std::uint8_t v) noexcept {
-    *p_++ = v;
-    return *this;
-  }
-  ScratchWriter& u16(std::uint16_t v) noexcept {
-    return u8(static_cast<std::uint8_t>(v >> 8)).u8(static_cast<std::uint8_t>(v));
-  }
-  ScratchWriter& u32(std::uint32_t v) noexcept {
-    for (int shift = 24; shift >= 0; shift -= 8) u8(static_cast<std::uint8_t>(v >> shift));
-    return *this;
-  }
-  ScratchWriter& u64(std::uint64_t v) noexcept {
-    for (int shift = 56; shift >= 0; shift -= 8) u8(static_cast<std::uint8_t>(v >> shift));
-    return *this;
-  }
-
-  std::size_t written() const noexcept { return static_cast<std::size_t>(p_ - begin_); }
-
- private:
-  std::uint8_t* begin_;
-  std::uint8_t* p_;
-};
-
 template <typename Writer>
 void write_header(Writer& w, const Header& h) {
   w.u8(static_cast<std::uint8_t>(h.hdr_type))
@@ -120,7 +89,7 @@ void encode_into(const Message& message, Bytes& out) {
   if (const auto* dp = std::get_if<DpDataPayload>(&message.payload)) w.raw(dp->inner);
 }
 
-Result<Message> decode(std::span<const std::uint8_t> frame) {
+Result<Header> decode_header(std::span<const std::uint8_t> frame) {
   ByteReader r(frame);
   if (frame.size() < kHeaderSize) return make_error("p4auth frame truncated");
 
@@ -135,6 +104,14 @@ Result<Message> decode(std::span<const std::uint8_t> frame) {
   h.src = NodeId{r.u16().value()};
   h.dst = NodeId{r.u16().value()};
   h.digest = r.u32().value();
+  return h;
+}
+
+Result<Message> decode(std::span<const std::uint8_t> frame) {
+  auto header = decode_header(frame);
+  if (!header.ok()) return header.error();
+  const Header& h = header.value();
+  ByteReader r(frame.subspan(kHeaderSize));
 
   Message m;
   m.header = h;

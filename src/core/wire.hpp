@@ -136,6 +136,11 @@ void encode_into(const Message& message, Bytes& out);
 /// alternative that does not match the header.
 Result<Message> decode(std::span<const std::uint8_t> frame);
 
+/// Parses only the 14-byte header (decode's own header parser). Fails on
+/// a short frame or an unknown hdrType; the payload is not looked at. A
+/// DpData frame needs nothing more: its payload is frame[kHeaderSize..).
+Result<Header> decode_header(std::span<const std::uint8_t> frame);
+
 /// True when the frame plausibly starts with a p4auth header (used by the
 /// agent to separate protocol frames from plain traffic).
 bool looks_like_p4auth(std::span<const std::uint8_t> frame) noexcept;

@@ -400,6 +400,12 @@ void reset_sip_lane_backend() noexcept {
 
 void halfsiphash_lanes(std::span<const SipLaneJob> jobs, std::span<std::uint32_t> out,
                        SipRounds rounds) noexcept {
+  // A lone digest gains nothing from lanes: staging one row and running
+  // a whole vector pass costs several times the scalar reference.
+  if (jobs.size() == 1) {
+    out[0] = halfsiphash(jobs[0].key, jobs[0].head, jobs[0].tail, rounds);
+    return;
+  }
   const SipLaneBackend backend = active_sip_lane_backend();
   const KernelFn kernel = kernel_for(backend);
   const std::size_t width = sip_lane_width(backend);

@@ -76,9 +76,9 @@ void reset_sip_lane_backend() noexcept;
 /// Compute out[i] = HalfSipHash(jobs[i].key, jobs[i].head || jobs[i].tail)
 /// for every job, in groups of sip_lane_width() lanes. Accepts any job
 /// count (including 0); ragged final groups and mixed message lengths
-/// within a group are handled with per-lane masking. A group holding a
-/// message over 512 bytes is hashed by the scalar reference. Requires
-/// out.size() >= jobs.size().
+/// within a group are handled with per-lane masking. A single job, and a
+/// group holding a message over 512 bytes, are hashed by the scalar
+/// reference. Requires out.size() >= jobs.size().
 void halfsiphash_lanes(std::span<const SipLaneJob> jobs, std::span<std::uint32_t> out,
                        SipRounds rounds = kHalfSipHash24) noexcept;
 

@@ -55,6 +55,42 @@ TEST(HulaProbeCodec, RejectsTrailingBytes) {
   EXPECT_FALSE(decode_probe(frame).ok());
 }
 
+TEST(HulaProbeCodec, ScratchDecodeAndInBufferEncodeMatchTheOwningCodec) {
+  // One scratch probe and one buffer serve a probe's whole life, as in
+  // the switch: decode, stamp a hop, re-encode, for up to 12 hops.
+  Probe reference;
+  reference.origin_tor = NodeId{7};
+  reference.max_util = 3;
+  Probe scratch;
+  scratch.trace.assign(20, HopRecord{NodeId{99}, PortId{99}, 99});  // stale contents
+  Bytes buffer(300, 0xEE);                                          // stale bytes
+  for (std::uint16_t hop = 0; hop <= 12; ++hop) {
+    const Bytes expected = encode_probe(reference);
+    ASSERT_TRUE(decode_probe_into(expected, scratch).ok()) << "hops=" << hop;
+    EXPECT_EQ(scratch, reference) << "hops=" << hop;
+    encode_probe_into(scratch, buffer);
+    EXPECT_EQ(buffer, expected) << "hops=" << hop;
+    EXPECT_EQ(buffer.size(), encoded_probe_size(scratch));
+    reference.trace.push_back(HopRecord{NodeId{hop}, PortId{static_cast<std::uint16_t>(hop + 1)},
+                                        static_cast<std::uint8_t>(10 * hop)});
+  }
+}
+
+TEST(HulaProbeCodec, ScratchDecodeRejectsTruncationAndTrailingBytes) {
+  Probe probe;
+  probe.trace = {{NodeId{1}, PortId{1}, 1}, {NodeId{2}, PortId{2}, 2}};
+  Bytes frame = encode_probe(probe);
+  Probe scratch;
+  for (std::size_t len = 0; len < frame.size(); ++len) {
+    EXPECT_FALSE(decode_probe_into(std::span(frame.data(), len), scratch).ok()) << len;
+  }
+  frame.push_back(0);
+  EXPECT_FALSE(decode_probe_into(frame, scratch).ok());
+  frame.pop_back();
+  EXPECT_TRUE(decode_probe_into(frame, scratch).ok());
+  EXPECT_EQ(scratch, probe);
+}
+
 TEST(HulaDataCodec, RoundTrip) {
   DataPacket packet{NodeId{5}, 0xABCDEF0123456789ull, 1200};
   auto decoded = decode_data(encode_data(packet));

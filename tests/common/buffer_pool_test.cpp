@@ -36,6 +36,30 @@ TEST(BufferPool, AcquireHonorsCapacityHintOnReusedBuffer) {
   pool.release(pool.acquire(16));
   const Bytes buf = pool.acquire(4096);
   EXPECT_GE(buf.capacity(), 4096u);
+  // Growing the recycled buffer allocated, so it is a miss, not a reuse.
+  EXPECT_EQ(pool.stats().misses, 2u);
+  EXPECT_EQ(pool.stats().reuses, 0u);
+}
+
+TEST(BufferPool, UndersizedRecycledBufferGrowsOnceToTheFloor) {
+  // An exact-size buffer from outside the pool (e.g. a 1-byte trigger
+  // frame) is grown to min_capacity, not to the bare hint: growing it is
+  // a miss, and the next acquire of the same size allocates nothing.
+  BufferPool pool;
+  Bytes tiny;
+  tiny.push_back(0x47);
+  pool.release(std::move(tiny));
+
+  Bytes first = pool.acquire(115);
+  EXPECT_GE(first.capacity(), pool.config().min_capacity);
+  EXPECT_EQ(pool.stats().misses, 1u);
+  EXPECT_EQ(pool.stats().reuses, 0u);
+  const auto* storage = first.data();
+  pool.release(std::move(first));
+
+  const Bytes second = pool.acquire(115);
+  EXPECT_EQ(second.data(), storage);  // same allocation, not a new one
+  EXPECT_EQ(pool.stats().misses, 1u);
   EXPECT_EQ(pool.stats().reuses, 1u);
 }
 

@@ -155,6 +155,41 @@ TEST_P(LaneBackendSweep, LongMessagesTakeTheScalarPathInMixedGroups) {
   }
 }
 
+TEST_P(LaneBackendSweep, SingleJobEqualsScalar) {
+  // One job takes the scalar reference on every backend.
+  Xoshiro256 rng(0x51E ^ static_cast<std::uint64_t>(GetParam()));
+  for (SipRounds rounds : {kHalfSipHash24, kHalfSipHash13}) {
+    for (std::size_t len : {0, 1, 10, 64, 103, 600}) {
+      const auto message = random_bytes(rng, len);
+      const std::span<const std::uint8_t> whole(message);
+      const std::size_t split = rng.next_below(len + 1);
+      const std::array<SipLaneJob, 1> jobs{
+          SipLaneJob{rng.next_u64(), whole.first(split), whole.subspan(split)}};
+      std::uint32_t out = 0;
+      halfsiphash_lanes(jobs, std::span<std::uint32_t>(&out, 1), rounds);
+      EXPECT_EQ(out, halfsiphash(jobs[0].key, message, rounds)) << "len=" << len;
+    }
+  }
+}
+
+TEST_P(LaneBackendSweep, OneLaneRaggedGroupMatchesScalarAtEverySplitPoint) {
+  // width + 1 jobs: a full group, then a kernel pass with one active
+  // lane, whose job is split at every point.
+  Xoshiro256 rng(0x0E1A ^ static_cast<std::uint64_t>(GetParam()));
+  const std::size_t width = sip_lane_width(GetParam());
+  const auto message = random_bytes(rng, 61);
+  const std::span<const std::uint8_t> whole(message);
+  const std::uint64_t key = rng.next_u64();
+  std::vector<SipLaneJob> jobs(width + 1, SipLaneJob{rng.next_u64(), whole, {}});
+  for (std::size_t split = 0; split <= message.size(); ++split) {
+    jobs.back() = SipLaneJob{key, whole.first(split), whole.subspan(split)};
+    std::vector<std::uint32_t> out(jobs.size(), 0);
+    halfsiphash_lanes(jobs, out);
+    EXPECT_EQ(out.back(), halfsiphash(key, whole)) << "split=" << split;
+    EXPECT_EQ(out.front(), halfsiphash(jobs.front().key, whole)) << "split=" << split;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllBackends, LaneBackendSweep,
     ::testing::ValuesIn(available_backends()),

@@ -42,12 +42,13 @@ void demonstrate_profile(const char* name, crypto::MacKind mac, crypto::PrfKind 
   msg.header.hdr_type = core::HdrType::RegisterOp;
   msg.header.msg_type = static_cast<std::uint8_t>(core::RegisterMsg::WriteReq);
   msg.payload = core::RegisterOpPayload{RegisterId{42}, 0, 1234};
-  core::tag_message(mac, k_local, msg);
+  Bytes frame = core::encode(msg);
+  core::seal_frame(mac, k_local, frame);
 
   std::printf("%-24s k_auth=%016llx k_local=%016llx digest=%08x verified=%s\n", name,
               static_cast<unsigned long long>(k_auth),
-              static_cast<unsigned long long>(k_local), msg.header.digest,
-              core::verify_message(mac, k_local, msg) ? "yes" : "no");
+              static_cast<unsigned long long>(k_local), core::read_digest(frame),
+              core::verify_frame(mac, k_local, frame) ? "yes" : "no");
   if (k_local != adhkd_response.master) std::printf("  !! key disagreement\n");
 }
 

@@ -170,8 +170,9 @@ void run_l3fwd_p4auth(AuditSession& session) {
     m.header.src = kControllerId;
     m.header.dst = kSelf;
     m.payload = std::move(payload);
-    tag_message(kMac, key, m);
-    return session.inject(encode(m), kCpuPort);
+    Bytes frame = encode(m);
+    seal_frame(kMac, key, frame);
+    return session.inject(std::move(frame), kCpuPort);
   };
 
   // EAK: bootstrap K_auth from the pre-shared seed.

@@ -20,6 +20,10 @@ std::size_t encoded_probe_size(const Probe& probe) noexcept {
 
 void encode_probe_into(const Probe& probe, Bytes& out) {
   out.resize(encoded_probe_size(probe));
+  encode_probe_to(probe, out);
+}
+
+void encode_probe_to(const Probe& probe, std::span<std::uint8_t> out) noexcept {
   ScratchWriter w(out.data());
   w.u8(kProbeMagic)
       .u16(probe.origin_tor.value)

@@ -47,6 +47,10 @@ std::size_t encoded_probe_size(const Probe& probe) noexcept;
 /// buffer with that much capacity is filled without allocating.
 void encode_probe_into(const Probe& probe, Bytes& out);
 
+/// encode_probe over `out`, which must be exactly encoded_probe_size(probe)
+/// bytes (e.g. a probe rewritten in place inside a larger frame).
+void encode_probe_to(const Probe& probe, std::span<std::uint8_t> out) noexcept;
+
 /// decode_probe into `probe`, reusing its trace storage: once the trace
 /// has held as many hops as the frame carries, decoding does not
 /// allocate. On failure `probe` holds a partial decode.

@@ -1,5 +1,7 @@
 #include "attacks/link_mitm.hpp"
 
+#include <algorithm>
+
 #include "core/wire.hpp"
 
 namespace p4auth::attacks {
@@ -7,16 +9,25 @@ namespace {
 
 namespace hula = apps::hula;
 
-/// Rewrites max_util (and the per-hop utils, to be thorough) in an encoded
-/// probe. Returns false if the bytes are not a probe.
-bool forge_probe(Bytes& probe_bytes, std::uint8_t forced_util) {
-  auto probe = hula::decode_probe(probe_bytes);
-  if (!probe.ok()) return false;
-  hula::Probe forged = probe.value();
-  forged.max_util = forced_util;
-  for (auto& hop : forged.trace) hop.util = std::min(hop.util, forced_util);
-  probe_bytes = hula::encode_probe(forged);
+/// Forces max_util (and the per-hop utils, to be thorough) of the probe
+/// encoded in `bytes`, in place: the hop count and so the length stay.
+/// `scratch` keeps the decode allocation-free once its trace has grown.
+/// Returns false, leaving the bytes alone, if they are not a probe.
+bool forge_probe(std::span<std::uint8_t> bytes, std::uint8_t forced_util, hula::Probe& scratch) {
+  // Most frames on the link are data: turn them away before the decoder,
+  // whose error path allocates its message.
+  if (bytes.empty() || bytes[0] != hula::kProbeMagic) return false;
+  if (!hula::decode_probe_into(bytes, scratch).ok()) return false;
+  scratch.max_util = forced_util;
+  for (auto& hop : scratch.trace) hop.util = std::min(hop.util, forced_util);
+  hula::encode_probe_to(scratch, bytes);
   return true;
+}
+
+/// The payload a DpData frame carries; empty when the header is cut short.
+std::span<std::uint8_t> carried_payload(Bytes& frame) {
+  if (!core::decode_header(frame).ok()) return {};
+  return std::span(frame).subspan(core::kHeaderSize);
 }
 
 bool is_dp_data(const Bytes& frame) {
@@ -26,36 +37,27 @@ bool is_dp_data(const Bytes& frame) {
 }  // namespace
 
 netsim::TamperHook make_probe_util_rewriter(std::uint8_t forced_util) {
-  return [forced_util](Bytes& frame) {
+  return [forced_util, scratch = hula::Probe{}](Bytes& frame) mutable {
     if (is_dp_data(frame)) {
-      auto decoded = core::decode(frame);
-      if (decoded.ok()) {
-        core::Message msg = decoded.value();
-        auto& inner = std::get<core::DpDataPayload>(msg.payload).inner;
-        if (forge_probe(inner, forced_util)) {
-          frame = core::encode(msg);  // digest is now stale
-        }
-      }
+      // The header and its digest stay as they were: the digest is stale.
+      (void)forge_probe(carried_payload(frame), forced_util, scratch);
       return netsim::TamperVerdict::Pass;
     }
-    (void)forge_probe(frame, forced_util);  // raw probe: attack succeeds
+    (void)forge_probe(frame, forced_util, scratch);  // raw probe: attack succeeds
     return netsim::TamperVerdict::Pass;
   };
 }
 
 netsim::TamperHook make_probe_strip_and_forge(std::uint8_t forced_util) {
-  return [forced_util](Bytes& frame) {
+  return [forced_util, scratch = hula::Probe{}](Bytes& frame) mutable {
     if (is_dp_data(frame)) {
-      auto decoded = core::decode(frame);
-      if (decoded.ok()) {
-        Bytes inner = std::get<core::DpDataPayload>(decoded.value().payload).inner;
-        if (forge_probe(inner, forced_util)) {
-          frame = std::move(inner);  // authentication stripped
-        }
+      if (forge_probe(carried_payload(frame), forced_util, scratch)) {
+        // Authentication stripped: the forged probe moves to the front.
+        frame.erase(frame.begin(), frame.begin() + static_cast<std::ptrdiff_t>(core::kHeaderSize));
       }
       return netsim::TamperVerdict::Pass;
     }
-    (void)forge_probe(frame, forced_util);
+    (void)forge_probe(frame, forced_util, scratch);
     return netsim::TamperVerdict::Pass;
   };
 }

@@ -46,8 +46,8 @@ std::vector<std::uint16_t> Controller::stale_requests(NodeId sw, SimTime age) co
 
 void Controller::send(SwitchState& st, Message msg, Key64 key, bool is_kmp,
                       std::function<void()> delivered) {
-  if (config_.p4auth_enabled) core::tag_message(config_.mac, key, msg);
   Bytes frame = core::encode(msg);
+  if (config_.p4auth_enabled) core::seal_frame(config_.mac, key, frame);
   if (is_kmp) {
     ++stats_.kmp_messages_sent;
     stats_.kmp_bytes_sent += frame.size();
@@ -531,7 +531,6 @@ void Controller::on_packet_in(NodeId sw, Bytes frame) {
   staged.st = st;
   if (!frame.empty() && frame[0] == core::kLldpReportMagic) {
     staged.is_lldp = true;
-    staged.frame = std::move(frame);
   } else {
     auto decoded = core::decode(frame);
     if (!decoded.ok()) return;
@@ -547,6 +546,7 @@ void Controller::on_packet_in(NodeId sw, Bytes frame) {
       }
     }
   }
+  staged.frame = std::move(frame);
   staged.span = span_ctx();
   staged_packet_ins_.push_back(std::move(staged));
   // More PacketIns are pending at this exact instant (they all share
@@ -558,49 +558,37 @@ void Controller::flush_packet_ins() {
   if (staged_packet_ins_.empty()) return;
   // Phase 1: pick each message's verification key under the pre-dispatch
   // key state (the staging boundary rule guarantees no earlier in-batch
-  // message can rotate this switch's keys), then compute the digests —
-  // through the multi-lane kernel when at least two are pending.
-  std::vector<std::size_t> lanes;
-  for (std::size_t i = 0; i < staged_packet_ins_.size(); ++i) {
-    StagedPacketIn& s = staged_packet_ins_[i];
+  // message can rotate this switch's keys), then compute every digest
+  // over its frame as received in one multi-lane call (a lone job runs
+  // the scalar kernel).
+  digest_jobs_.clear();
+  digest_staged_.clear();
+  for (StagedPacketIn& s : staged_packet_ins_) {
     if (s.is_lldp) continue;
     if (s.msg.header.hdr_type == HdrType::RegisterOp && !config_.p4auth_enabled) {
-      s.digest_ok = true;  // DP-Reg-RW baseline: no digests on this path
-      continue;
+      continue;  // DP-Reg-RW baseline: no digests on this path
     }
-    s.key = verify_key_for(*s.st, s.msg);
-    if (!s.key.has_value()) {
+    const std::optional<Key64> key = verify_key_for(*s.st, s.msg);
+    if (!key.has_value()) {
       s.digest_ok = false;
       continue;
     }
-    lanes.push_back(i);
+    const core::DigestCover cover = core::digest_cover(s.frame);
+    digest_jobs_.push_back(crypto::DigestJob{*key, cover.head, cover.tail});
+    digest_staged_.push_back(&s);
   }
-  if (lanes.size() >= 2) {
-    // Scratches live in this frame for the whole compute call: the jobs
-    // borrow their head spans.
-    std::vector<core::DigestScratch> scratch(lanes.size());
-    std::vector<crypto::DigestJob> jobs(lanes.size());
-    std::vector<Digest32> tags(lanes.size());
-    for (std::size_t j = 0; j < lanes.size(); ++j) {
-      StagedPacketIn& s = staged_packet_ins_[lanes[j]];
-      const core::DigestView input = core::digest_input_into(s.msg, scratch[j]);
-      jobs[j] = crypto::DigestJob{*s.key, input.head, input.tail};
-    }
-    crypto::compute_digest(config_.mac, jobs, tags);
-    for (std::size_t j = 0; j < lanes.size(); ++j) {
-      StagedPacketIn& s = staged_packet_ins_[lanes[j]];
-      s.digest_ok = tags[j] == s.msg.header.digest;
-    }
+  digest_tags_.resize(digest_jobs_.size());
+  crypto::compute_digest(config_.mac, digest_jobs_, digest_tags_);
+  for (std::size_t j = 0; j < digest_staged_.size(); ++j) {
+    StagedPacketIn& s = *digest_staged_[j];
+    s.digest_ok = digest_tags_[j] == core::read_digest(s.frame);
+  }
+  if (digest_jobs_.size() >= 2) {
     ++stats_.batched_verifies;
-    stats_.batch_verified_messages += lanes.size();
+    stats_.batch_verified_messages += digest_jobs_.size();
     if (telemetry_ != nullptr) {
       telemetry_->metrics.counter("ctrl.batched_verifies").inc();
-      telemetry_->metrics.counter("ctrl.batch_verified_messages").inc(lanes.size());
-    }
-  } else {
-    for (const std::size_t i : lanes) {
-      StagedPacketIn& s = staged_packet_ins_[i];
-      s.digest_ok = core::verify_message(config_.mac, *s.key, s.msg);
+      telemetry_->metrics.counter("ctrl.batch_verified_messages").inc(digest_jobs_.size());
     }
   }
   // Phase 2: dispatch in arrival order, each message inside its own

@@ -194,18 +194,17 @@ class Controller {
   /// multi-lane digest batch before dispatching in arrival order.
   struct StagedPacketIn {
     SwitchState* st = nullptr;
-    core::Message msg;
+    core::Message msg;  ///< `frame` decoded (LLDP reports: unused)
     bool is_lldp = false;
-    Bytes frame;  ///< LLDP reports only (handler consumes the raw frame)
+    Bytes frame;  ///< as received: the digest is verified over it
     telemetry::SpanContext span;
-    std::optional<Key64> key;  ///< verification key, chosen at flush
     bool digest_ok = true;
   };
 
   SwitchState* state_of(NodeId sw);
   void on_packet_in(NodeId sw, Bytes frame);
-  /// Verifies every staged PacketIn (multi-lane when >= 2 digests are
-  /// pending) and dispatches them in arrival order.
+  /// Verifies every staged PacketIn in one multi-lane digest call and
+  /// dispatches them in arrival order.
   void flush_packet_ins();
   void on_lldp_report(NodeId reporter, const Bytes& frame);
   void on_register_response(SwitchState& st, const core::Message& msg, bool digest_ok);
@@ -236,6 +235,10 @@ class Controller {
   netsim::Simulator& sim_;
   Config config_;
   std::vector<StagedPacketIn> staged_packet_ins_;
+  // flush_packet_ins' digest batch, reused across flushes.
+  std::vector<crypto::DigestJob> digest_jobs_;
+  std::vector<Digest32> digest_tags_;
+  std::vector<StagedPacketIn*> digest_staged_;
   std::unordered_map<NodeId, std::unique_ptr<SwitchState>> switches_;
   std::vector<PendingPortInit> pending_port_inits_;
   std::vector<Adjacency> adjacencies_;

@@ -184,6 +184,32 @@ Message P4AuthAgent::make_response_header(const Message& request, HdrType type,
   return response;
 }
 
+Bytes P4AuthAgent::seal(const Message& msg, Key64 key, Bytes out,
+                         dataplane::PipelineContext& ctx) const {
+  encode_into(msg, out);
+  const DigestCover cover = digest_cover(out);
+  write_digest(out, digest_.compute(key, cover.head, cover.tail, ctx.costs()));
+  return out;
+}
+
+Bytes P4AuthAgent::seal_local(Message& msg, Bytes out, dataplane::PipelineContext& ctx) const {
+  if (!config_.auth_enabled) {
+    encode_into(msg, out);
+    return out;
+  }
+  // Before local-key init the boot secret K_seed stands in; the version
+  // is then 0, the header's default.
+  msg.header.key_version = keys_.current_version(kCpuPort);
+  return seal(msg, keys_.current(kCpuPort).value_or(config_.k_seed), std::move(out), ctx);
+}
+
+bool P4AuthAgent::verify(const std::optional<Key64>& key, std::span<const std::uint8_t> frame,
+                         dataplane::PipelineContext& ctx) const {
+  if (!key.has_value()) return false;
+  const DigestCover cover = digest_cover(frame);
+  return digest_.verify(*key, cover.head, cover.tail, read_digest(frame), ctx.costs());
+}
+
 void P4AuthAgent::push_alert(dataplane::PipelineOutput& out, dataplane::PipelineContext& ctx,
                              AlertMsg code, std::uint32_t context, std::uint16_t observed,
                              std::uint16_t expected, std::uint32_t detail) {
@@ -200,18 +226,8 @@ void P4AuthAgent::push_alert(dataplane::PipelineOutput& out, dataplane::Pipeline
   alert.header.src = config_.self;
   alert.header.dst = kControllerId;
   alert.payload = AlertPayload{context, observed, expected, detail};
-
-  // Alerts are tagged with the local key so the controller can trust
-  // them; before local-key init the boot secret K_seed stands in.
-  if (const auto key = keys_.current(kCpuPort)) {
-    alert.header.key_version = keys_.current_version(kCpuPort);
-    tag_message(config_.mac, *key, alert, ctx.costs());
-  } else {
-    tag_message(config_.mac, config_.k_seed, alert, ctx.costs());
-  }
-  Bytes encoded = ctx.acquire_buffer(encoded_size(alert.payload));
-  encode_into(alert, encoded);
-  out.to_cpu.push_back(std::move(encoded));
+  // Sealed with the local key so the controller can trust it.
+  out.to_cpu.push_back(seal_local(alert, ctx.acquire_buffer(encoded_size(alert.payload)), ctx));
   ++stats_.alerts_sent;
   note_alert(ctx, /*suppressed=*/false, code);
 }
@@ -225,7 +241,7 @@ dataplane::PipelineOutput P4AuthAgent::process(dataplane::Packet& packet,
       push_alert(out, ctx, AlertMsg::DigestMismatch, 0, 0, 0, /*detail=*/1);
       return out;
     }
-    return handle_control(decoded.value(), ctx);
+    return handle_control(decoded.value(), packet.payload, ctx);
   }
 
   if (looks_like_p4auth(packet.payload)) {
@@ -237,7 +253,7 @@ dataplane::PipelineOutput P4AuthAgent::process(dataplane::Packet& packet,
     if (decoded.ok()) {
       const Message& msg = decoded.value();
       if (msg.header.hdr_type == HdrType::KeyExchange) {
-        return handle_key_exchange_port(msg, packet.ingress, ctx);
+        return handle_key_exchange_port(msg, packet.payload, packet.ingress, ctx);
       }
       // RegisterOp / Alert frames have no business on a data port.
       dataplane::PipelineOutput out = dataplane::PipelineOutput::drop();
@@ -303,22 +319,22 @@ void P4AuthAgent::plan_burst(std::span<const dataplane::BurstFrameView> frames) 
   for (const auto& view : frames) {
     const std::span<const std::uint8_t> f = view.frame;
     if (view.ingress == kCpuPort) continue;  // control path, never burst-verified
-    if (f.size() >= kHeaderSize && f[0] == static_cast<std::uint8_t>(HdrType::DpData)) {
-      // Mirrors handle_dp_data: wire layout puts keyVersion at byte 4,
-      // flags at byte 5, the digest at [10, 14); the digest input is
-      // frame[0..10) + frame[14..) by construction (PR 3 seam).
-      const auto key = keys_.get(view.ingress, KeyVersion{f[4]});
+    if (looks_like_p4auth(f)) {
+      const Header header = decode_header(f).value();  // cannot fail past looks_like_p4auth
+      if (header.hdr_type != HdrType::DpData) continue;  // KMP/control: no inner payload
+      // Hashes what handle_dp_data verifies: the frame's digest cover.
+      const auto key = keys_.get(view.ingress, header.key_version);
       if (key.has_value()) {
-        jobs[njobs] = crypto::DigestJob{*key, f.first(10), f.subspan(kHeaderSize)};
+        const DigestCover cover = digest_cover(f);
+        jobs[njobs] = crypto::DigestJob{*key, cover.head, cover.tail};
         pending[njobs] = dataplane::PlannedDigest{f.data(), f.size(), *key, 0};
         ++njobs;
       }
-      if ((f[5] & kFlagEncrypted) == 0 && inner_ != nullptr) {
+      if (!header.is_encrypted() && inner_ != nullptr) {
         inner_views[ninner++] = dataplane::BurstFrameView{view.ingress, f.subspan(kHeaderSize)};
       }
       continue;
     }
-    if (looks_like_p4auth(f)) continue;  // KMP/control frames carry no inner payload
     if (!f.empty() && (f[0] == kLldpMagic || f[0] == kLldpGenMagic)) continue;
     if (inner_ != nullptr) inner_views[ninner++] = view;  // raw traffic goes to the inner program
   }
@@ -343,19 +359,21 @@ void P4AuthAgent::end_burst() {
 }
 
 dataplane::PipelineOutput P4AuthAgent::handle_control(const Message& msg,
+                                                      std::span<const std::uint8_t> frame,
                                                       dataplane::PipelineContext& ctx) {
   switch (msg.header.hdr_type) {
     case HdrType::RegisterOp:
-      return handle_register_op(msg, ctx);
+      return handle_register_op(msg, frame, ctx);
     case HdrType::KeyExchange:
       if (!config_.auth_enabled) return dataplane::PipelineOutput::drop();
-      return handle_key_exchange_cpu(msg, ctx);
+      return handle_key_exchange_cpu(msg, frame, ctx);
     default:
       return dataplane::PipelineOutput::drop();
   }
 }
 
 dataplane::PipelineOutput P4AuthAgent::handle_register_op(const Message& msg,
+                                                          std::span<const std::uint8_t> frame,
                                                           dataplane::PipelineContext& ctx) {
   dataplane::PipelineOutput out;
   const auto op = static_cast<RegisterMsg>(msg.header.msg_type);
@@ -368,15 +386,7 @@ dataplane::PipelineOutput P4AuthAgent::handle_register_op(const Message& msg,
     Message response = make_response_header(
         msg, HdrType::RegisterOp, static_cast<std::uint8_t>(RegisterMsg::NAck),
         RegisterOpPayload{req.reg_id, req.index, 0});
-    if (config_.auth_enabled) {
-      if (const auto key = keys_.current(kCpuPort)) {
-        response.header.key_version = keys_.current_version(kCpuPort);
-        tag_message(config_.mac, *key, response, ctx.costs());
-      } else {
-        tag_message(config_.mac, config_.k_seed, response, ctx.costs());
-      }
-    }
-    out.to_cpu.push_back(encode(response));
+    out.to_cpu.push_back(seal_local(response, Bytes{}, ctx));
     ++stats_.nacks_sent;
     push_alert(out, ctx, code, req.reg_id.value, msg.header.seq_num, cdp_rx_.last(), detail);
     out.dropped = true;
@@ -387,10 +397,7 @@ dataplane::PipelineOutput P4AuthAgent::handle_register_op(const Message& msg,
     // same fallback the controller applies.
     std::optional<Key64> key = keys_.get(kCpuPort, msg.header.key_version);
     if (!key.has_value() && !keys_.has_key(kCpuPort)) key = config_.k_seed;
-    DigestScratch scratch;
-    const DigestView input = digest_input_into(msg, scratch);
-    const bool ok = key.has_value() &&
-                    digest_.verify(*key, input.head, input.tail, msg.header.digest, ctx.costs());
+    const bool ok = verify(key, frame, ctx);
     ctx.note_verify("cdp_verify", ok);
     note_verify(ctx, ok, kCpuPort, msg.header.seq_num, HdrType::RegisterOp);
     if (!ok) {
@@ -445,17 +452,12 @@ dataplane::PipelineOutput P4AuthAgent::handle_register_op(const Message& msg,
   Message ack = make_response_header(msg, HdrType::RegisterOp,
                                      static_cast<std::uint8_t>(RegisterMsg::Ack),
                                      RegisterOpPayload{req.reg_id, req.index, result_value});
-  if (config_.auth_enabled) {
-    const auto key = keys_.current(kCpuPort);
-    ack.header.key_version = keys_.current_version(kCpuPort);
-    tag_message(config_.mac, key.value_or(config_.k_seed), ack, ctx.costs());
-  }
-  out.to_cpu.push_back(encode(ack));
+  out.to_cpu.push_back(seal_local(ack, Bytes{}, ctx));
   return out;
 }
 
-dataplane::PipelineOutput P4AuthAgent::handle_key_exchange_cpu(const Message& msg,
-                                                               dataplane::PipelineContext& ctx) {
+dataplane::PipelineOutput P4AuthAgent::handle_key_exchange_cpu(
+    const Message& msg, std::span<const std::uint8_t> frame, dataplane::PipelineContext& ctx) {
   dataplane::PipelineOutput out;
   const auto kind = static_cast<KeyExchMsg>(msg.header.msg_type);
 
@@ -476,11 +478,7 @@ dataplane::PipelineOutput P4AuthAgent::handle_key_exchange_cpu(const Message& ms
       break;
   }
 
-  DigestScratch scratch;
-  const DigestView input = digest_input_into(msg, scratch);
-  const bool verified =
-      verify_key.has_value() &&
-      digest_.verify(*verify_key, input.head, input.tail, msg.header.digest, ctx.costs());
+  const bool verified = verify(verify_key, frame, ctx);
   ctx.note_verify("kmp_verify", verified);
   note_verify(ctx, verified, kCpuPort, msg.header.seq_num, HdrType::KeyExchange);
   if (!verified) {
@@ -508,8 +506,7 @@ dataplane::PipelineOutput P4AuthAgent::handle_key_exchange_cpu(const Message& ms
       k_auth_ = eak.k_auth;
       Message response = make_response_header(
           msg, HdrType::KeyExchange, static_cast<std::uint8_t>(KeyExchMsg::EakExch), eak.reply);
-      tag_message(config_.mac, config_.k_seed, response, ctx.costs());
-      out.to_cpu.push_back(encode(response));
+      out.to_cpu.push_back(seal(response, config_.k_seed, Bytes{}, ctx));
       break;
     }
 
@@ -525,8 +522,7 @@ dataplane::PipelineOutput P4AuthAgent::handle_key_exchange_cpu(const Message& ms
         Message response =
             make_response_header(msg, HdrType::KeyExchange,
                                  static_cast<std::uint8_t>(KeyExchMsg::InitKeyExch), adhkd.reply);
-        tag_message(config_.mac, *verify_key, response, ctx.costs());
-        out.to_cpu.push_back(encode(response));
+        out.to_cpu.push_back(seal(response, *verify_key, Bytes{}, ctx));
         break;
       }
       // Port-scope leg redirected via the controller: src is the peer DP.
@@ -544,10 +540,7 @@ dataplane::PipelineOutput P4AuthAgent::handle_key_exchange_cpu(const Message& ms
         Message response =
             make_response_header(msg, HdrType::KeyExchange,
                                  static_cast<std::uint8_t>(KeyExchMsg::InitKeyExch), adhkd.reply);
-        response.header.key_version = keys_.current_version(kCpuPort);
-        tag_message(config_.mac, keys_.current(kCpuPort).value_or(config_.k_seed), response,
-                    ctx.costs());
-        out.to_cpu.push_back(encode(response));
+        out.to_cpu.push_back(seal_local(response, Bytes{}, ctx));
       } else {
         const auto pending = pending_port_exchange_.find(*port);
         if (pending == pending_port_exchange_.end()) break;
@@ -569,9 +562,10 @@ dataplane::PipelineOutput P4AuthAgent::handle_key_exchange_cpu(const Message& ms
           make_response_header(msg, HdrType::KeyExchange,
                                static_cast<std::uint8_t>(KeyExchMsg::UpdKeyExch), adhkd.reply);
       response.header.key_version = msg.header.key_version;
-      tag_message(config_.mac, *verify_key, response, ctx.costs());
+      // Sealed under the old key, before the new one installs.
+      Bytes sealed = seal(response, *verify_key, Bytes{}, ctx);
       install_key(kCpuPort, adhkd.master, ctx);
-      out.to_cpu.push_back(encode(response));
+      out.to_cpu.push_back(std::move(sealed));
       break;
     }
 
@@ -588,13 +582,10 @@ dataplane::PipelineOutput P4AuthAgent::handle_key_exchange_cpu(const Message& ms
       exchange.header.msg_type = static_cast<std::uint8_t>(KeyExchMsg::InitKeyExch);
       exchange.header.seq_num = cdp_tx_.next();
       exchange.header.flags = kFlagPortScope;
-      exchange.header.key_version = keys_.current_version(kCpuPort);
       exchange.header.src = config_.self;
       exchange.header.dst = request.peer;
       exchange.payload = leg;
-      tag_message(config_.mac, keys_.current(kCpuPort).value_or(config_.k_seed), exchange,
-                  ctx.costs());
-      out.to_cpu.push_back(encode(exchange));
+      out.to_cpu.push_back(seal_local(exchange, Bytes{}, ctx));
       break;
     }
 
@@ -622,8 +613,7 @@ dataplane::PipelineOutput P4AuthAgent::handle_key_exchange_cpu(const Message& ms
       exchange.header.src = config_.self;
       exchange.header.dst = request.peer;
       exchange.payload = leg;
-      tag_message(config_.mac, *port_key, exchange, ctx.costs());
-      out.emits.push_back(dataplane::Emit{request.port, encode(exchange)});
+      out.emits.push_back(dataplane::Emit{request.port, seal(exchange, *port_key, Bytes{}, ctx)});
       break;
     }
   }
@@ -642,21 +632,14 @@ dataplane::PipelineOutput P4AuthAgent::handle_dp_data(const Header& header,
   const dataplane::PlannedDigest* planned =
       burst_plan_.claim(packet.payload.data(), packet.payload.size());
   const auto key = keys_.get(port, header.key_version);
-  bool verified = false;
-  if (key.has_value()) {
-    // The digest input is the wire bytes minus the digest field: head
-    // frame[0..10) (the header's other fields) + tail frame[14..) (the
-    // inner payload), the same seam the burst pre-pass hashes. Both paths
-    // bill those frame.size() - 4 bytes.
-    const std::span<const std::uint8_t> frame(packet.payload);
-    if (planned != nullptr && planned->key == *key) {
-      verified = digest_.verify_planned(planned->digest, frame.size() - 4, header.digest,
-                                        ctx.costs());
-    } else {
-      verified = digest_.verify(*key, frame.first(10), frame.subspan(kHeaderSize), header.digest,
-                                ctx.costs());
-    }
-  }
+  // Verified over the wire bytes' digest cover, the span the burst
+  // pre-pass hashed; both paths bill its size.
+  const std::span<const std::uint8_t> frame(packet.payload);
+  const bool verified =
+      key.has_value() && planned != nullptr && planned->key == *key
+          ? digest_.verify_planned(planned->digest, digest_cover(frame).size(), header.digest,
+                                   ctx.costs())
+          : verify(key, frame, ctx);
   ctx.note_verify("dp_verify", verified);
   note_verify(ctx, verified, port, header.seq_num, HdrType::DpData);
   if (!verified) {
@@ -692,9 +675,9 @@ dataplane::PipelineOutput P4AuthAgent::handle_dp_data(const Header& header,
   return run_inner(packet, ctx);
 }
 
-dataplane::PipelineOutput P4AuthAgent::handle_key_exchange_port(const Message& msg,
-                                                                PortId ingress,
-                                                                dataplane::PipelineContext& ctx) {
+dataplane::PipelineOutput P4AuthAgent::handle_key_exchange_port(
+    const Message& msg, std::span<const std::uint8_t> frame, PortId ingress,
+    dataplane::PipelineContext& ctx) {
   dataplane::PipelineOutput out;
   const auto kind = static_cast<KeyExchMsg>(msg.header.msg_type);
   if (kind != KeyExchMsg::UpdKeyExch || !msg.header.is_port_scope()) {
@@ -703,11 +686,7 @@ dataplane::PipelineOutput P4AuthAgent::handle_key_exchange_port(const Message& m
   }
 
   const auto key = keys_.get(ingress, msg.header.key_version);
-  DigestScratch scratch;
-  const DigestView input = digest_input_into(msg, scratch);
-  const bool verified =
-      key.has_value() &&
-      digest_.verify(*key, input.head, input.tail, msg.header.digest, ctx.costs());
+  const bool verified = verify(key, frame, ctx);
   ctx.note_verify("kmp_port_verify", verified);
   note_verify(ctx, verified, ingress, msg.header.seq_num, HdrType::KeyExchange);
   if (!verified) {
@@ -733,9 +712,9 @@ dataplane::PipelineOutput P4AuthAgent::handle_key_exchange_port(const Message& m
         make_response_header(msg, HdrType::KeyExchange,
                              static_cast<std::uint8_t>(KeyExchMsg::UpdKeyExch), adhkd.reply);
     response.header.key_version = msg.header.key_version;
-    tag_message(config_.mac, *key, response, ctx.costs());
+    Bytes sealed = seal(response, *key, Bytes{}, ctx);
     install_key(ingress, adhkd.master, ctx);
-    out.emits.push_back(dataplane::Emit{ingress, encode(response)});
+    out.emits.push_back(dataplane::Emit{ingress, std::move(sealed)});
   } else {
     const auto pending = pending_port_exchange_.find(ingress);
     if (pending == pending_port_exchange_.end()) {
@@ -778,13 +757,10 @@ dataplane::PipelineOutput P4AuthAgent::run_inner(dataplane::Packet& packet,
       ctx.costs().add_hash(emit.payload.size());  // keystream generation
     }
     frame.payload = DpDataPayload{std::move(emit.payload)};
-    tag_message(config_.mac, *key, frame, ctx.costs());
-    // Pool-backed wrap: the encoded frame reuses a recycled buffer and the
+    // Pool-backed wrap: the sealed frame reuses a recycled buffer and the
     // consumed inner buffer goes back to the pool for the next emit.
-    Bytes encoded = ctx.acquire_buffer(encoded_size(frame.payload));
-    encode_into(frame, encoded);
+    emit.payload = seal(frame, *key, ctx.acquire_buffer(encoded_size(frame.payload)), ctx);
     ctx.release_buffer(std::move(std::get<DpDataPayload>(frame.payload).inner));
-    emit.payload = std::move(encoded);
     ++stats_.feedback_tagged;
   }
   return out;
@@ -987,7 +963,7 @@ dataplane::PipelineModel P4AuthAgent::pipeline_model() const {
            {{"ingress.cpu", false}, {"pkt.ctl_on_port", true}});
   m.branch(entry, inner_entry, "raw", {{"ingress.cpu", false}, {"pkt.raw", true}});
 
-  const std::size_t covered = kHeaderSize - 4 + 16;  // header sans digest + payload
+  const std::size_t covered = kDigestOffset + 16;  // header sans digest + largest fixed payload
   if (config_.mac == crypto::MacKind::Crc32Envelope) {
     m.hash_uses.push_back(dataplane::HashUse::crc32("digest_verify", covered));
     m.hash_uses.push_back(dataplane::HashUse::crc32("digest_compute", covered));

@@ -90,9 +90,9 @@ class P4AuthAgent : public dataplane::DataPlaneProgram {
   dataplane::PipelineModel pipeline_model() const override;
 
   /// Burst pre-pass: precomputes the MAC tags of every staged DpData
-  /// frame whose port key is known, 4–8 per SIMD pass, directly over the
-  /// raw wire bytes (frame[0..10) + frame[14..) — the digest input by
-  /// construction), and forwards inner payload views to the wrapped
+  /// frame whose port key is known, 4–8 per SIMD pass, over the same
+  /// core::digest_cover spans handle_dp_data verifies, and forwards
+  /// inner payload views to the wrapped
   /// program's planner for table/register prefetch. Side-effect-free:
   /// key lookups read the host-side chain (no register counters) and
   /// billing happens only when a planned tag is consumed.
@@ -126,18 +126,24 @@ class P4AuthAgent : public dataplane::DataPlaneProgram {
   const Config& config() const noexcept { return config_; }
 
  private:
-  // C-DP dispatch (CPU-port arrivals).
-  dataplane::PipelineOutput handle_control(const Message& msg, dataplane::PipelineContext& ctx);
+  // C-DP dispatch (CPU-port arrivals). `msg` is `frame` decoded; the
+  // digest is verified over `frame`, the bytes as received.
+  dataplane::PipelineOutput handle_control(const Message& msg, std::span<const std::uint8_t> frame,
+                                           dataplane::PipelineContext& ctx);
   dataplane::PipelineOutput handle_register_op(const Message& msg,
+                                               std::span<const std::uint8_t> frame,
                                                dataplane::PipelineContext& ctx);
   dataplane::PipelineOutput handle_key_exchange_cpu(const Message& msg,
+                                                    std::span<const std::uint8_t> frame,
                                                     dataplane::PipelineContext& ctx);
   // DP-DP dispatch (data-port arrivals). A DpData frame is verified
   // over its wire bytes, then stripped to its inner payload in place, so
   // the inner program runs on the ingress buffer itself.
   dataplane::PipelineOutput handle_dp_data(const Header& header, dataplane::Packet& packet,
                                            dataplane::PipelineContext& ctx);
-  dataplane::PipelineOutput handle_key_exchange_port(const Message& msg, PortId ingress,
+  dataplane::PipelineOutput handle_key_exchange_port(const Message& msg,
+                                                     std::span<const std::uint8_t> frame,
+                                                     PortId ingress,
                                                      dataplane::PipelineContext& ctx);
 
   /// Runs the inner program and wraps protected-magic emissions.
@@ -147,7 +153,7 @@ class P4AuthAgent : public dataplane::DataPlaneProgram {
   bool is_protected_magic(const Bytes& payload) const noexcept;
   std::optional<PortId> port_of_neighbor(NodeId peer) const;
 
-  /// Builds, tags (local key or K_seed fallback) and rate-limits an alert.
+  /// Builds, seals (seal_local) and rate-limits an alert.
   void push_alert(dataplane::PipelineOutput& out, dataplane::PipelineContext& ctx, AlertMsg code,
                   std::uint32_t context, std::uint16_t observed, std::uint16_t expected,
                   std::uint32_t detail = 0);
@@ -156,6 +162,17 @@ class P4AuthAgent : public dataplane::DataPlaneProgram {
 
   Message make_response_header(const Message& request, HdrType type, std::uint8_t msg_type,
                                Payload payload) const;
+
+  // The digest extern over core::digest_cover, billed to the packet.
+  /// Encodes `msg` into `out` and seals the frame under `key`.
+  Bytes seal(const Message& msg, Key64 key, Bytes out, dataplane::PipelineContext& ctx) const;
+  /// seal() under the current local key, stamping its version into `msg`
+  /// (K_seed, version 0, before local-key init); a plain encode with
+  /// authentication off.
+  Bytes seal_local(Message& msg, Bytes out, dataplane::PipelineContext& ctx) const;
+  /// False without a key; else whether the frame's digest verifies.
+  bool verify(const std::optional<Key64>& key, std::span<const std::uint8_t> frame,
+              dataplane::PipelineContext& ctx) const;
 
   // --- telemetry hooks ----------------------------------------------------
   // Per-switch counter series cached on first use (registry references

@@ -2,32 +2,14 @@
 
 namespace p4auth::core {
 
-void tag_message(crypto::MacKind mac, Key64 key, Message& message) {
-  DigestScratch scratch;
-  const DigestView input = digest_input_into(message, scratch);
-  message.header.digest = crypto::compute_digest(mac, key, input.head, input.tail);
+void seal_frame(crypto::MacKind mac, Key64 key, std::span<std::uint8_t> frame) {
+  const DigestCover cover = digest_cover(frame);
+  write_digest(frame, crypto::compute_digest(mac, key, cover.head, cover.tail));
 }
 
-bool verify_message(crypto::MacKind mac, Key64 key, const Message& message) {
-  DigestScratch scratch;
-  const DigestView input = digest_input_into(message, scratch);
-  return crypto::verify_digest(mac, key, input.head, input.tail, message.header.digest);
-}
-
-void tag_message(crypto::MacKind mac, Key64 key, Message& message,
-                 dataplane::PacketCosts& costs) {
-  DigestScratch scratch;
-  const DigestView input = digest_input_into(message, scratch);
-  costs.add_hash(input.size());
-  message.header.digest = crypto::compute_digest(mac, key, input.head, input.tail);
-}
-
-bool verify_message(crypto::MacKind mac, Key64 key, const Message& message,
-                    dataplane::PacketCosts& costs) {
-  DigestScratch scratch;
-  const DigestView input = digest_input_into(message, scratch);
-  costs.add_hash(input.size());
-  return crypto::verify_digest(mac, key, input.head, input.tail, message.header.digest);
+bool verify_frame(crypto::MacKind mac, Key64 key, std::span<const std::uint8_t> frame) {
+  const DigestCover cover = digest_cover(frame);
+  return crypto::verify_digest(mac, key, cover.head, cover.tail, read_digest(frame));
 }
 
 }  // namespace p4auth::core

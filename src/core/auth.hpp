@@ -1,25 +1,19 @@
-// Message tagging and verification (the paper's authentication protocol,
-// §V): attach/check the HMAC digest over header + payload under a shared
-// secret key.
+// Frame sealing and verification (the paper's authentication protocol,
+// §V): attach/check the HMAC digest of an encoded frame under a shared
+// secret key. The digest covers exactly core::digest_cover(frame).
 #pragma once
 
 #include "core/wire.hpp"
 #include "crypto/mac.hpp"
-#include "dataplane/packet.hpp"
 
 namespace p4auth::core {
 
-/// Computes and stores the digest into `message.header.digest`.
-void tag_message(crypto::MacKind mac, Key64 key, Message& message);
+/// Computes the digest over the frame's covered bytes and writes it into
+/// the frame's digest field. Requires frame.size() >= kHeaderSize.
+void seal_frame(crypto::MacKind mac, Key64 key, std::span<std::uint8_t> frame);
 
-/// Recomputes the digest and compares with the carried one.
-bool verify_message(crypto::MacKind mac, Key64 key, const Message& message);
-
-/// Variants that bill the hash to a packet's cost counters — use these on
-/// the data-plane side so the timing model sees the work.
-void tag_message(crypto::MacKind mac, Key64 key, Message& message,
-                 dataplane::PacketCosts& costs);
-bool verify_message(crypto::MacKind mac, Key64 key, const Message& message,
-                    dataplane::PacketCosts& costs);
+/// Recomputes the digest over the frame as received and compares it with
+/// the carried one. Requires frame.size() >= kHeaderSize.
+bool verify_frame(crypto::MacKind mac, Key64 key, std::span<const std::uint8_t> frame);
 
 }  // namespace p4auth::core

@@ -17,22 +17,8 @@ void write_header(Writer& w, const Header& h) {
       .u32(h.digest);
 }
 
-/// Header prefix the digest covers: everything above except the digest
-/// field itself (the header's last 4 bytes).
-template <typename Writer>
-void write_header_sans_digest(Writer& w, const Header& h) {
-  w.u8(static_cast<std::uint8_t>(h.hdr_type))
-      .u8(h.msg_type)
-      .u16(h.seq_num)
-      .u8(h.key_version.value)
-      .u8(h.flags)
-      .u16(h.src.value)
-      .u16(h.dst.value);
-}
-
 /// Writes the fixed-width payload alternatives. DpData (the only
-/// variable-length payload) is excluded so this can target the digest
-/// scratch; callers handle it explicitly.
+/// variable-length payload) is excluded; encode_into copies its inner.
 template <typename Writer>
 void write_fixed_payload(Writer& w, const Payload& payload) {
   std::visit(
@@ -90,20 +76,23 @@ void encode_into(const Message& message, Bytes& out) {
 }
 
 Result<Header> decode_header(std::span<const std::uint8_t> frame) {
-  ByteReader r(frame);
   if (frame.size() < kHeaderSize) return make_error("p4auth frame truncated");
-
+  if (!looks_like_p4auth(frame)) return make_error("unknown hdrType");
+  // Direct loads in write_header's field order: every DpData frame is
+  // parsed here twice per hop (burst planning and the pass itself).
+  const std::uint8_t* p = frame.data();
+  const auto u16_at = [p](std::size_t at) {
+    return static_cast<std::uint16_t>((p[at] << 8) | p[at + 1]);
+  };
   Header h;
-  const auto hdr_type = r.u8().value();
-  if (hdr_type < 1 || hdr_type > 4) return make_error("unknown hdrType");
-  h.hdr_type = static_cast<HdrType>(hdr_type);
-  h.msg_type = r.u8().value();
-  h.seq_num = r.u16().value();
-  h.key_version = KeyVersion{r.u8().value()};
-  h.flags = r.u8().value();
-  h.src = NodeId{r.u16().value()};
-  h.dst = NodeId{r.u16().value()};
-  h.digest = r.u32().value();
+  h.hdr_type = static_cast<HdrType>(p[0]);
+  h.msg_type = p[1];
+  h.seq_num = u16_at(2);
+  h.key_version = KeyVersion{p[4]};
+  h.flags = p[5];
+  h.src = NodeId{u16_at(6)};
+  h.dst = NodeId{u16_at(8)};
+  h.digest = read_digest(frame);
   return h;
 }
 
@@ -185,29 +174,20 @@ bool looks_like_p4auth(std::span<const std::uint8_t> frame) noexcept {
   return frame.size() >= kHeaderSize && frame[0] >= 1 && frame[0] <= 4;
 }
 
-Bytes digest_input(const Message& message) {
-  DigestScratch scratch;
-  const DigestView view = digest_input_into(message, scratch);
-  Bytes out;
-  out.reserve(view.size());
-  out.insert(out.end(), view.head.begin(), view.head.end());
-  out.insert(out.end(), view.tail.begin(), view.tail.end());
-  return out;
+DigestCover digest_cover(std::span<const std::uint8_t> frame) noexcept {
+  // Eqn. 4: the digest covers p4auth_h *excluding the digest field* plus
+  // the payload. The digest occupies the header's last 4 bytes, so they
+  // are skipped rather than hashed as zeros.
+  return DigestCover{frame.first(kDigestOffset), frame.subspan(kHeaderSize)};
 }
 
-DigestView digest_input_into(const Message& message, DigestScratch& scratch) noexcept {
-  // Eqn. 4: the digest covers p4auth_h *excluding the digest field* plus
-  // the payload. The digest occupies the header's last 4 bytes, so skip
-  // them rather than hashing zeros in their place. Fixed payloads land in
-  // the scratch behind the header; DpData's inner is borrowed as the tail
-  // so the (arbitrarily long) feedback payload is never copied.
-  ScratchWriter w(scratch.data());
-  write_header_sans_digest(w, message.header);
-  if (const auto* dp = std::get_if<DpDataPayload>(&message.payload)) {
-    return DigestView{std::span(scratch.data(), w.written()), std::span(dp->inner)};
-  }
-  write_fixed_payload(w, message.payload);
-  return DigestView{std::span(scratch.data(), w.written()), {}};
+Digest32 read_digest(std::span<const std::uint8_t> frame) noexcept {
+  const std::uint8_t* p = frame.data() + kDigestOffset;
+  return (Digest32{p[0]} << 24) | (Digest32{p[1]} << 16) | (Digest32{p[2]} << 8) | p[3];
+}
+
+void write_digest(std::span<std::uint8_t> frame, Digest32 digest) noexcept {
+  ScratchWriter(frame.data() + kDigestOffset).u32(digest);
 }
 
 std::size_t encoded_size(const Payload& payload) noexcept {

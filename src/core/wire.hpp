@@ -8,12 +8,18 @@
 //
 // digest = HMAC_K(p4auth_h-without-digest || payload)   (Eqn. 4)
 //
+// digest_cover() is the only definition of that input: it names the
+// covered bytes of an encoded frame, frame[0, kDigestOffset) and
+// frame[kHeaderSize, end). Every tag is "encode, then seal the frame in
+// place" and every verify runs over the frame as received (core/auth.hpp
+// for software ends, the agent's extern for the data plane), so the
+// digest always covers the bytes on the wire, never a re-encoding.
+//
 // Message sizes are load-bearing: they reproduce Table III's byte counts
 // (EAK leg 22 B, ADHKD leg 30 B, portKeyInit/Update 18 B; local key init
 // = 2x22 + 2x30 = 104 B, etc.). Do not resize fields casually.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <span>
 #include <variant>
@@ -70,6 +76,9 @@ struct Header {
 };
 
 inline constexpr std::size_t kHeaderSize = 14;
+/// The digest field occupies frame[kDigestOffset, kHeaderSize); every
+/// header byte ahead of it is covered by the digest.
+inline constexpr std::size_t kDigestOffset = 10;
 
 /// Register read/write request/response body (readReq/writeReq/ack/nAck).
 /// `value` is the write value in writeReq and the read result in ack.
@@ -145,27 +154,22 @@ Result<Header> decode_header(std::span<const std::uint8_t> frame);
 /// agent to separate protocol frames from plain traffic).
 bool looks_like_p4auth(std::span<const std::uint8_t> frame) noexcept;
 
-/// The digest's input: header with digest zeroed, followed by the payload
-/// (Eqn. 4 — digest covers both header groups).
-Bytes digest_input(const Message& message);
-
-/// Stack scratch for the copy-free digest input: 10 header bytes (sans
-/// digest) plus the largest fixed payload (16 B), rounded up.
-using DigestScratch = std::array<std::uint8_t, 32>;
-
-/// The digest input as two spans. `head` points into the caller's
-/// scratch (header sans digest, plus fixed payload fields); `tail`
-/// borrows a variable-length payload (DpData inner) and is empty
-/// otherwise. Valid only while the scratch and the message both live.
-struct DigestView {
+/// The bytes an encoded frame's digest covers (Eqn. 4), as two views
+/// into the frame: `head` is the header ahead of the digest field,
+/// `tail` the payload (empty for a DpData frame with no inner bytes).
+struct DigestCover {
   std::span<const std::uint8_t> head;
   std::span<const std::uint8_t> tail;
   std::size_t size() const noexcept { return head.size() + tail.size(); }
 };
 
-/// Builds the digest input in `scratch` without heap allocation —
-/// feed the two spans to the matching crypto::compute_digest overload.
-DigestView digest_input_into(const Message& message, DigestScratch& scratch) noexcept;
+/// The digest seam. Requires frame.size() >= kHeaderSize.
+DigestCover digest_cover(std::span<const std::uint8_t> frame) noexcept;
+
+/// Reads / overwrites the digest field of an encoded frame in place.
+/// Both require frame.size() >= kHeaderSize.
+Digest32 read_digest(std::span<const std::uint8_t> frame) noexcept;
+void write_digest(std::span<std::uint8_t> frame, Digest32 digest) noexcept;
 
 /// Total encoded size of a message carrying this payload.
 std::size_t encoded_size(const Payload& payload) noexcept;

@@ -19,20 +19,8 @@ class DigestExtern {
 
   crypto::MacKind kind() const noexcept { return kind_; }
 
-  Digest32 compute(Key64 key, std::span<const std::uint8_t> data,
-                   PacketCosts& costs) const noexcept {
-    costs.add_hash(data.size());
-    return crypto::compute_digest(kind_, key, data);
-  }
-
-  bool verify(Key64 key, std::span<const std::uint8_t> data, Digest32 tag,
-              PacketCosts& costs) const noexcept {
-    costs.add_hash(data.size());
-    return crypto::verify_digest(kind_, key, data, tag);
-  }
-
-  /// Copy-free variants over a two-span digest input (header scratch +
-  /// borrowed payload view) — see core::digest_input_into.
+  /// The tag of `head || tail`, billed to the packet. The P4Auth agent
+  /// passes an encoded frame's core::digest_cover spans.
   Digest32 compute(Key64 key, std::span<const std::uint8_t> head,
                    std::span<const std::uint8_t> tail, PacketCosts& costs) const noexcept {
     costs.add_hash(head.size() + tail.size());
@@ -56,7 +44,7 @@ class DigestExtern {
   }
 
   /// Verify against a tag precomputed by a burst plan. Bills exactly like
-  /// the scalar two-span verify of the same `covered_bytes` input —
+  /// the scalar verify of the same `covered_bytes` input —
   /// one digest, lane width 1 — because the pass consumed one digest;
   /// the cross-packet batch width is a host-side detail.
   bool verify_planned(Digest32 planned, std::size_t covered_bytes, Digest32 tag,

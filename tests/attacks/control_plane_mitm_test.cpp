@@ -23,8 +23,9 @@ Bytes tagged_write(RegisterId reg, std::uint32_t index, std::uint64_t value) {
   msg.header.src = kControllerId;
   msg.header.dst = NodeId{1};
   msg.payload = RegisterOpPayload{reg, index, value};
-  core::tag_message(crypto::MacKind::HalfSipHash24, kKey, msg);
-  return core::encode(msg);
+  Bytes frame = core::encode(msg);
+  core::seal_frame(crypto::MacKind::HalfSipHash24, kKey, frame);
+  return frame;
 }
 
 Bytes tagged_ack(RegisterId reg, std::uint64_t value) {
@@ -35,8 +36,9 @@ Bytes tagged_ack(RegisterId reg, std::uint64_t value) {
   msg.header.src = NodeId{1};
   msg.header.dst = kControllerId;
   msg.payload = RegisterOpPayload{reg, 0, value};
-  core::tag_message(crypto::MacKind::HalfSipHash24, kKey, msg);
-  return core::encode(msg);
+  Bytes frame = core::encode(msg);
+  core::seal_frame(crypto::MacKind::HalfSipHash24, kKey, frame);
+  return frame;
 }
 
 TEST(WriteValueTamper, RewritesTargetValueAndStalesDigest) {
@@ -48,7 +50,7 @@ TEST(WriteValueTamper, RewritesTargetValueAndStalesDigest) {
   EXPECT_EQ(std::get<RegisterOpPayload>(tampered.payload).value, 999u);
   EXPECT_EQ(std::get<RegisterOpPayload>(tampered.payload).index, 3u);
   // The attacker has no key: the digest no longer verifies.
-  EXPECT_FALSE(core::verify_message(crypto::MacKind::HalfSipHash24, kKey, tampered));
+  EXPECT_FALSE(core::verify_frame(crypto::MacKind::HalfSipHash24, kKey, frame));
 }
 
 TEST(WriteValueTamper, LeavesOtherRegistersAlone) {
@@ -93,7 +95,7 @@ TEST(ReportInflater, RewritesAckValue) {
   ASSERT_EQ(interposer.to_controller(frame), netsim::TamperVerdict::Pass);
   const Message tampered = core::decode(frame).value();
   EXPECT_EQ(std::get<RegisterOpPayload>(tampered.payload).value, 600u);
-  EXPECT_FALSE(core::verify_message(crypto::MacKind::HalfSipHash24, kKey, tampered));
+  EXPECT_FALSE(core::verify_frame(crypto::MacKind::HalfSipHash24, kKey, frame));
 }
 
 TEST(ReportInflater, IgnoresNonP4AuthFrames) {
@@ -140,10 +142,9 @@ TEST(BogusWriteFlood, GeneratesDecodableForgeries) {
   const auto flood = make_bogus_write_flood(kControllerId, NodeId{1}, kTarget, 64, 7);
   ASSERT_EQ(flood.size(), 64u);
   for (const auto& frame : flood) {
-    const auto decoded = core::decode(frame);
-    ASSERT_TRUE(decoded.ok());
+    ASSERT_TRUE(core::decode(frame).ok());
     // Forged digests do not verify under the real key.
-    EXPECT_FALSE(core::verify_message(crypto::MacKind::HalfSipHash24, kKey, decoded.value()));
+    EXPECT_FALSE(core::verify_frame(crypto::MacKind::HalfSipHash24, kKey, frame));
   }
 }
 

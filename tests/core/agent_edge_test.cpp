@@ -12,6 +12,13 @@ constexpr Key64 kSeed = 0x5EED;
 constexpr NodeId kSelf{4};
 constexpr crypto::MacKind kMac = crypto::MacKind::HalfSipHash24;
 
+/// `m` encoded and sealed under `key`.
+Bytes sealed(const Message& m, Key64 key) {
+  Bytes frame = encode(m);
+  seal_frame(kMac, key, frame);
+  return frame;
+}
+
 struct EdgeFixture : ::testing::Test {
   void SetUp() override {
     P4AuthAgent::Config config;
@@ -49,8 +56,7 @@ TEST_F(EdgeFixture, RegisterResponseOnCpuPortIsIgnored) {
   ack.header.hdr_type = HdrType::RegisterOp;
   ack.header.msg_type = static_cast<std::uint8_t>(RegisterMsg::Ack);
   ack.payload = RegisterOpPayload{RegisterId{1}, 0, 0};
-  tag_message(kMac, kSeed, ack);
-  auto out = deliver(encode(ack), kCpuPort);
+    auto out = deliver(sealed(ack, kSeed), kCpuPort);
   EXPECT_TRUE(out.dropped);
   EXPECT_TRUE(out.emits.empty());
 }
@@ -60,8 +66,7 @@ TEST_F(EdgeFixture, RegisterOpOnDataPortAlerts) {
   req.header.hdr_type = HdrType::RegisterOp;
   req.header.msg_type = static_cast<std::uint8_t>(RegisterMsg::WriteReq);
   req.payload = RegisterOpPayload{RegisterId{1}, 0, 7};
-  tag_message(kMac, kSeed, req);
-  auto out = deliver(encode(req), PortId{1});
+    auto out = deliver(sealed(req, kSeed), PortId{1});
   EXPECT_TRUE(out.dropped);
   ASSERT_EQ(out.to_cpu.size(), 1u);
 }
@@ -71,8 +76,7 @@ TEST_F(EdgeFixture, NonPortScopeKeyExchangeOnDataPortDropped) {
   msg.header.hdr_type = HdrType::KeyExchange;
   msg.header.msg_type = static_cast<std::uint8_t>(KeyExchMsg::EakExch);
   msg.payload = EakPayload{1};
-  tag_message(kMac, kSeed, msg);
-  auto out = deliver(encode(msg), PortId{1});
+    auto out = deliver(sealed(msg, kSeed), PortId{1});
   EXPECT_TRUE(out.dropped);
   EXPECT_TRUE(out.emits.empty());
 }
@@ -88,8 +92,7 @@ TEST_F(EdgeFixture, PortKeyUpdateWithoutPortKeyAlerts) {
   m1.header.dst = kSelf;
   Xoshiro256 ctl_rng(9);
   m1.payload = eak.start(ctl_rng);
-  tag_message(kMac, kSeed, m1);
-  auto out1 = deliver(encode(m1), kCpuPort);
+    auto out1 = deliver(sealed(m1, kSeed), kCpuPort);
   const Key64 k_auth = eak.finish(std::get<EakPayload>(decode(out1.to_cpu.at(0)).value().payload));
 
   AdhkdInitiator adhkd{KeySchedule{}};
@@ -100,8 +103,7 @@ TEST_F(EdgeFixture, PortKeyUpdateWithoutPortKeyAlerts) {
   m2.header.src = kControllerId;
   m2.header.dst = kSelf;
   m2.payload = adhkd.start(ctl_rng);
-  tag_message(kMac, k_auth, m2);
-  auto out2 = deliver(encode(m2), kCpuPort);
+    auto out2 = deliver(sealed(m2, k_auth), kCpuPort);
   const Key64 k_local =
       adhkd.finish(std::get<AdhkdPayload>(decode(out2.to_cpu.at(0)).value().payload));
 
@@ -114,8 +116,7 @@ TEST_F(EdgeFixture, PortKeyUpdateWithoutPortKeyAlerts) {
   upd.header.src = kControllerId;
   upd.header.dst = kSelf;
   upd.payload = PortKeyPayload{PortId{2}, NodeId{9}};
-  tag_message(kMac, k_local, upd);
-  auto out = deliver(encode(upd), kCpuPort);
+    auto out = deliver(sealed(upd, k_local), kCpuPort);
   EXPECT_TRUE(out.dropped);
   EXPECT_TRUE(out.emits.empty());  // no exchange started
   ASSERT_EQ(out.to_cpu.size(), 1u);
@@ -128,8 +129,7 @@ TEST_F(EdgeFixture, UnsolicitedAdhkdResponseOnDataPortIgnored) {
   resp.header.msg_type = static_cast<std::uint8_t>(KeyExchMsg::UpdKeyExch);
   resp.header.flags = kFlagResponse | kFlagPortScope;
   resp.payload = AdhkdPayload{1, 2};
-  tag_message(kMac, kSeed, resp);
-  auto out = deliver(encode(resp), PortId{1});
+    auto out = deliver(sealed(resp, kSeed), PortId{1});
   EXPECT_TRUE(out.dropped);
   EXPECT_EQ(agent->stats().key_installs, 0u);
 }

@@ -14,6 +14,14 @@ constexpr NodeId kPeer{6};
 constexpr RegisterId kUserReg{1234};
 constexpr crypto::MacKind kMac = crypto::MacKind::HalfSipHash24;
 
+/// Seals `m`'s encoding under `key` and keeps the digest in its header,
+/// so encode(m) yields the sealed frame and a later field edit stales it.
+void seal(Message& m, Key64 key) {
+  Bytes frame = encode(m);
+  seal_frame(kMac, key, frame);
+  m.header.digest = read_digest(frame);
+}
+
 /// Minimal in-network app: probes (magic 0x50) record their second byte
 /// into "probe_val" and are forwarded out port 2; everything else goes out
 /// port 3.
@@ -67,7 +75,7 @@ class AgentTest : public ::testing::Test {
     m.header.src = kControllerId;
     m.header.dst = kSelf;
     m.payload = RegisterOpPayload{kUserReg, index, value};
-    tag_message(kMac, key, m);
+    seal(m, key);
     return m;
   }
 
@@ -81,11 +89,11 @@ class AgentTest : public ::testing::Test {
     m1.header.src = kControllerId;
     m1.header.dst = kSelf;
     m1.payload = eak.start(ctl_rng_);
-    tag_message(kMac, kSeed, m1);
+    seal(m1, kSeed);
     auto out1 = deliver(encode(m1), kCpuPort);
     EXPECT_EQ(out1.to_cpu.size(), 1u);
     const Message resp1 = decode(out1.to_cpu.at(0)).value();
-    EXPECT_TRUE(verify_message(kMac, kSeed, resp1));
+    EXPECT_TRUE(verify_frame(kMac, kSeed, out1.to_cpu.at(0)));
     const Key64 k_auth = eak.finish(std::get<EakPayload>(resp1.payload));
 
     AdhkdInitiator adhkd(schedule_);
@@ -96,11 +104,11 @@ class AgentTest : public ::testing::Test {
     m2.header.src = kControllerId;
     m2.header.dst = kSelf;
     m2.payload = adhkd.start(ctl_rng_);
-    tag_message(kMac, k_auth, m2);
+    seal(m2, k_auth);
     auto out2 = deliver(encode(m2), kCpuPort);
     EXPECT_EQ(out2.to_cpu.size(), 1u);
     const Message resp2 = decode(out2.to_cpu.at(0)).value();
-    EXPECT_TRUE(verify_message(kMac, k_auth, resp2));
+    EXPECT_TRUE(verify_frame(kMac, k_auth, out2.to_cpu.at(0)));
     local_key_ = adhkd.finish(std::get<AdhkdPayload>(resp2.payload));
     local_version_ = agent_->keys().current_version(kCpuPort);
     return local_key_;
@@ -117,11 +125,11 @@ class AgentTest : public ::testing::Test {
     init.header.src = kControllerId;
     init.header.dst = kSelf;
     init.payload = PortKeyPayload{port, kPeer};
-    tag_message(kMac, local_key_, init);
+    seal(init, local_key_);
     auto out = deliver(encode(init), kCpuPort);
     EXPECT_EQ(out.to_cpu.size(), 1u);
     const Message leg1 = decode(out.to_cpu.at(0)).value();
-    EXPECT_TRUE(verify_message(kMac, local_key_, leg1));
+    EXPECT_TRUE(verify_frame(kMac, local_key_, out.to_cpu.at(0)));
     EXPECT_TRUE(leg1.header.is_port_scope());
     EXPECT_EQ(leg1.header.dst, kPeer);
 
@@ -138,7 +146,7 @@ class AgentTest : public ::testing::Test {
     leg2.header.src = kPeer;
     leg2.header.dst = kSelf;
     leg2.payload = peer.reply;
-    tag_message(kMac, local_key_, leg2);
+    seal(leg2, local_key_);
     auto out2 = deliver(encode(leg2), kCpuPort);
     EXPECT_TRUE(out2.to_cpu.empty());
     EXPECT_TRUE(agent_->keys().has_key(port));
@@ -156,7 +164,7 @@ class AgentTest : public ::testing::Test {
     m.header.src = kPeer;
     m.header.dst = kSelf;
     m.payload = DpDataPayload{probe};
-    tag_message(kMac, port_key, m);
+    seal(m, port_key);
     return encode(m);
   }
 
@@ -182,7 +190,7 @@ TEST_F(AgentTest, WriteRequestUpdatesRegisterAndAcks) {
   const Message ack = decode(out.to_cpu[0]).value();
   EXPECT_EQ(static_cast<RegisterMsg>(ack.header.msg_type), RegisterMsg::Ack);
   EXPECT_EQ(ack.header.seq_num, req.header.seq_num);
-  EXPECT_TRUE(verify_message(kMac, local_key_, ack));
+  EXPECT_TRUE(verify_frame(kMac, local_key_, out.to_cpu[0]));
   EXPECT_EQ(regs_.by_name("user_reg")->read(3).value(), 0xABCDu);
   EXPECT_EQ(agent_->stats().writes_served, 1u);
 }
@@ -239,7 +247,7 @@ TEST_F(AgentTest, UnknownRegisterNacks) {
   establish_local_key();
   Message req = make_register_request(RegisterMsg::WriteReq, 0, 1, local_key_, local_version_);
   std::get<RegisterOpPayload>(req.payload).reg_id = RegisterId{9999};
-  tag_message(kMac, local_key_, req);  // re-tag: this is a *valid* but bogus request
+  seal(req, local_key_);  // re-tag: this is a *valid* but bogus request
   auto out = deliver(encode(req), kCpuPort);
   ASSERT_EQ(out.to_cpu.size(), 2u);
   EXPECT_EQ(static_cast<RegisterMsg>(decode(out.to_cpu[0]).value().header.msg_type),
@@ -292,11 +300,11 @@ TEST_F(AgentTest, LocalKeyUpdateKeepsOldVersionAlive) {
   upd.header.src = kControllerId;
   upd.header.dst = kSelf;
   upd.payload = update.start(ctl_rng_);
-  tag_message(kMac, local_key_, upd);
+  seal(upd, local_key_);
   auto out = deliver(encode(upd), kCpuPort);
   ASSERT_EQ(out.to_cpu.size(), 1u);
   const Message resp = decode(out.to_cpu[0]).value();
-  EXPECT_TRUE(verify_message(kMac, local_key_, resp));  // tagged with OLD key
+  EXPECT_TRUE(verify_frame(kMac, local_key_, out.to_cpu[0]));  // sealed with OLD key
   const Key64 new_key = update.finish(std::get<AdhkdPayload>(resp.payload));
   EXPECT_EQ(agent_->keys().current(kCpuPort), new_key);
   EXPECT_NE(new_key, local_key_);
@@ -394,7 +402,7 @@ TEST_F(AgentTest, EmittedProbeTaggedWithEgressPortKey) {
   init.header.src = kControllerId;
   init.header.dst = kSelf;
   init.payload = PortKeyPayload{PortId{2}, NodeId{9}};
-  tag_message(kMac, local_key_, init);
+  seal(init, local_key_);
   auto out_init = deliver(encode(init), kCpuPort);
   const Message leg1 = decode(out_init.to_cpu.at(0)).value();
   const AdhkdResponse peer =
@@ -408,7 +416,7 @@ TEST_F(AgentTest, EmittedProbeTaggedWithEgressPortKey) {
   leg2.header.src = NodeId{9};
   leg2.header.dst = kSelf;
   leg2.payload = peer.reply;
-  tag_message(kMac, local_key_, leg2);
+  seal(leg2, local_key_);
   deliver(encode(leg2), kCpuPort);
   ASSERT_TRUE(agent_->keys().has_key(PortId{2}));
 
@@ -419,7 +427,7 @@ TEST_F(AgentTest, EmittedProbeTaggedWithEgressPortKey) {
   EXPECT_EQ(wrapped.header.hdr_type, HdrType::DpData);
   EXPECT_EQ(wrapped.header.src, kSelf);
   EXPECT_EQ(wrapped.header.dst, NodeId{9});
-  EXPECT_TRUE(verify_message(kMac, peer.master, wrapped));
+  EXPECT_TRUE(verify_frame(kMac, peer.master, out.emits[0].payload));
   EXPECT_EQ(std::get<DpDataPayload>(wrapped.payload).inner, probe);
   EXPECT_EQ(agent_->stats().feedback_tagged, 1u);
 }
@@ -437,13 +445,13 @@ TEST_F(AgentTest, PortKeyUpdateRunsDirectOverLink) {
   upd.header.src = kControllerId;
   upd.header.dst = kSelf;
   upd.payload = PortKeyPayload{PortId{1}, kPeer};
-  tag_message(kMac, local_key_, upd);
+  seal(upd, local_key_);
   auto out = deliver(encode(upd), kCpuPort);
   // The first ADHKD leg leaves directly on port 1 (not via the CPU).
   ASSERT_EQ(out.emits.size(), 1u);
   EXPECT_EQ(out.emits[0].port, PortId{1});
   const Message leg1 = decode(out.emits[0].payload).value();
-  EXPECT_TRUE(verify_message(kMac, old_port_key, leg1));
+  EXPECT_TRUE(verify_frame(kMac, old_port_key, out.emits[0].payload));
   EXPECT_TRUE(leg1.header.is_port_scope());
 
   // Peer responds over the link.
@@ -458,7 +466,7 @@ TEST_F(AgentTest, PortKeyUpdateRunsDirectOverLink) {
   leg2.header.src = kPeer;
   leg2.header.dst = kSelf;
   leg2.payload = peer.reply;
-  tag_message(kMac, old_port_key, leg2);
+  seal(leg2, old_port_key);
   auto out2 = deliver(encode(leg2), PortId{1});
   EXPECT_TRUE(out2.emits.empty());
   EXPECT_EQ(agent_->keys().current(PortId{1}), peer.master);

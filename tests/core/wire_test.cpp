@@ -156,20 +156,41 @@ TEST(Wire, LooksLikeP4AuthHeuristic) {
   EXPECT_FALSE(looks_like_p4auth(plain));
 }
 
+/// The digest cover of an encoded frame, concatenated.
+Bytes cover_bytes(std::span<const std::uint8_t> frame) {
+  const DigestCover cover = digest_cover(frame);
+  Bytes out(cover.head.begin(), cover.head.end());
+  out.insert(out.end(), cover.tail.begin(), cover.tail.end());
+  return out;
+}
+
 TEST(Wire, DigestInputExcludesDigestField) {
-  Message a = sample_register_read();
+  const Message a = sample_register_read();
   Message b = a;
   b.header.digest = 0;  // different digest, same everything else
-  EXPECT_EQ(digest_input(a), digest_input(b));
+  const Bytes frame = encode(a);
+  EXPECT_EQ(cover_bytes(frame), cover_bytes(encode(b)));
+  EXPECT_EQ(digest_cover(frame).size(), frame.size() - 4);
   b.header.seq_num ^= 1;  // any covered field changes the input
-  EXPECT_NE(digest_input(a), digest_input(b));
+  EXPECT_NE(cover_bytes(frame), cover_bytes(encode(b)));
 }
 
 TEST(Wire, DigestInputCoversPayload) {
   Message a = sample_register_read();
   Message b = a;
   std::get<RegisterOpPayload>(b.payload).value ^= 1;
-  EXPECT_NE(digest_input(a), digest_input(b));
+  EXPECT_NE(cover_bytes(encode(a)), cover_bytes(encode(b)));
+}
+
+TEST(Wire, DigestFieldReadsAndWritesInPlace) {
+  const Message m = sample_register_read();
+  Bytes frame = encode(m);
+  EXPECT_EQ(read_digest(frame), 0xCAFEBABEu);
+  write_digest(frame, 0x01020304u);
+  EXPECT_EQ(read_digest(frame), 0x01020304u);
+  Message expected = m;
+  expected.header.digest = 0x01020304u;
+  EXPECT_EQ(frame, encode(expected));  // only the digest field changed
 }
 
 // Property: random mutations of a valid frame either fail to decode or

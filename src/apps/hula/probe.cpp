@@ -58,11 +58,17 @@ Status decode_probe_into(std::span<const std::uint8_t> frame, Probe& probe) {
 }
 
 Bytes encode_data(const DataPacket& packet) {
-  Bytes out;
-  out.reserve(15);  // magic, dst_tor, flow_id, size_bytes
-  ByteWriter w(out);
-  w.u8(kDataMagic).u16(packet.dst_tor.value).u64(packet.flow_id).u32(packet.size_bytes);
+  Bytes out(kDataSize);
+  encode_data_to(packet, out);
   return out;
+}
+
+void encode_data_to(const DataPacket& packet, std::span<std::uint8_t> out) noexcept {
+  ScratchWriter(out.data())
+      .u8(kDataMagic)
+      .u16(packet.dst_tor.value)
+      .u64(packet.flow_id)
+      .u32(packet.size_bytes);
 }
 
 Result<DataPacket> decode_data(std::span<const std::uint8_t> frame) {

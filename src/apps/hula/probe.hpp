@@ -64,7 +64,13 @@ struct DataPacket {
   friend bool operator==(const DataPacket&, const DataPacket&) = default;
 };
 
+/// Encoded size of a data packet: magic, dst_tor, flow_id, size_bytes.
+inline constexpr std::size_t kDataSize = 15;
+
 Bytes encode_data(const DataPacket& packet);
+/// encode_data over the first kDataSize bytes of `out`, which must hold
+/// at least that many; bytes past them are left alone (padding).
+void encode_data_to(const DataPacket& packet, std::span<std::uint8_t> out) noexcept;
 Result<DataPacket> decode_data(std::span<const std::uint8_t> frame);
 
 /// Harness-injected trigger telling a ToR to emit a fresh probe round.

@@ -1,9 +1,18 @@
 #include "controller/controller.hpp"
 
+#include <algorithm>
+
 #include "common/logging.hpp"
 #include "core/lldp.hpp"
 
 namespace p4auth::controller {
+namespace {
+
+/// Largest C-DP frame either side sends (a register op or an ADHKD leg):
+/// the floor of every request buffer, so the reply sealed into it fits.
+constexpr std::size_t kMaxControlFrame = core::kHeaderSize + 16;
+
+}  // namespace
 
 using core::AdhkdPayload;
 using core::AlertMsg;
@@ -16,7 +25,10 @@ using core::RegisterMsg;
 using core::RegisterOpPayload;
 
 Controller::Controller(netsim::Simulator& sim, Config config)
-    : sim_(sim), config_(config), rng_(config.seed) {}
+    : sim_(sim),
+      config_(config),
+      frame_pool_(BufferPool::Config{.min_capacity = kMaxControlFrame}),
+      rng_(config.seed) {}
 
 void Controller::attach_switch(NodeId id, netsim::ControlChannel& channel, Key64 k_seed,
                                int num_ports) {
@@ -44,10 +56,15 @@ std::vector<std::uint16_t> Controller::stale_requests(NodeId sw, SimTime age) co
   return it->second->ledger.unacked_older_than(sim_.now(), age);
 }
 
-void Controller::send(SwitchState& st, Message msg, Key64 key, bool is_kmp,
-                      std::function<void()> delivered) {
-  Bytes frame = core::encode(msg);
+Bytes Controller::seal_request(const Message& msg, Key64 key) {
+  Bytes frame = frame_pool_.acquire(kMaxControlFrame);
+  core::encode_into(msg, frame);
   if (config_.p4auth_enabled) core::seal_frame(config_.mac, key, frame);
+  return frame;
+}
+
+void Controller::send(SwitchState& st, Bytes frame, bool is_kmp,
+                      std::function<void()> delivered) {
   if (is_kmp) {
     ++stats_.kmp_messages_sent;
     stats_.kmp_bytes_sent += frame.size();
@@ -126,41 +143,20 @@ std::optional<Key64> Controller::verify_key_for(SwitchState& st, const Message& 
 
 void Controller::read_register(NodeId sw, RegisterId reg, std::uint32_t index,
                                std::function<void(Result<std::uint64_t>)> done) {
-  SwitchState* st = state_of(sw);
-  if (st == nullptr) {
-    done(make_error("unknown switch"));
-    return;
-  }
-  const std::uint16_t seq = st->tx_seq.next();
-  if (auto s = st->ledger.on_request(seq, sim_.now()); !s.ok()) {
-    done(s.error());
-    return;
-  }
-  st->pending_ops.emplace(seq, PendingOp{true, std::move(done)});
-  ++stats_.requests_sent;
-  const auto span = span_operation(telemetry::kTraceDomainRegOp, sw.value);
-
-  Message msg;
-  msg.header.hdr_type = HdrType::RegisterOp;
-  msg.header.msg_type = static_cast<std::uint8_t>(RegisterMsg::ReadReq);
-  msg.header.seq_num = seq;
-  msg.header.key_version = st->keys.local().current_version();
-  msg.header.src = kControllerId;
-  msg.header.dst = sw;
-  msg.payload = RegisterOpPayload{reg, index, 0};
-
-  const Key64 key = st->keys.local().current().value_or(st->k_seed);
-  const SimTime compose =
-      config_.compose_read + (config_.p4auth_enabled ? config_.digest_cost : SimTime::zero());
-  sim_.after(compose, [this, st, msg = std::move(msg), key, ctx = span_ctx()]() mutable {
-    const auto scope = span_resume(ctx);
-    send(*st, std::move(msg), key, /*is_kmp=*/false);
-  });
+  issue_register_op(sw, RegisterMsg::ReadReq, reg, index, 0, config_.compose_read,
+                    std::move(done));
 }
 
 void Controller::write_register(NodeId sw, RegisterId reg, std::uint32_t index,
                                 std::uint64_t value,
                                 std::function<void(Result<std::uint64_t>)> done) {
+  issue_register_op(sw, RegisterMsg::WriteReq, reg, index, value, config_.compose_write,
+                    std::move(done));
+}
+
+void Controller::issue_register_op(NodeId sw, RegisterMsg op, RegisterId reg,
+                                   std::uint32_t index, std::uint64_t value, SimTime compose,
+                                   std::function<void(Result<std::uint64_t>)> done) {
   SwitchState* st = state_of(sw);
   if (st == nullptr) {
     done(make_error("unknown switch"));
@@ -171,25 +167,26 @@ void Controller::write_register(NodeId sw, RegisterId reg, std::uint32_t index,
     done(s.error());
     return;
   }
-  st->pending_ops.emplace(seq, PendingOp{false, std::move(done)});
+  const auto pending = std::find_if(st->pending_ops.begin(), st->pending_ops.end(),
+                                    [seq](const PendingOp& p) { return p.seq == seq; });
+  if (pending == st->pending_ops.end()) st->pending_ops.push_back(PendingOp{seq, std::move(done)});
   ++stats_.requests_sent;
   const auto span = span_operation(telemetry::kTraceDomainRegOp, sw.value);
 
   Message msg;
   msg.header.hdr_type = HdrType::RegisterOp;
-  msg.header.msg_type = static_cast<std::uint8_t>(RegisterMsg::WriteReq);
+  msg.header.msg_type = static_cast<std::uint8_t>(op);
   msg.header.seq_num = seq;
   msg.header.key_version = st->keys.local().current_version();
   msg.header.src = kControllerId;
   msg.header.dst = sw;
   msg.payload = RegisterOpPayload{reg, index, value};
 
-  const Key64 key = st->keys.local().current().value_or(st->k_seed);
-  const SimTime compose =
-      config_.compose_write + (config_.p4auth_enabled ? config_.digest_cost : SimTime::zero());
-  sim_.after(compose, [this, st, msg = std::move(msg), key, ctx = span_ctx()]() mutable {
+  Bytes frame = seal_request(msg, st->keys.local().current().value_or(st->k_seed));
+  if (config_.p4auth_enabled) compose += config_.digest_cost;
+  sim_.after(compose, [this, st, frame = std::move(frame), ctx = span_ctx()]() mutable {
     const auto scope = span_resume(ctx);
-    send(*st, std::move(msg), key, /*is_kmp=*/false);
+    send(*st, std::move(frame), /*is_kmp=*/false);
   });
 }
 
@@ -200,33 +197,37 @@ void Controller::on_register_response(SwitchState& st, const Message& msg, bool 
   if (!st.ledger.on_response(msg.header.seq_num)) {
     ++stats_.unmatched_responses;
   }
-  const auto it = st.pending_ops.find(msg.header.seq_num);
+  const auto it = std::find_if(st.pending_ops.begin(), st.pending_ops.end(),
+                               [seq = msg.header.seq_num](const PendingOp& p) {
+                                 return p.seq == seq;
+                               });
   if (it == st.pending_ops.end()) return;
-  auto pending = std::move(it->second);
+  auto done = std::move(it->done);
   st.pending_ops.erase(it);
 
-  const auto& payload = std::get<RegisterOpPayload>(msg.payload);
   SimTime delay = config_.parse_response;
   if (config_.p4auth_enabled) delay += config_.digest_cost;
 
-  sim_.after(delay, [this, pending = std::move(pending), digest_ok, op, payload]() {
+  // Captures only what completion needs, so the closure stays inline.
+  sim_.after(delay, [this, done = std::move(done), digest_ok, nack = op == RegisterMsg::NAck,
+                     value = std::get<RegisterOpPayload>(msg.payload).value]() {
     if (!digest_ok) {
       ++stats_.response_digest_failures;
       if (telemetry_ != nullptr) {
         telemetry_->metrics.counter("ctrl.response_digest_failures").inc();
       }
-      pending.done(make_error("response digest mismatch — possible MitM"));
+      done(make_error("response digest mismatch — possible MitM"));
       return;
     }
-    if (op == RegisterMsg::NAck) {
+    if (nack) {
       ++stats_.nacks_received;
       if (telemetry_ != nullptr) telemetry_->metrics.counter("ctrl.nacks_received").inc();
-      pending.done(make_error("nAck from data plane"));
+      done(make_error("nAck from data plane"));
       return;
     }
     ++stats_.acks_received;
     if (telemetry_ != nullptr) telemetry_->metrics.counter("ctrl.acks_received").inc();
-    pending.done(payload.value);
+    done(value);
   });
 }
 
@@ -261,7 +262,7 @@ void Controller::init_local_key(NodeId sw, std::function<void(Result<Key64>)> do
   msg.header.src = kControllerId;
   msg.header.dst = sw;
   msg.payload = salt1;
-  send(*st, std::move(msg), st->k_seed, /*is_kmp=*/true);
+  send(*st, seal_request(msg, st->k_seed), /*is_kmp=*/true);
 }
 
 void Controller::start_adhkd_local(SwitchState& st, bool is_update) {
@@ -288,7 +289,7 @@ void Controller::start_adhkd_local(SwitchState& st, bool is_update) {
   } else {
     key = st.k_auth.value_or(st.k_seed);
   }
-  send(st, std::move(msg), key, /*is_kmp=*/true);
+  send(st, seal_request(msg, key), /*is_kmp=*/true);
 }
 
 void Controller::update_local_key(NodeId sw, std::function<void(Result<Key64>)> done) {
@@ -340,7 +341,7 @@ void Controller::init_port_key(NodeId a, PortId port_a, NodeId b, PortId port_b,
   msg.header.src = kControllerId;
   msg.header.dst = a;
   msg.payload = PortKeyPayload{port_a, b};
-  send(*st_a, std::move(msg), st_a->keys.local().current().value_or(st_a->k_seed),
+  send(*st_a, seal_request(msg, st_a->keys.local().current().value_or(st_a->k_seed)),
        /*is_kmp=*/true);
 }
 
@@ -361,7 +362,7 @@ void Controller::update_port_key(NodeId a, PortId port_a, NodeId b,
   msg.header.src = kControllerId;
   msg.header.dst = a;
   msg.payload = PortKeyPayload{port_a, b};
-  send(*st_a, std::move(msg), st_a->keys.local().current().value_or(st_a->k_seed),
+  send(*st_a, seal_request(msg, st_a->keys.local().current().value_or(st_a->k_seed)),
        /*is_kmp=*/true,
        [done = track_kmp(a, "port_update", std::move(done))]() { done(Status{}); });
 }
@@ -431,7 +432,7 @@ void Controller::on_key_exchange(SwitchState& st, const Message& msg, bool diges
           }
         }
       }
-      send(*dst, std::move(forward), dst->keys.local().current().value_or(dst->k_seed),
+      send(*dst, seal_request(forward, dst->keys.local().current().value_or(dst->k_seed)),
            /*is_kmp=*/true, std::move(delivered));
       return;
     }
@@ -592,21 +593,29 @@ void Controller::flush_packet_ins() {
     }
   }
   // Phase 2: dispatch in arrival order, each message inside its own
-  // delivery span (captured at staging time).
-  std::vector<StagedPacketIn> batch = std::move(staged_packet_ins_);
-  staged_packet_ins_.clear();
+  // delivery span (captured at staging time). The batch moves out of
+  // staging first, by swapping with the reused dispatch vector, so a
+  // handler that stages again (a re-entrant flush) starts a fresh batch.
+  std::vector<StagedPacketIn> batch;
+  batch.swap(dispatch_batch_);
+  batch.swap(staged_packet_ins_);
   for (StagedPacketIn& s : batch) {
     const auto scope = span_resume(s.span);
     if (s.is_lldp) {
       on_lldp_report(s.st->id, s.frame);
       continue;
     }
+    // Responses and KMP legs answer a request this controller sent (the
+    // agent sealed them into its buffer), so their buffers go back to
+    // the request pool. Alerts answer nothing and are freed.
     switch (s.msg.header.hdr_type) {
       case HdrType::RegisterOp:
         on_register_response(*s.st, s.msg, s.digest_ok);
+        frame_pool_.release(std::move(s.frame));
         break;
       case HdrType::KeyExchange:
         on_key_exchange(*s.st, s.msg, s.digest_ok);
+        frame_pool_.release(std::move(s.frame));
         break;
       case HdrType::Alert:
         on_alert(*s.st, s.msg, s.digest_ok);
@@ -615,6 +624,8 @@ void Controller::flush_packet_ins() {
         break;
     }
   }
+  batch.clear();
+  dispatch_batch_.swap(batch);
 }
 
 }  // namespace p4auth::controller

@@ -5,6 +5,14 @@
 // and update, including the controller-redirected port-key init legs),
 // issues authenticated register read/write requests, and collects alerts.
 //
+// Request frames come from a controller-owned BufferPool and are encoded
+// and sealed when the request is issued (seq, key and key version are
+// fixed then). The agent seals its reply into the request's own buffer,
+// and once a RegisterOp or KeyExchange PacketIn has been dispatched its
+// buffer goes back to the pool: the steady-state register round trip
+// allocates nothing. Alerts and LLDP reports are not recycled: they
+// answer no request, and parking them would only grow the pool.
+//
 // Timing: client-side compose/parse/digest costs are modelled with the
 // constants in Config — they represent the Python controller of the
 // paper's prototype (§VII) and are the calibration knobs for Fig 18/19.
@@ -16,6 +24,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/buffer_pool.hpp"
 #include "core/auth.hpp"
 #include "core/dos_guard.hpp"
 #include "core/key_store.hpp"
@@ -149,8 +158,9 @@ class Controller {
   const std::vector<Adjacency>& adjacencies() const noexcept { return adjacencies_; }
 
  private:
+  /// An issued register op awaiting its ack/nAck.
   struct PendingOp {
-    bool is_read = false;
+    std::uint16_t seq = 0;
     std::function<void(Result<std::uint64_t>)> done;
   };
 
@@ -180,7 +190,9 @@ class Controller {
     std::optional<Key64> k_auth;
     core::SeqCounter tx_seq;
     core::OutstandingLedger ledger;
-    std::unordered_map<std::uint16_t, PendingOp> pending_ops;
+    /// Flat, in issue order; never longer than the ledger's bound. The
+    /// first entry for a seq wins, as in the ledger.
+    std::vector<PendingOp> pending_ops;
     std::optional<PendingLocal> pending_local;
 
     SwitchState(NodeId node, netsim::ControlChannel* ch, Key64 seed, int num_ports,
@@ -208,12 +220,19 @@ class Controller {
   void flush_packet_ins();
   void on_lldp_report(NodeId reporter, const Bytes& frame);
   void on_register_response(SwitchState& st, const core::Message& msg, bool digest_ok);
+  /// Registers and issues a register read/write: the request is encoded
+  /// and sealed now and leaves after the modelled compose delay.
+  void issue_register_op(NodeId sw, core::RegisterMsg op, RegisterId reg, std::uint32_t index,
+                         std::uint64_t value, SimTime compose,
+                         std::function<void(Result<std::uint64_t>)> done);
   void on_key_exchange(SwitchState& st, const core::Message& msg, bool digest_ok);
   void on_alert(SwitchState& st, const core::Message& msg, bool digest_ok);
 
-  /// Tags (if enabled) and transmits; counts KMP traffic when asked.
-  void send(SwitchState& st, core::Message msg, Key64 key, bool is_kmp,
-            std::function<void()> delivered = {});
+  /// Encodes `msg` into a buffer from frame_pool_ and tags it under
+  /// `key` (when P4Auth is on).
+  Bytes seal_request(const core::Message& msg, Key64 key);
+  /// Transmits a sealed frame; counts KMP traffic when asked.
+  void send(SwitchState& st, Bytes frame, bool is_kmp, std::function<void()> delivered = {});
 
   /// Key to verify an inbound message from `st`, given its header.
   std::optional<Key64> verify_key_for(SwitchState& st, const core::Message& msg) const;
@@ -235,6 +254,11 @@ class Controller {
   netsim::Simulator& sim_;
   Config config_;
   std::vector<StagedPacketIn> staged_packet_ins_;
+  /// flush_packet_ins swaps the staged batch out into this reused vector
+  /// for dispatch, so neither side reallocates in steady state.
+  std::vector<StagedPacketIn> dispatch_batch_;
+  /// Request frames; the answers to them come back here (see top).
+  BufferPool frame_pool_;
   // flush_packet_ins' digest batch, reused across flushes.
   std::vector<crypto::DigestJob> digest_jobs_;
   std::vector<Digest32> digest_tags_;

@@ -358,8 +358,7 @@ void P4AuthAgent::end_burst() {
   if (inner_ != nullptr) inner_->end_burst();
 }
 
-dataplane::PipelineOutput P4AuthAgent::handle_control(const Message& msg,
-                                                      std::span<const std::uint8_t> frame,
+dataplane::PipelineOutput P4AuthAgent::handle_control(const Message& msg, Bytes& frame,
                                                       dataplane::PipelineContext& ctx) {
   switch (msg.header.hdr_type) {
     case HdrType::RegisterOp:
@@ -372,8 +371,7 @@ dataplane::PipelineOutput P4AuthAgent::handle_control(const Message& msg,
   }
 }
 
-dataplane::PipelineOutput P4AuthAgent::handle_register_op(const Message& msg,
-                                                          std::span<const std::uint8_t> frame,
+dataplane::PipelineOutput P4AuthAgent::handle_register_op(const Message& msg, Bytes& frame,
                                                           dataplane::PipelineContext& ctx) {
   dataplane::PipelineOutput out;
   const auto op = static_cast<RegisterMsg>(msg.header.msg_type);
@@ -386,7 +384,7 @@ dataplane::PipelineOutput P4AuthAgent::handle_register_op(const Message& msg,
     Message response = make_response_header(
         msg, HdrType::RegisterOp, static_cast<std::uint8_t>(RegisterMsg::NAck),
         RegisterOpPayload{req.reg_id, req.index, 0});
-    out.to_cpu.push_back(seal_local(response, Bytes{}, ctx));
+    out.to_cpu.push_back(seal_local(response, std::move(frame), ctx));
     ++stats_.nacks_sent;
     push_alert(out, ctx, code, req.reg_id.value, msg.header.seq_num, cdp_rx_.last(), detail);
     out.dropped = true;
@@ -452,12 +450,12 @@ dataplane::PipelineOutput P4AuthAgent::handle_register_op(const Message& msg,
   Message ack = make_response_header(msg, HdrType::RegisterOp,
                                      static_cast<std::uint8_t>(RegisterMsg::Ack),
                                      RegisterOpPayload{req.reg_id, req.index, result_value});
-  out.to_cpu.push_back(seal_local(ack, Bytes{}, ctx));
+  out.to_cpu.push_back(seal_local(ack, std::move(frame), ctx));
   return out;
 }
 
-dataplane::PipelineOutput P4AuthAgent::handle_key_exchange_cpu(
-    const Message& msg, std::span<const std::uint8_t> frame, dataplane::PipelineContext& ctx) {
+dataplane::PipelineOutput P4AuthAgent::handle_key_exchange_cpu(const Message& msg, Bytes& frame,
+                                                               dataplane::PipelineContext& ctx) {
   dataplane::PipelineOutput out;
   const auto kind = static_cast<KeyExchMsg>(msg.header.msg_type);
 
@@ -506,7 +504,7 @@ dataplane::PipelineOutput P4AuthAgent::handle_key_exchange_cpu(
       k_auth_ = eak.k_auth;
       Message response = make_response_header(
           msg, HdrType::KeyExchange, static_cast<std::uint8_t>(KeyExchMsg::EakExch), eak.reply);
-      out.to_cpu.push_back(seal(response, config_.k_seed, Bytes{}, ctx));
+      out.to_cpu.push_back(seal(response, config_.k_seed, std::move(frame), ctx));
       break;
     }
 
@@ -522,7 +520,7 @@ dataplane::PipelineOutput P4AuthAgent::handle_key_exchange_cpu(
         Message response =
             make_response_header(msg, HdrType::KeyExchange,
                                  static_cast<std::uint8_t>(KeyExchMsg::InitKeyExch), adhkd.reply);
-        out.to_cpu.push_back(seal(response, *verify_key, Bytes{}, ctx));
+        out.to_cpu.push_back(seal(response, *verify_key, std::move(frame), ctx));
         break;
       }
       // Port-scope leg redirected via the controller: src is the peer DP.
@@ -540,7 +538,7 @@ dataplane::PipelineOutput P4AuthAgent::handle_key_exchange_cpu(
         Message response =
             make_response_header(msg, HdrType::KeyExchange,
                                  static_cast<std::uint8_t>(KeyExchMsg::InitKeyExch), adhkd.reply);
-        out.to_cpu.push_back(seal_local(response, Bytes{}, ctx));
+        out.to_cpu.push_back(seal_local(response, std::move(frame), ctx));
       } else {
         const auto pending = pending_port_exchange_.find(*port);
         if (pending == pending_port_exchange_.end()) break;
@@ -563,7 +561,7 @@ dataplane::PipelineOutput P4AuthAgent::handle_key_exchange_cpu(
                                static_cast<std::uint8_t>(KeyExchMsg::UpdKeyExch), adhkd.reply);
       response.header.key_version = msg.header.key_version;
       // Sealed under the old key, before the new one installs.
-      Bytes sealed = seal(response, *verify_key, Bytes{}, ctx);
+      Bytes sealed = seal(response, *verify_key, std::move(frame), ctx);
       install_key(kCpuPort, adhkd.master, ctx);
       out.to_cpu.push_back(std::move(sealed));
       break;
@@ -585,7 +583,7 @@ dataplane::PipelineOutput P4AuthAgent::handle_key_exchange_cpu(
       exchange.header.src = config_.self;
       exchange.header.dst = request.peer;
       exchange.payload = leg;
-      out.to_cpu.push_back(seal_local(exchange, Bytes{}, ctx));
+      out.to_cpu.push_back(seal_local(exchange, std::move(frame), ctx));
       break;
     }
 
@@ -613,7 +611,8 @@ dataplane::PipelineOutput P4AuthAgent::handle_key_exchange_cpu(
       exchange.header.src = config_.self;
       exchange.header.dst = request.peer;
       exchange.payload = leg;
-      out.emits.push_back(dataplane::Emit{request.port, seal(exchange, *port_key, Bytes{}, ctx)});
+      out.emits.push_back(
+          dataplane::Emit{request.port, seal(exchange, *port_key, std::move(frame), ctx)});
       break;
     }
   }
@@ -675,9 +674,9 @@ dataplane::PipelineOutput P4AuthAgent::handle_dp_data(const Header& header,
   return run_inner(packet, ctx);
 }
 
-dataplane::PipelineOutput P4AuthAgent::handle_key_exchange_port(
-    const Message& msg, std::span<const std::uint8_t> frame, PortId ingress,
-    dataplane::PipelineContext& ctx) {
+dataplane::PipelineOutput P4AuthAgent::handle_key_exchange_port(const Message& msg, Bytes& frame,
+                                                                PortId ingress,
+                                                                dataplane::PipelineContext& ctx) {
   dataplane::PipelineOutput out;
   const auto kind = static_cast<KeyExchMsg>(msg.header.msg_type);
   if (kind != KeyExchMsg::UpdKeyExch || !msg.header.is_port_scope()) {
@@ -712,7 +711,7 @@ dataplane::PipelineOutput P4AuthAgent::handle_key_exchange_port(
         make_response_header(msg, HdrType::KeyExchange,
                              static_cast<std::uint8_t>(KeyExchMsg::UpdKeyExch), adhkd.reply);
     response.header.key_version = msg.header.key_version;
-    Bytes sealed = seal(response, *key, Bytes{}, ctx);
+    Bytes sealed = seal(response, *key, std::move(frame), ctx);
     install_key(ingress, adhkd.master, ctx);
     out.emits.push_back(dataplane::Emit{ingress, std::move(sealed)});
   } else {

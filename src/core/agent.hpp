@@ -127,22 +127,24 @@ class P4AuthAgent : public dataplane::DataPlaneProgram {
 
  private:
   // C-DP dispatch (CPU-port arrivals). `msg` is `frame` decoded; the
-  // digest is verified over `frame`, the bytes as received.
-  dataplane::PipelineOutput handle_control(const Message& msg, std::span<const std::uint8_t> frame,
+  // digest is verified over `frame`, the bytes as received. A reply that
+  // answers the request (register ack/nAck, KMP response, the port-key
+  // leg a portKeyInit/Update starts) is sealed into `frame` itself, only
+  // after verify and the replay check: the request's buffer carries its
+  // answer back, so the round trip draws nothing from the network pool.
+  dataplane::PipelineOutput handle_control(const Message& msg, Bytes& frame,
                                            dataplane::PipelineContext& ctx);
-  dataplane::PipelineOutput handle_register_op(const Message& msg,
-                                               std::span<const std::uint8_t> frame,
+  dataplane::PipelineOutput handle_register_op(const Message& msg, Bytes& frame,
                                                dataplane::PipelineContext& ctx);
-  dataplane::PipelineOutput handle_key_exchange_cpu(const Message& msg,
-                                                    std::span<const std::uint8_t> frame,
+  dataplane::PipelineOutput handle_key_exchange_cpu(const Message& msg, Bytes& frame,
                                                     dataplane::PipelineContext& ctx);
   // DP-DP dispatch (data-port arrivals). A DpData frame is verified
   // over its wire bytes, then stripped to its inner payload in place, so
   // the inner program runs on the ingress buffer itself.
   dataplane::PipelineOutput handle_dp_data(const Header& header, dataplane::Packet& packet,
                                            dataplane::PipelineContext& ctx);
-  dataplane::PipelineOutput handle_key_exchange_port(const Message& msg,
-                                                     std::span<const std::uint8_t> frame,
+  // DP-DP port-key update legs; the responder's leg answers in `frame`.
+  dataplane::PipelineOutput handle_key_exchange_port(const Message& msg, Bytes& frame,
                                                      PortId ingress,
                                                      dataplane::PipelineContext& ctx);
 

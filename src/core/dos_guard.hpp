@@ -4,12 +4,14 @@
 //  * OutstandingLedger — the controller bounds in-flight requests and
 //    tracks not-yet-acknowledged sequence numbers, so a flood of forged
 //    responses is detected (responses without a matching request) and the
-//    request/response imbalance threshold can trip.
+//    request/response imbalance threshold can trip. The ledger is a flat
+//    vector in issue order, never longer than its bound: a warm ledger
+//    registers and matches requests without allocating.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
-#include <unordered_map>
 #include <vector>
 
 #include "common/result.hpp"
@@ -49,18 +51,19 @@ class OutstandingLedger {
       : max_outstanding_(max_outstanding) {}
 
   /// Registers an issued request; fails when the in-flight bound is hit.
+  /// A seq already in flight keeps its first entry (and issue time).
   Status on_request(std::uint16_t seq, SimTime now) {
     if (pending_.size() >= max_outstanding_) {
       return make_error("outstanding request limit reached");
     }
-    pending_.emplace(seq, now);
+    if (find(seq) == pending_.end()) pending_.push_back(Entry{seq, now});
     return {};
   }
 
   /// Matches a response to its request. An unmatched response is the
   /// §VIII "many modified response messages" signature.
   bool on_response(std::uint16_t seq) {
-    const auto it = pending_.find(seq);
+    const auto it = find(seq);
     if (it == pending_.end()) {
       ++unmatched_responses_;
       return false;
@@ -72,18 +75,29 @@ class OutstandingLedger {
   std::size_t outstanding() const noexcept { return pending_.size(); }
   std::uint64_t unmatched_responses() const noexcept { return unmatched_responses_; }
 
-  /// Sequence numbers issued but never answered (stale after `age`).
+  /// Sequence numbers issued but never answered (stale after `age`), in
+  /// the order they were issued.
   std::vector<std::uint16_t> unacked_older_than(SimTime now, SimTime age) const {
     std::vector<std::uint16_t> out;
-    for (const auto& [seq, t] : pending_) {
-      if (t + age <= now) out.push_back(seq);
+    for (const Entry& e : pending_) {
+      if (e.issued + age <= now) out.push_back(e.seq);
     }
     return out;
   }
 
  private:
+  struct Entry {
+    std::uint16_t seq = 0;
+    SimTime issued{};
+  };
+
+  std::vector<Entry>::iterator find(std::uint16_t seq) {
+    return std::find_if(pending_.begin(), pending_.end(),
+                        [seq](const Entry& e) { return e.seq == seq; });
+  }
+
   std::size_t max_outstanding_;
-  std::unordered_map<std::uint16_t, SimTime> pending_;
+  std::vector<Entry> pending_;  ///< issue order
   std::uint64_t unmatched_responses_ = 0;
 };
 

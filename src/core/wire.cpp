@@ -1,12 +1,12 @@
 #include "core/wire.hpp"
 
 #include <cassert>
+#include <cstring>
 
 namespace p4auth::core {
 namespace {
 
-template <typename Writer>
-void write_header(Writer& w, const Header& h) {
+void write_header(ScratchWriter& w, const Header& h) {
   w.u8(static_cast<std::uint8_t>(h.hdr_type))
       .u8(h.msg_type)
       .u16(h.seq_num)
@@ -19,8 +19,7 @@ void write_header(Writer& w, const Header& h) {
 
 /// Writes the fixed-width payload alternatives. DpData (the only
 /// variable-length payload) is excluded; encode_into copies its inner.
-template <typename Writer>
-void write_fixed_payload(Writer& w, const Payload& payload) {
+void write_fixed_payload(ScratchWriter& w, const Payload& payload) {
   std::visit(
       [&w](const auto& p) {
         using T = std::decay_t<decltype(p)>;
@@ -67,12 +66,13 @@ Bytes encode(const Message& message) {
 
 void encode_into(const Message& message, Bytes& out) {
   assert(payload_matches_type(message));
-  out.clear();
-  out.reserve(encoded_size(message.payload));  // exact: header included
-  ByteWriter w(out);
+  out.resize(encoded_size(message.payload));  // exact: header included
+  ScratchWriter w(out.data());
   write_header(w, message.header);
   write_fixed_payload(w, message.payload);
-  if (const auto* dp = std::get_if<DpDataPayload>(&message.payload)) w.raw(dp->inner);
+  if (const auto* dp = std::get_if<DpDataPayload>(&message.payload); dp && !dp->inner.empty()) {
+    std::memcpy(out.data() + w.written(), dp->inner.data(), dp->inner.size());
+  }
 }
 
 Result<Header> decode_header(std::span<const std::uint8_t> frame) {

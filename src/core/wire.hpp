@@ -137,8 +137,9 @@ struct Message {
 /// header.hdr_type / msg_type (checked by assert in debug builds).
 Bytes encode(const Message& message);
 
-/// Serializes into `out` (cleared first, exact-size reserve). Reusing a
-/// pooled buffer here keeps the tag-and-emit path allocation-free.
+/// Serializes into `out`, resized once to the exact encoded size and
+/// overwritten whole. Reusing a buffer with that much capacity (a pooled
+/// one, or the request a reply answers) keeps the path allocation-free.
 void encode_into(const Message& message, Bytes& out);
 
 /// Parses a frame. Fails on truncation, unknown types, or a payload

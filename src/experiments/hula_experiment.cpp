@@ -1,5 +1,6 @@
 #include "experiments/hula_experiment.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "apps/hula/hula.hpp"
@@ -25,10 +26,11 @@ constexpr NodeId kS1{1}, kS2{2}, kS3{3}, kS4{4}, kS5{5};
 constexpr PortId kHostPort{9};
 
 /// Encodes a data packet padded to its declared size so link
-/// serialization and queueing see the real byte volume.
+/// serialization and queueing see the real byte volume. The frame is
+/// born at its padded size (zeros past the header): one allocation.
 Bytes encode_padded_data(const hula::DataPacket& packet) {
-  Bytes frame = hula::encode_data(packet);
-  if (frame.size() < packet.size_bytes) frame.resize(packet.size_bytes, 0);
+  Bytes frame(std::max<std::size_t>(hula::kDataSize, packet.size_bytes));
+  hula::encode_data_to(packet, frame);
   return frame;
 }
 

@@ -90,7 +90,8 @@ void Switch::run_pipeline(dataplane::Packet packet) {
                                  &network_->pool());
   dataplane::PipelineOutput output = program_->process(packet, ctx);
   // Whatever the program left in the ingress payload is dead now (a
-  // forwarding program moves it into an emit); recycle the buffer.
+  // forwarding program moves it into an emit, the P4Auth agent seals a
+  // C-DP reply into it); recycle the buffer.
   if (packet.payload.capacity() > 0) network_->pool().release(std::move(packet.payload));
   const SimTime delay = timing_.process(ctx.costs());
   total_processing_ += delay;

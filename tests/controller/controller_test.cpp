@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <optional>
+#include <utility>
+#include <vector>
+
 #include "stack_helpers.hpp"
 
 namespace p4auth::controller {
@@ -280,6 +285,130 @@ TEST(ControllerKmp, PortKeyInitRequiresLocalKeys) {
                                  [&](Status s) { result = std::move(s); });
   ASSERT_TRUE(result.has_value());
   EXPECT_FALSE(result->ok());
+}
+
+TEST(ControllerRegisters, SeqWrapCompletesTheFirstPendingOp) {
+  // A request whose PacketOut is lost stays pending. 65536 sequence
+  // numbers later the counter is back at its seq: the pending table keeps
+  // the first entry, as the ledger does, so the new request's ack
+  // completes the old op and the new callback never fires.
+  Stack stack;
+  StackSwitch& sw = stack.add_switch(kSw);
+  ASSERT_TRUE(stack.init_local_key_sync(kSw).ok());
+  bool drop_next = true;
+  netsim::OsInterposer lossy;
+  lossy.to_dataplane = [&drop_next](Bytes&) {
+    return std::exchange(drop_next, false) ? netsim::TamperVerdict::Drop
+                                           : netsim::TamperVerdict::Pass;
+  };
+  sw.sw->set_os_interposer(std::move(lossy));
+
+  std::optional<Result<std::uint64_t>> lost;
+  stack.controller.read_register(kSw, kUserReg, 0,
+                                 [&](Result<std::uint64_t> r) { lost = std::move(r); });
+  stack.sim.run();
+  ASSERT_FALSE(lost.has_value());
+
+  // A closed loop of 65535 completed reads brings the counter round.
+  int remaining = 65535;
+  int completed = 0;
+  std::function<void()> next = [&] {
+    if (remaining-- == 0) return;
+    stack.controller.read_register(kSw, kUserReg, 0, [&](Result<std::uint64_t> r) {
+      if (r.ok()) ++completed;
+      next();
+    });
+  };
+  next();
+  stack.sim.run();
+  ASSERT_EQ(completed, 65535);
+  ASSERT_EQ(stack.controller.stale_requests(kSw, SimTime::zero()).size(), 1u);
+
+  std::optional<Result<std::uint64_t>> reissued;
+  stack.controller.read_register(kSw, kUserReg, 0,
+                                 [&](Result<std::uint64_t> r) { reissued = std::move(r); });
+  stack.sim.run();
+  ASSERT_TRUE(lost.has_value());
+  EXPECT_TRUE(lost->ok());
+  EXPECT_FALSE(reissued.has_value());
+  EXPECT_TRUE(stack.controller.stale_requests(kSw, SimTime::zero()).empty());
+  EXPECT_EQ(stack.controller.stats().unmatched_responses, 0u);
+}
+
+TEST(ControllerKmp, CompletionIssuingAReadInsideABatchCompletes) {
+  // Both switches answer a local-key update at the same instant, so the
+  // two responses share one PacketIn batch. Each completion issues the
+  // next read on its switch while the batch is still being dispatched.
+  Stack stack;
+  const NodeId s1{1}, s2{2};
+  stack.add_switch(s1);
+  stack.add_switch(s2);
+  ASSERT_TRUE(stack.init_local_key_sync(s1).ok());
+  ASSERT_TRUE(stack.init_local_key_sync(s2).ok());
+  stack.controller.write_register(s1, kUserReg, 2, 0x11, [](Result<std::uint64_t>) {});
+  stack.controller.write_register(s2, kUserReg, 2, 0x22, [](Result<std::uint64_t>) {});
+  stack.sim.run();
+
+  const std::uint64_t batches_before = stack.controller.stats().batched_verifies;
+  std::optional<Result<std::uint64_t>> read1, read2;
+  std::optional<bool> update1, update2;
+  stack.controller.update_local_key(s1, [&](Result<Key64> r) {
+    update1 = r.ok();
+    stack.controller.read_register(s1, kUserReg, 2,
+                                   [&](Result<std::uint64_t> v) { read1 = std::move(v); });
+  });
+  stack.controller.update_local_key(s2, [&](Result<Key64> r) {
+    update2 = r.ok();
+    stack.controller.read_register(s2, kUserReg, 2,
+                                   [&](Result<std::uint64_t> v) { read2 = std::move(v); });
+  });
+  stack.sim.run();
+
+  // One batch for the two update responses, one for the two acks.
+  EXPECT_EQ(stack.controller.stats().batched_verifies, batches_before + 2);
+  ASSERT_TRUE(update1.value_or(false));
+  ASSERT_TRUE(update2.value_or(false));
+  ASSERT_TRUE(read1.has_value() && read1->ok());
+  ASSERT_TRUE(read2.has_value() && read2->ok());
+  EXPECT_EQ(read1->value(), 0x11u);
+  EXPECT_EQ(read2->value(), 0x22u);
+}
+
+TEST(ControllerKmp, KeyExchangeClosesTheBatchBeforeALaterFrameFromItsSwitch) {
+  // A local-key update's response and an ack sealed under the key that
+  // update installs reach the controller in one delivery instant. The
+  // exchange must dispatch (and install the key) before the ack is
+  // verified, or the ack's key version is still unknown.
+  Stack stack;
+  StackSwitch& sw = stack.add_switch(kSw);
+  ASSERT_TRUE(stack.init_local_key_sync(kSw).ok());
+  std::vector<Bytes> held;
+  netsim::OsInterposer holder;
+  holder.to_controller = [&held](Bytes& frame) {
+    held.push_back(frame);
+    return netsim::TamperVerdict::Drop;
+  };
+  sw.sw->set_os_interposer(std::move(holder));
+
+  std::optional<Result<Key64>> update;
+  stack.controller.update_local_key(kSw, [&](Result<Key64> r) { update = std::move(r); });
+  stack.sim.run();  // the switch installed the new key; its reply is held
+  std::optional<Result<std::uint64_t>> read;
+  stack.controller.read_register(kSw, kUserReg, 0,
+                                 [&](Result<std::uint64_t> r) { read = std::move(r); });
+  stack.sim.run();  // the ack, sealed under the new key, is held too
+  ASSERT_EQ(held.size(), 2u);
+  ASSERT_FALSE(update.has_value());
+  ASSERT_FALSE(read.has_value());
+
+  // Same size, same instant, no jitter: one delivery group, exchange first.
+  sw.sw->set_os_interposer({});
+  for (Bytes& frame : held) sw.sw->inject_packet_in(std::move(frame));
+  stack.sim.run();
+  ASSERT_TRUE(update.has_value() && update->ok());
+  ASSERT_TRUE(read.has_value());
+  EXPECT_TRUE(read->ok());
+  EXPECT_EQ(stack.controller.stats().response_digest_failures, 0u);
 }
 
 }  // namespace

@@ -68,6 +68,33 @@ TEST(OutstandingLedger, ForgedResponsesAreUnmatched) {
   EXPECT_EQ(ledger.unmatched_responses(), 3u);
 }
 
+TEST(OutstandingLedger, DuplicateSeqKeepsTheFirstEntry) {
+  // A seq still in flight when the 16-bit counter wraps back to it: the
+  // first registration (and its issue time) stands, and one response
+  // clears it.
+  OutstandingLedger ledger(8);
+  ASSERT_TRUE(ledger.on_request(7, SimTime::from_ms(0)).ok());
+  ASSERT_TRUE(ledger.on_request(7, SimTime::from_ms(50)).ok());
+  EXPECT_EQ(ledger.outstanding(), 1u);
+  const auto stale = ledger.unacked_older_than(SimTime::from_ms(30), SimTime::from_ms(20));
+  ASSERT_EQ(stale.size(), 1u);  // aged from t=0, not from the re-issue
+  EXPECT_EQ(stale[0], 7);
+  EXPECT_TRUE(ledger.on_response(7));
+  EXPECT_FALSE(ledger.on_response(7));
+  EXPECT_EQ(ledger.outstanding(), 0u);
+}
+
+TEST(OutstandingLedger, UnackedSeqsComeInIssueOrder) {
+  OutstandingLedger ledger(8);
+  const std::uint16_t issued[] = {40000, 9, 513, 3, 65535, 77};
+  for (std::size_t i = 0; i < std::size(issued); ++i) {
+    ASSERT_TRUE(ledger.on_request(issued[i], SimTime::from_ms(i)).ok());
+  }
+  EXPECT_TRUE(ledger.on_response(3));
+  const auto stale = ledger.unacked_older_than(SimTime::from_ms(100), SimTime::from_ms(1));
+  EXPECT_EQ(stale, (std::vector<std::uint16_t>{40000, 9, 513, 65535, 77}));
+}
+
 TEST(OutstandingLedger, UnackedAging) {
   OutstandingLedger ledger(8);
   ASSERT_TRUE(ledger.on_request(1, SimTime::from_ms(0)).ok());

@@ -1,7 +1,8 @@
 // Zero-allocation regression tests for the steady-state forwarding and
-// authenticated probe paths.
+// authenticated probe paths, and for the authenticated register round
+// trip between the controller and a switch.
 //
-// Each case builds a 3-switch hula line (S1 tor -> S2 -> S3 tor) with
+// The forwarding and probe cases build a 3-switch hula line (S1 tor -> S2 -> S3 tor) with
 // P4Auth enabled, warms it up so every table entry, pool buffer, burst
 // scratch array and event slot exists, then counts global operator new
 // calls across a measurement window that contains only data forwarding,
@@ -15,12 +16,22 @@
 // slab's capacity, so a warm queue can drain and refill without touching
 // the heap.
 //
+// The register cases use a pair of l3fwd switches instead and run a
+// closed loop of authenticated reads and writes: the controller draws
+// each request from its own pool and the agent seals the ack into the
+// request's buffer, which comes back to that pool (docs/DESIGN.md,
+// "Control round trip").
+//
 // This binary compiles src/common/alloc_probe.cpp directly (see that
 // file's header comment): the counting operator new is per-binary and an
 // archive member would not be pulled in.
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <type_traits>
+
 #include "apps/hula/hula.hpp"
+#include "apps/l3fwd/l3fwd.hpp"
 #include "common/alloc_probe.hpp"
 #include "experiments/fabric.hpp"
 
@@ -244,6 +255,146 @@ TEST(AllocRegression, DrainedQueueRefillsWithoutAllocating) {
   EXPECT_GE(fabric.net.merged_stats().frames_delivered, delivered_before + 2 * kFrames);
   EXPECT_EQ(allocations, 0u) << "a drained queue must refill into its old slots; "
                              << AllocProbe::deallocations() << " frees in the same window";
+}
+
+/// Two l3fwd switches on the P4Auth control channel, every key installed,
+/// the agents' l3_stats register exposed to the controller.
+void build_l3_pair(experiments::Fabric& fabric) {
+  for (const NodeId id : {kS1, kS2}) {
+    auto& entry = fabric.add_switch(
+        id, [](dataplane::RegisterFile& registers) -> std::unique_ptr<dataplane::DataPlaneProgram> {
+          return std::make_unique<apps::l3fwd::L3FwdProgram>(registers);
+        });
+    ASSERT_TRUE(entry.agent->expose_register(apps::l3fwd::kStatsReg, "l3_stats").ok());
+  }
+  fabric.connect(kS1, PortId{1}, kS2, PortId{1});
+  ASSERT_TRUE(fabric.init_all_keys().ok());
+}
+
+/// Closed loop of authenticated register ops on one switch: write a value
+/// to a cell, read it back, move to the next cell. Each completion checks
+/// its result and issues the next op from inside the callback, so exactly
+/// one op is in flight.
+class RegisterLoop {
+ public:
+  RegisterLoop(controller::Controller& ctrl, NodeId sw) : ctrl_(ctrl), sw_(sw) {}
+
+  /// Queues `ops` more ops and issues the first; the simulator runs them.
+  void start(std::uint64_t ops) {
+    remaining_ = ops;
+    issue();
+  }
+
+  std::uint64_t completed() const noexcept { return completed_; }
+  std::uint64_t failures() const noexcept { return failures_; }
+
+ private:
+  void issue() {
+    if (remaining_ == 0) return;
+    --remaining_;
+    // The completion captures one pointer: std::function keeps it in its
+    // local buffer, so the callback itself never allocates.
+    const auto done = [this](Result<std::uint64_t> r) { complete(r); };
+    static_assert(sizeof(done) <= 16 && std::is_trivially_copyable_v<decltype(done)>);
+    if (reading_) {
+      ctrl_.read_register(sw_, apps::l3fwd::kStatsReg, cell_, done);
+    } else {
+      ctrl_.write_register(sw_, apps::l3fwd::kStatsReg, cell_, value_, done);
+    }
+  }
+
+  void complete(const Result<std::uint64_t>& r) {
+    ++completed_;
+    if (!r.ok() || r.value() != value_) ++failures_;
+    if (reading_) {
+      cell_ = (cell_ + 1) % 64;
+      value_ = (value_ * 2654435761u + 1) & 0xFFFFFFFFu;  // l3_stats is 32 bits wide
+    }
+    reading_ = !reading_;
+    issue();
+  }
+
+  controller::Controller& ctrl_;
+  NodeId sw_;
+  std::uint64_t remaining_ = 0;
+  std::uint64_t completed_ = 0;
+  std::uint64_t failures_ = 0;
+  std::uint32_t cell_ = 0;
+  std::uint64_t value_ = 1;
+  bool reading_ = false;
+};
+
+TEST(AllocRegression, AuthenticatedRegisterRoundTripDoesNotAllocate) {
+  ASSERT_TRUE(AllocProbe::active());
+  experiments::Fabric fabric(line_options());
+  build_l3_pair(fabric);
+
+  // Warmup sizes every reused structure once: the controller's frame
+  // pool, pending table, ledger and PacketIn batches, and the event slab.
+  RegisterLoop loop(fabric.controller, kS1);
+  loop.start(200);
+  fabric.run_all();
+  ASSERT_EQ(loop.completed(), 200u);
+
+  const auto& agent = fabric.at(kS1).agent->stats();
+  const std::uint64_t served_before = agent.reads_served + agent.writes_served;
+  const std::uint64_t acks_before = fabric.controller.stats().acks_received;
+  AllocProbe::reset();
+  loop.start(400);
+  fabric.run_all();
+  const std::uint64_t allocations = AllocProbe::allocations();
+
+  EXPECT_EQ(loop.completed(), 600u);
+  EXPECT_EQ(loop.failures(), 0u);
+  EXPECT_EQ(agent.reads_served + agent.writes_served - served_before, 400u);
+  EXPECT_EQ(fabric.controller.stats().acks_received - acks_before, 400u);
+  EXPECT_EQ(fabric.controller.stats().response_digest_failures, 0u);
+  EXPECT_EQ(allocations, 0u) << "an authenticated register round trip must not touch the heap; "
+                             << AllocProbe::deallocations() << " frees in the same window";
+}
+
+TEST(AllocRegression, RegisterAckRidesInTheRequestBuffer) {
+  experiments::Fabric fabric(line_options());
+  build_l3_pair(fabric);
+
+  // Pass-through OS hooks record where each frame's bytes live as it
+  // crosses the switch OS: the PacketOut on its way in, the PacketIn on
+  // its way out.
+  std::vector<const std::uint8_t*> packet_outs;
+  std::vector<const std::uint8_t*> packet_ins;
+  netsim::OsInterposer observer;
+  observer.to_dataplane = [&](Bytes& frame) {
+    packet_outs.push_back(frame.data());
+    return netsim::TamperVerdict::Pass;
+  };
+  observer.to_controller = [&](Bytes& frame) {
+    packet_ins.push_back(frame.data());
+    return netsim::TamperVerdict::Pass;
+  };
+  fabric.at(kS1).sw->set_os_interposer(std::move(observer));
+
+  const std::uint64_t acquires_before = fabric.net.pool().stats().acquires;
+  std::optional<Result<std::uint64_t>> write, read;
+  fabric.controller.write_register(kS1, apps::l3fwd::kStatsReg, 5, 0xBEEF,
+                                   [&](Result<std::uint64_t> r) { write = std::move(r); });
+  fabric.run_all();
+  fabric.controller.read_register(kS1, apps::l3fwd::kStatsReg, 5,
+                                  [&](Result<std::uint64_t> r) { read = std::move(r); });
+  fabric.run_all();
+
+  ASSERT_TRUE(write.has_value() && write->ok());
+  ASSERT_TRUE(read.has_value() && read->ok());
+  EXPECT_EQ(read->value(), 0xBEEFu);
+  ASSERT_EQ(packet_outs.size(), 2u);
+  ASSERT_EQ(packet_ins.size(), 2u);
+  // Each ack is sealed into the buffer its request arrived in...
+  EXPECT_EQ(packet_ins[0], packet_outs[0]);
+  EXPECT_EQ(packet_ins[1], packet_outs[1]);
+  // ...which returns to the controller's pool and carries the next request.
+  EXPECT_EQ(packet_outs[1], packet_outs[0]);
+  // The network pool is never asked for a reply buffer: its acquire count,
+  // which the seed-7 goldens pin, does not move.
+  EXPECT_EQ(fabric.net.pool().stats().acquires, acquires_before);
 }
 
 }  // namespace

@@ -140,7 +140,7 @@ void BlinkManager::install_next_hops(std::uint16_t prefix, const std::vector<Por
                                  if (state->failed) return;
                                  if (!result.ok()) {
                                    state->failed = true;
-                                   state->done(make_error(result.error().message));
+                                   state->done(result.error());
                                    return;
                                  }
                                  if (--state->remaining == 0) state->done(Status{});

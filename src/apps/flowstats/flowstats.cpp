@@ -118,7 +118,7 @@ void FlowStatsManager::inspect_flow(std::uint16_t flow,
     controller_.write_register(sw_, kBlockedReg, flow, 1,
                                [state, verdict](Result<std::uint64_t> result) {
                                  if (!result.ok()) {
-                                   state->done(make_error(result.error().message));
+                                   state->done(result.error());
                                    return;
                                  }
                                  state->done(verdict);

@@ -177,7 +177,7 @@ void NetCacheManager::install_hottest(std::vector<std::uint32_t> candidates,
       if (state->failed) return;
       if (!estimate.ok()) {
         state->failed = true;
-        state->done(make_error(estimate.error().message));
+        state->done(estimate.error());
         return;
       }
       if (estimate.value() >= state->best_count) {
@@ -187,7 +187,7 @@ void NetCacheManager::install_hottest(std::vector<std::uint32_t> candidates,
       if (--state->remaining > 0) return;
       install_hot_key(slot, state->best_key, value, [state](Status status) {
         if (!status.ok()) {
-          state->done(make_error(status.error().message));
+          state->done(status.error());
           return;
         }
         state->done(state->best_key);
@@ -203,7 +203,7 @@ void NetCacheManager::install_hot_key(std::uint32_t slot, std::uint32_t key,
     if (state->second) return;
     if (!result.ok()) {
       state->second = true;
-      done(make_error(result.error().message));
+      done(result.error());
       return;
     }
     if (++state->first == 2) done(Status{});
@@ -218,7 +218,7 @@ void NetCacheManager::clear_sketch(std::size_t entries, std::function<void(Statu
     if (state->second) return;
     if (!result.ok()) {
       state->second = true;
-      done(make_error(result.error().message));
+      done(result.error());
       return;
     }
     if (++state->first == entries) done(Status{});

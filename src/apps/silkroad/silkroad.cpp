@@ -110,7 +110,7 @@ void SilkRoadManager::write_bit(std::uint16_t vip, std::uint64_t value,
   controller_.write_register(sw_, kTransitReg, vip, value,
                              [done = std::move(done)](Result<std::uint64_t> result) {
                                if (!result.ok()) {
-                                 done(make_error(result.error().message));
+                                 done(result.error());
                                  return;
                                }
                                done(Status{});

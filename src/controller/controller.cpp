@@ -63,6 +63,19 @@ Bytes Controller::seal_request(const Message& msg, Key64 key) {
   return frame;
 }
 
+Bytes Controller::request(const SwitchState& st, HdrType type, std::uint8_t msg_type,
+                          std::uint16_t seq, core::Payload payload, RequestKey key) {
+  Message msg;
+  msg.header.hdr_type = type;
+  msg.header.msg_type = msg_type;
+  msg.header.seq_num = seq;
+  msg.header.key_version = key.version;
+  msg.header.src = kControllerId;
+  msg.header.dst = st.id;
+  msg.payload = std::move(payload);
+  return seal_request(msg, key.key);
+}
+
 void Controller::send(SwitchState& st, Bytes frame, bool is_kmp,
                       std::function<void()> delivered) {
   if (is_kmp) {
@@ -173,16 +186,8 @@ void Controller::issue_register_op(NodeId sw, RegisterMsg op, RegisterId reg,
   ++stats_.requests_sent;
   const auto span = span_operation(telemetry::kTraceDomainRegOp, sw.value);
 
-  Message msg;
-  msg.header.hdr_type = HdrType::RegisterOp;
-  msg.header.msg_type = static_cast<std::uint8_t>(op);
-  msg.header.seq_num = seq;
-  msg.header.key_version = st->keys.local().current_version();
-  msg.header.src = kControllerId;
-  msg.header.dst = sw;
-  msg.payload = RegisterOpPayload{reg, index, value};
-
-  Bytes frame = seal_request(msg, st->keys.local().current().value_or(st->k_seed));
+  Bytes frame = request(*st, HdrType::RegisterOp, static_cast<std::uint8_t>(op), seq,
+                        RegisterOpPayload{reg, index, value}, st->local_key());
   if (config_.p4auth_enabled) compose += config_.digest_cost;
   sim_.after(compose, [this, st, frame = std::move(frame), ctx = span_ctx()]() mutable {
     const auto scope = span_resume(ctx);
@@ -255,14 +260,11 @@ void Controller::init_local_key(NodeId sw, std::function<void(Result<Key64>)> do
   pending.expect_seq = seq;
   st->pending_local = std::move(pending);
 
-  Message msg;
-  msg.header.hdr_type = HdrType::KeyExchange;
-  msg.header.msg_type = static_cast<std::uint8_t>(KeyExchMsg::EakExch);
-  msg.header.seq_num = seq;
-  msg.header.src = kControllerId;
-  msg.header.dst = sw;
-  msg.payload = salt1;
-  send(*st, seal_request(msg, st->k_seed), /*is_kmp=*/true);
+  // EAK runs under the boot secret, which has no version.
+  send(*st,
+       request(*st, HdrType::KeyExchange, static_cast<std::uint8_t>(KeyExchMsg::EakExch), seq,
+               salt1, RequestKey{st->k_seed, KeyVersion{}}),
+       /*is_kmp=*/true);
 }
 
 void Controller::start_adhkd_local(SwitchState& st, bool is_update) {
@@ -273,23 +275,14 @@ void Controller::start_adhkd_local(SwitchState& st, bool is_update) {
   const std::uint16_t seq = st.tx_seq.next();
   pending.expect_seq = seq;
 
-  Message msg;
-  msg.header.hdr_type = HdrType::KeyExchange;
-  msg.header.msg_type = static_cast<std::uint8_t>(is_update ? KeyExchMsg::UpdKeyExch
-                                                            : KeyExchMsg::InitKeyExch);
-  msg.header.seq_num = seq;
-  msg.header.src = kControllerId;
-  msg.header.dst = st.id;
-  msg.payload = leg;
-
-  Key64 key = 0;
-  if (is_update) {
-    msg.header.key_version = st.keys.local().current_version();
-    key = st.keys.local().current().value_or(st.k_seed);
-  } else {
-    key = st.k_auth.value_or(st.k_seed);
-  }
-  send(st, seal_request(msg, key), /*is_kmp=*/true);
+  // An update runs under the current local key; an init leg under
+  // K_auth, which has no version, even when the switch already has a key.
+  const auto kind = is_update ? KeyExchMsg::UpdKeyExch : KeyExchMsg::InitKeyExch;
+  const RequestKey key =
+      is_update ? st.local_key() : RequestKey{st.k_auth.value_or(st.k_seed), KeyVersion{}};
+  send(st,
+       request(st, HdrType::KeyExchange, static_cast<std::uint8_t>(kind), seq, leg, key),
+       /*is_kmp=*/true);
 }
 
 void Controller::update_local_key(NodeId sw, std::function<void(Result<Key64>)> done) {
@@ -322,6 +315,10 @@ void Controller::init_port_key(NodeId a, PortId port_a, NodeId b, PortId port_b,
     done(make_error("unknown switch or p4auth disabled"));
     return;
   }
+  if (!st_a->is_data_port(port_a) || !st_b->is_data_port(port_b)) {
+    done(make_error("port key init names a port outside the switch"));
+    return;
+  }
   // Fig 14(c): the redirected ADHKD legs are authenticated with each
   // switch's local key — both must be initialized first.
   if (!st_a->keys.local().initialized() || !st_b->keys.local().initialized()) {
@@ -333,15 +330,9 @@ void Controller::init_port_key(NodeId a, PortId port_a, NodeId b, PortId port_b,
   pending_port_inits_.push_back(
       PendingPortInit{a, port_a, b, port_b, track_kmp(a, "port_init", std::move(done))});
 
-  Message msg;
-  msg.header.hdr_type = HdrType::KeyExchange;
-  msg.header.msg_type = static_cast<std::uint8_t>(KeyExchMsg::PortKeyInit);
-  msg.header.seq_num = st_a->tx_seq.next();
-  msg.header.key_version = st_a->keys.local().current_version();
-  msg.header.src = kControllerId;
-  msg.header.dst = a;
-  msg.payload = PortKeyPayload{port_a, b};
-  send(*st_a, seal_request(msg, st_a->keys.local().current().value_or(st_a->k_seed)),
+  send(*st_a,
+       request(*st_a, HdrType::KeyExchange, static_cast<std::uint8_t>(KeyExchMsg::PortKeyInit),
+               st_a->tx_seq.next(), PortKeyPayload{port_a, b}, st_a->local_key()),
        /*is_kmp=*/true);
 }
 
@@ -352,17 +343,15 @@ void Controller::update_port_key(NodeId a, PortId port_a, NodeId b,
     done(make_error("unknown switch or p4auth disabled"));
     return;
   }
+  if (!st_a->is_data_port(port_a)) {
+    done(make_error("port key update names a port outside the switch"));
+    return;
+  }
   const auto span = span_operation(telemetry::kTraceDomainKmp,
                                    (static_cast<std::uint64_t>(a.value) << 16) | b.value);
-  Message msg;
-  msg.header.hdr_type = HdrType::KeyExchange;
-  msg.header.msg_type = static_cast<std::uint8_t>(KeyExchMsg::PortKeyUpdate);
-  msg.header.seq_num = st_a->tx_seq.next();
-  msg.header.key_version = st_a->keys.local().current_version();
-  msg.header.src = kControllerId;
-  msg.header.dst = a;
-  msg.payload = PortKeyPayload{port_a, b};
-  send(*st_a, seal_request(msg, st_a->keys.local().current().value_or(st_a->k_seed)),
+  send(*st_a,
+       request(*st_a, HdrType::KeyExchange, static_cast<std::uint8_t>(KeyExchMsg::PortKeyUpdate),
+               st_a->tx_seq.next(), PortKeyPayload{port_a, b}, st_a->local_key()),
        /*is_kmp=*/true,
        [done = track_kmp(a, "port_update", std::move(done))]() { done(Status{}); });
 }
@@ -418,8 +407,9 @@ void Controller::on_key_exchange(SwitchState& st, const Message& msg, bool diges
       // Re-stamp into the destination's C-DP sequence space (its replay
       // tracker knows nothing of the originator's counters) and re-tag
       // under its local key.
+      const RequestKey key = dst->local_key();
       forward.header.seq_num = dst->tx_seq.next();
-      forward.header.key_version = dst->keys.local().current_version();
+      forward.header.key_version = key.version;
 
       std::function<void()> delivered;
       if (msg.header.is_response()) {
@@ -432,8 +422,7 @@ void Controller::on_key_exchange(SwitchState& st, const Message& msg, bool diges
           }
         }
       }
-      send(*dst, seal_request(forward, dst->keys.local().current().value_or(dst->k_seed)),
-           /*is_kmp=*/true, std::move(delivered));
+      send(*dst, seal_request(forward, key.key), /*is_kmp=*/true, std::move(delivered));
       return;
     }
 
@@ -489,15 +478,23 @@ void Controller::on_alert(SwitchState& st, const Message& msg, bool digest_ok) {
   }
 }
 
-void Controller::on_lldp_report(NodeId reporter, const Bytes& frame) {
+void Controller::on_lldp_report(SwitchState& st, const Bytes& frame) {
   const auto report = core::decode_lldp_report(frame);
-  if (!report.ok() || report.value().receiver != reporter) return;
+  if (!report.ok() || report.value().receiver != st.id) return;
+  // A port outside either switch's 1..num_ports would aim a port-key
+  // init at a slot that is no link's (an unattached sender's ports go
+  // unchecked).
+  const auto& r = report.value();
+  const SwitchState* sender = state_of(r.sender);
+  if (!st.is_data_port(r.receiver_port) ||
+      (sender != nullptr && !sender->is_data_port(r.sender_port))) {
+    return;
+  }
   ++stats_.lldp_reports;
 
   // Canonicalize the adjacency (lower node id first) and deduplicate —
   // both endpoints report the same link.
   Adjacency adjacency;
-  const auto& r = report.value();
   if (r.sender.value < r.receiver.value) {
     adjacency = Adjacency{r.sender, r.sender_port, r.receiver, r.receiver_port};
   } else {
@@ -513,7 +510,6 @@ void Controller::on_lldp_report(NodeId reporter, const Bytes& frame) {
 
   if (!config_.auto_port_keys || !config_.p4auth_enabled) return;
   // §VI-C: a port-activation event triggers port-key initialization.
-  auto* stored = &adjacencies_.back();
   ++stats_.auto_port_inits;
   init_port_key(adjacency.a, adjacency.port_a, adjacency.b, adjacency.port_b,
                 [this, a = adjacency.a, port_a = adjacency.port_a](Status status) {
@@ -522,7 +518,6 @@ void Controller::on_lldp_report(NodeId reporter, const Bytes& frame) {
                     if (known.a == a && known.port_a == port_a) known.keyed = true;
                   }
                 });
-  (void)stored;
 }
 
 void Controller::on_packet_in(NodeId sw, Bytes frame) {
@@ -602,7 +597,7 @@ void Controller::flush_packet_ins() {
   for (StagedPacketIn& s : batch) {
     const auto scope = span_resume(s.span);
     if (s.is_lldp) {
-      on_lldp_report(s.st->id, s.frame);
+      on_lldp_report(*s.st, s.frame);
       continue;
     }
     // Responses and KMP legs answer a request this controller sent (the

@@ -182,6 +182,12 @@ class Controller {
     std::function<void(Status)> done;
   };
 
+  /// The key a request is sealed under and the version it carries.
+  struct RequestKey {
+    Key64 key = 0;
+    KeyVersion version{};
+  };
+
   struct SwitchState {
     NodeId id{};
     netsim::ControlChannel* channel = nullptr;
@@ -198,6 +204,14 @@ class Controller {
     SwitchState(NodeId node, netsim::ControlChannel* ch, Key64 seed, int num_ports,
                 std::size_t max_outstanding)
         : id(node), channel(ch), k_seed(seed), keys(num_ports), ledger(max_outstanding) {}
+
+    /// The current local key and version (K_seed, version 0, before init).
+    RequestKey local_key() const {
+      return {keys.local().current().value_or(k_seed), keys.local().current_version()};
+    }
+    bool is_data_port(PortId port) const {
+      return port != kCpuPort && port.value <= keys.num_ports();
+    }
   };
 
   /// One PacketIn parked between delivery and dispatch. Same-instant
@@ -218,7 +232,7 @@ class Controller {
   /// Verifies every staged PacketIn in one multi-lane digest call and
   /// dispatches them in arrival order.
   void flush_packet_ins();
-  void on_lldp_report(NodeId reporter, const Bytes& frame);
+  void on_lldp_report(SwitchState& st, const Bytes& frame);
   void on_register_response(SwitchState& st, const core::Message& msg, bool digest_ok);
   /// Registers and issues a register read/write: the request is encoded
   /// and sealed now and leaves after the modelled compose delay.
@@ -231,6 +245,11 @@ class Controller {
   /// Encodes `msg` into a buffer from frame_pool_ and tags it under
   /// `key` (when P4Auth is on).
   Bytes seal_request(const core::Message& msg, Key64 key);
+  /// The one builder of the requests this controller originates: src =
+  /// controller, dst = `st`, stamped `key.version` and sealed under
+  /// `key.key`.
+  Bytes request(const SwitchState& st, core::HdrType type, std::uint8_t msg_type,
+                std::uint16_t seq, core::Payload payload, RequestKey key);
   /// Transmits a sealed frame; counts KMP traffic when asked.
   void send(SwitchState& st, Bytes frame, bool is_kmp, std::function<void()> delivered = {});
 

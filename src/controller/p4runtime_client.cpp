@@ -33,7 +33,7 @@ void P4RuntimeClient::read(const std::string& reg_name, std::size_t index,
     auto value = reg->read(index);
     sim_.after(rct - at_switch, [value = std::move(value), done = std::move(done)]() {
       if (!value.ok()) {
-        done(make_error(value.error().message));
+        done(value.error());
         return;
       }
       done(value.value());

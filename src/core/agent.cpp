@@ -40,10 +40,21 @@ P4AuthAgent::P4AuthAgent(Config config, dataplane::RegisterFile& registers,
       keys_(registers, config.num_ports),
       digest_(config.mac),
       reg_map_("reg_id_to_name_mapping", /*key_bits=*/40, kRegMapCapacity),
+      slots_(static_cast<std::size_t>(config.num_ports) + 1),
       alert_limiter_(config.alert_rate_limit, config.alert_window) {}
 
+P4AuthAgent::PortSlot* P4AuthAgent::slot(PortId port) noexcept {
+  return port.value < slots_.size() ? &slots_[port.value] : nullptr;
+}
+
+P4AuthAgent::PortSlot* P4AuthAgent::data_slot(PortId port) noexcept {
+  return port == kCpuPort ? nullptr : slot(port);
+}
+
 void P4AuthAgent::set_neighbor(PortId port, NodeId peer) {
-  neighbor_of_port_[port] = peer;
+  PortSlot* s = data_slot(port);
+  if (s == nullptr) return;
+  s->neighbor = peer;
   port_of_peer_[peer] = port;
 }
 
@@ -111,26 +122,6 @@ P4AuthAgent::TeleSeries* P4AuthAgent::tele(dataplane::PipelineContext& ctx) {
   return &tele_;
 }
 
-void P4AuthAgent::note_verify(dataplane::PipelineContext& ctx, bool ok, PortId port,
-                              std::uint16_t seq, HdrType hdr) {
-  TeleSeries* t = tele(ctx);
-  if (t == nullptr) return;
-  (ok ? t->verify_ok : t->verify_fail)->inc();
-  t->bound->record(ctx.now(), config_.self, port,
-                         ok ? telemetry::TraceEventKind::VerifyOk
-                            : telemetry::TraceEventKind::VerifyFail,
-                         seq, static_cast<std::uint64_t>(hdr));
-}
-
-void P4AuthAgent::note_replay(dataplane::PipelineContext& ctx, PortId port, std::uint16_t seq,
-                              std::uint16_t last) {
-  TeleSeries* t = tele(ctx);
-  if (t == nullptr) return;
-  t->replay_drops->inc();
-  t->bound->record(ctx.now(), config_.self, port, telemetry::TraceEventKind::ReplayDrop,
-                         seq, last);
-}
-
 void P4AuthAgent::note_table_lookup(dataplane::PipelineContext& ctx, bool hit, RegisterId reg) {
   TeleSeries* t = tele(ctx);
   if (t == nullptr) return;
@@ -170,18 +161,65 @@ void P4AuthAgent::note_key_install(dataplane::PipelineContext& ctx, PortId slot)
                          keys_.current_version(slot).value);
 }
 
-Message P4AuthAgent::make_response_header(const Message& request, HdrType type,
-                                          std::uint8_t msg_type, Payload payload) const {
+Message P4AuthAgent::make_response(const Message& request, std::uint8_t msg_type,
+                                   Payload payload) const {
   Message response;
-  response.header.hdr_type = type;
+  response.header.hdr_type = request.header.hdr_type;
   response.header.msg_type = msg_type;
   response.header.seq_num = request.header.seq_num;  // maps response to request
+  response.header.key_version = request.header.key_version;
   response.header.flags =
       static_cast<std::uint8_t>(kFlagResponse | (request.header.flags & kFlagPortScope));
   response.header.src = config_.self;
   response.header.dst = request.header.src;
   response.payload = std::move(payload);
   return response;
+}
+
+Message P4AuthAgent::originate(PortId channel, HdrType type, std::uint8_t msg_type, NodeId dst,
+                               std::uint8_t flags, Payload payload) {
+  Message msg;
+  msg.header.hdr_type = type;
+  msg.header.msg_type = msg_type;
+  msg.header.seq_num = slot(channel)->tx.next();
+  msg.header.key_version = keys_.current_version(channel);
+  msg.header.flags = flags;
+  msg.header.src = config_.self;
+  msg.header.dst = dst;
+  msg.payload = std::move(payload);
+  return msg;
+}
+
+Message P4AuthAgent::answer_adhkd(const Message& request, PortId slot,
+                                  dataplane::PipelineContext& ctx) {
+  const AdhkdResponse adhkd =
+      adhkd_respond(config_.schedule, std::get<AdhkdPayload>(request.payload), ctx.rng());
+  ctx.costs().add_hash(17);  // KDF PRF work (extract + 2x expand folded)
+  install_key(slot, adhkd.master, ctx);
+  return make_response(request, request.header.msg_type, adhkd.reply);
+}
+
+Bytes P4AuthAgent::start_port_exchange(KeyExchMsg kind, PortId port, NodeId peer, Bytes frame,
+                                       dataplane::PipelineContext& ctx) {
+  std::optional<AdhkdInitiator>& pending = data_slot(port)->pending;
+  pending.emplace(config_.schedule);
+  const AdhkdPayload leg = pending->start(ctx.rng());
+  const PortId channel = kind == KeyExchMsg::InitKeyExch ? kCpuPort : port;
+  Message msg = originate(channel, HdrType::KeyExchange, static_cast<std::uint8_t>(kind), peer,
+                          kFlagPortScope, leg);
+  return channel == kCpuPort ? seal_local(msg, std::move(frame), ctx)
+                             : seal(msg, *keys_.current(port), std::move(frame), ctx);
+}
+
+bool P4AuthAgent::finish_port_exchange(PortId port, const AdhkdPayload& answer,
+                                       dataplane::PipelineContext& ctx) {
+  PortSlot* s = data_slot(port);
+  if (s == nullptr || !s->pending.has_value()) return false;
+  const Key64 master = s->pending->finish(answer);
+  ctx.costs().add_hash(17);
+  s->pending.reset();
+  install_key(port, master, ctx);
+  return true;
 }
 
 Bytes P4AuthAgent::seal(const Message& msg, Key64 key, Bytes out,
@@ -203,29 +241,64 @@ Bytes P4AuthAgent::seal_local(Message& msg, Bytes out, dataplane::PipelineContex
   return seal(msg, keys_.current(kCpuPort).value_or(config_.k_seed), std::move(out), ctx);
 }
 
-bool P4AuthAgent::verify(const std::optional<Key64>& key, std::span<const std::uint8_t> frame,
-                         dataplane::PipelineContext& ctx) const {
-  if (!key.has_value()) return false;
+P4AuthAgent::Admission P4AuthAgent::admit(std::string_view site,
+                                          std::span<const std::uint8_t> frame,
+                                          const Header& header, const std::optional<Key64>& key,
+                                          PortId port, bool replay_check,
+                                          dataplane::PipelineContext& ctx,
+                                          const dataplane::PlannedDigest* planned) {
+  PortSlot* const s = slot(port);  // null only past the key store's range: no key either
   const DigestCover cover = digest_cover(frame);
-  return digest_.verify(*key, cover.head, cover.tail, read_digest(frame), ctx.costs());
+  const bool verified =
+      s != nullptr && key.has_value() &&
+      (planned != nullptr && planned->key == *key
+           ? digest_.verify_planned(planned->digest, cover.size(), header.digest, ctx.costs())
+           : digest_.verify(*key, cover.head, cover.tail, header.digest, ctx.costs()));
+  ctx.note_verify(site, verified);
+  TeleSeries* t = tele(ctx);
+  if (t != nullptr) {
+    (verified ? t->verify_ok : t->verify_fail)->inc();
+    t->bound->record(ctx.now(), config_.self, port,
+                     verified ? telemetry::TraceEventKind::VerifyOk
+                              : telemetry::TraceEventKind::VerifyFail,
+                     header.seq_num, static_cast<std::uint64_t>(header.hdr_type));
+  }
+  if (!verified) {
+    ++stats_.digest_failures;
+    return Admission::Forged;
+  }
+  if (replay_check && !s->rx.accept(header.seq_num)) {
+    ++stats_.replay_rejections;
+    if (t != nullptr) {
+      t->replay_drops->inc();
+      t->bound->record(ctx.now(), config_.self, port, telemetry::TraceEventKind::ReplayDrop,
+                       header.seq_num, s->rx.last());
+    }
+    return Admission::Replayed;
+  }
+  return Admission::Admitted;
+}
+
+void P4AuthAgent::reject(dataplane::PipelineOutput& out, dataplane::PipelineContext& ctx,
+                         Admission verdict, std::uint32_t context, const Header& header,
+                         PortId port) {
+  const bool forged = verdict == Admission::Forged;
+  push_alert(out, ctx, forged ? AlertMsg::DigestMismatch : AlertMsg::ReplayDetected, context,
+             header.seq_num, forged ? std::uint16_t{0} : slot(port)->rx.last());
 }
 
 void P4AuthAgent::push_alert(dataplane::PipelineOutput& out, dataplane::PipelineContext& ctx,
                              AlertMsg code, std::uint32_t context, std::uint16_t observed,
                              std::uint16_t expected, std::uint32_t detail) {
+  out.dropped = true;
   if (!config_.auth_enabled) return;
   if (!alert_limiter_.allow(ctx.now())) {
     ++stats_.alerts_suppressed;
     note_alert(ctx, /*suppressed=*/true, code);
     return;
   }
-  Message alert;
-  alert.header.hdr_type = HdrType::Alert;
-  alert.header.msg_type = static_cast<std::uint8_t>(code);
-  alert.header.seq_num = cdp_tx_.next();
-  alert.header.src = config_.self;
-  alert.header.dst = kControllerId;
-  alert.payload = AlertPayload{context, observed, expected, detail};
+  Message alert = originate(kCpuPort, HdrType::Alert, static_cast<std::uint8_t>(code),
+                            kControllerId, 0, AlertPayload{context, observed, expected, detail});
   // Sealed with the local key so the controller can trust it.
   out.to_cpu.push_back(seal_local(alert, ctx.acquire_buffer(encoded_size(alert.payload)), ctx));
   ++stats_.alerts_sent;
@@ -241,7 +314,14 @@ dataplane::PipelineOutput P4AuthAgent::process(dataplane::Packet& packet,
       push_alert(out, ctx, AlertMsg::DigestMismatch, 0, 0, 0, /*detail=*/1);
       return out;
     }
-    return handle_control(decoded.value(), packet.payload, ctx);
+    const Message& msg = decoded.value();
+    if (msg.header.hdr_type == HdrType::RegisterOp) {
+      return handle_register_op(msg, packet.payload, ctx);
+    }
+    if (msg.header.hdr_type == HdrType::KeyExchange && config_.auth_enabled) {
+      return handle_key_exchange_cpu(msg, packet.payload, ctx);
+    }
+    return dataplane::PipelineOutput::drop();
   }
 
   if (looks_like_p4auth(packet.payload)) {
@@ -294,8 +374,9 @@ dataplane::PipelineOutput P4AuthAgent::process(dataplane::Packet& packet,
   // Enforcement applies only on switch-facing ports: in-network feedback
   // always crosses switch-to-switch links tagged, while host-facing and
   // generator ports legitimately originate raw probes.
-  if (config_.auth_enabled && config_.enforce_feedback_auth &&
-      neighbor_of_port_.contains(packet.ingress) && is_protected_magic(packet.payload)) {
+  const PortSlot* ingress = data_slot(packet.ingress);
+  if (config_.auth_enabled && config_.enforce_feedback_auth && ingress != nullptr &&
+      ingress->neighbor.has_value() && is_protected_magic(packet.payload)) {
     // A protected in-network message arrived without authentication —
     // either a stripped tag or an injected forgery.
     ++stats_.unauth_feedback_dropped;
@@ -358,19 +439,6 @@ void P4AuthAgent::end_burst() {
   if (inner_ != nullptr) inner_->end_burst();
 }
 
-dataplane::PipelineOutput P4AuthAgent::handle_control(const Message& msg, Bytes& frame,
-                                                      dataplane::PipelineContext& ctx) {
-  switch (msg.header.hdr_type) {
-    case HdrType::RegisterOp:
-      return handle_register_op(msg, frame, ctx);
-    case HdrType::KeyExchange:
-      if (!config_.auth_enabled) return dataplane::PipelineOutput::drop();
-      return handle_key_exchange_cpu(msg, frame, ctx);
-    default:
-      return dataplane::PipelineOutput::drop();
-  }
-}
-
 dataplane::PipelineOutput P4AuthAgent::handle_register_op(const Message& msg, Bytes& frame,
                                                           dataplane::PipelineContext& ctx) {
   dataplane::PipelineOutput out;
@@ -381,13 +449,12 @@ dataplane::PipelineOutput P4AuthAgent::handle_register_op(const Message& msg, By
   const auto& req = std::get<RegisterOpPayload>(msg.payload);
 
   const auto nack = [&](AlertMsg code, std::uint32_t detail) {
-    Message response = make_response_header(
-        msg, HdrType::RegisterOp, static_cast<std::uint8_t>(RegisterMsg::NAck),
-        RegisterOpPayload{req.reg_id, req.index, 0});
+    Message response = make_response(msg, static_cast<std::uint8_t>(RegisterMsg::NAck),
+                                     RegisterOpPayload{req.reg_id, req.index, 0});
     out.to_cpu.push_back(seal_local(response, std::move(frame), ctx));
     ++stats_.nacks_sent;
-    push_alert(out, ctx, code, req.reg_id.value, msg.header.seq_num, cdp_rx_.last(), detail);
-    out.dropped = true;
+    push_alert(out, ctx, code, req.reg_id.value, msg.header.seq_num, slot(kCpuPort)->rx.last(),
+               detail);
   };
 
   if (config_.auth_enabled) {
@@ -395,20 +462,14 @@ dataplane::PipelineOutput P4AuthAgent::handle_register_op(const Message& msg, By
     // same fallback the controller applies.
     std::optional<Key64> key = keys_.get(kCpuPort, msg.header.key_version);
     if (!key.has_value() && !keys_.has_key(kCpuPort)) key = config_.k_seed;
-    const bool ok = verify(key, frame, ctx);
-    ctx.note_verify("cdp_verify", ok);
-    note_verify(ctx, ok, kCpuPort, msg.header.seq_num, HdrType::RegisterOp);
-    if (!ok) {
-      ++stats_.digest_failures;
+    const Admission verdict = admit("cdp_verify", frame, msg.header, key, kCpuPort,
+                                    /*replay_check=*/true, ctx);
+    if (verdict == Admission::Forged) {
       nack(AlertMsg::DigestMismatch, 0);
       return out;
     }
-    if (!cdp_rx_.accept(msg.header.seq_num)) {
-      ++stats_.replay_rejections;
-      note_replay(ctx, kCpuPort, msg.header.seq_num, cdp_rx_.last());
-      push_alert(out, ctx, AlertMsg::ReplayDetected, req.reg_id.value, msg.header.seq_num,
-                 cdp_rx_.last());
-      out.dropped = true;
+    if (verdict == Admission::Replayed) {
+      reject(out, ctx, verdict, req.reg_id.value, msg.header, kCpuPort);
       return out;
     }
   }
@@ -447,9 +508,8 @@ dataplane::PipelineOutput P4AuthAgent::handle_register_op(const Message& msg, By
     ++stats_.writes_served;
   }
 
-  Message ack = make_response_header(msg, HdrType::RegisterOp,
-                                     static_cast<std::uint8_t>(RegisterMsg::Ack),
-                                     RegisterOpPayload{req.reg_id, req.index, result_value});
+  Message ack = make_response(msg, static_cast<std::uint8_t>(RegisterMsg::Ack),
+                              RegisterOpPayload{req.reg_id, req.index, result_value});
   out.to_cpu.push_back(seal_local(ack, std::move(frame), ctx));
   return out;
 }
@@ -459,39 +519,17 @@ dataplane::PipelineOutput P4AuthAgent::handle_key_exchange_cpu(const Message& ms
   dataplane::PipelineOutput out;
   const auto kind = static_cast<KeyExchMsg>(msg.header.msg_type);
 
-  // Resolve which key must authenticate this message (§VI-C).
-  std::optional<Key64> verify_key;
-  switch (kind) {
-    case KeyExchMsg::EakExch:
-      verify_key = config_.k_seed;
-      break;
-    case KeyExchMsg::InitKeyExch:
-      verify_key = msg.header.is_port_scope() ? keys_.get(kCpuPort, msg.header.key_version)
-                                              : k_auth_;
-      break;
-    case KeyExchMsg::UpdKeyExch:
-    case KeyExchMsg::PortKeyInit:
-    case KeyExchMsg::PortKeyUpdate:
-      verify_key = keys_.get(kCpuPort, msg.header.key_version);
-      break;
-  }
+  // Resolve which key must authenticate this message (§VI-C): K_seed
+  // for EAK, K_auth for the local-key init leg, else the local key at
+  // the tagged version.
+  std::optional<Key64> verify_key = keys_.get(kCpuPort, msg.header.key_version);
+  if (kind == KeyExchMsg::EakExch) verify_key = config_.k_seed;
+  if (kind == KeyExchMsg::InitKeyExch && !msg.header.is_port_scope()) verify_key = k_auth_;
 
-  const bool verified = verify(verify_key, frame, ctx);
-  ctx.note_verify("kmp_verify", verified);
-  note_verify(ctx, verified, kCpuPort, msg.header.seq_num, HdrType::KeyExchange);
-  if (!verified) {
-    ++stats_.digest_failures;
-    push_alert(out, ctx, AlertMsg::DigestMismatch, static_cast<std::uint32_t>(kind),
-               msg.header.seq_num, 0);
-    out.dropped = true;
-    return out;
-  }
-  if (!msg.header.is_response() && !cdp_rx_.accept(msg.header.seq_num)) {
-    ++stats_.replay_rejections;
-    note_replay(ctx, kCpuPort, msg.header.seq_num, cdp_rx_.last());
-    push_alert(out, ctx, AlertMsg::ReplayDetected, static_cast<std::uint32_t>(kind),
-               msg.header.seq_num, cdp_rx_.last());
-    out.dropped = true;
+  if (const Admission verdict = admit("kmp_verify", frame, msg.header, verify_key, kCpuPort,
+                                      /*replay_check=*/!msg.header.is_response(), ctx);
+      verdict != Admission::Admitted) {
+    reject(out, ctx, verdict, static_cast<std::uint32_t>(kind), msg.header, kCpuPort);
     return out;
   }
 
@@ -502,24 +540,17 @@ dataplane::PipelineOutput P4AuthAgent::handle_key_exchange_cpu(const Message& ms
       const EakResponse eak = eak_respond(config_.schedule, config_.k_seed, request, ctx.rng());
       ctx.costs().add_hash(17);  // KDF PRF work (extract + 2x expand folded)
       k_auth_ = eak.k_auth;
-      Message response = make_response_header(
-          msg, HdrType::KeyExchange, static_cast<std::uint8_t>(KeyExchMsg::EakExch), eak.reply);
+      const Message response = make_response(msg, msg.header.msg_type, eak.reply);
       out.to_cpu.push_back(seal(response, config_.k_seed, std::move(frame), ctx));
       break;
     }
 
     case KeyExchMsg::InitKeyExch: {
-      const auto& payload = std::get<AdhkdPayload>(msg.payload);
       if (!msg.header.is_port_scope()) {
         // Local-key init leg, authenticated by K_auth; we respond and
         // install the new local key.
         if (msg.header.is_response()) break;
-        const AdhkdResponse adhkd = adhkd_respond(config_.schedule, payload, ctx.rng());
-        ctx.costs().add_hash(17);
-        install_key(kCpuPort, adhkd.master, ctx);
-        Message response =
-            make_response_header(msg, HdrType::KeyExchange,
-                                 static_cast<std::uint8_t>(KeyExchMsg::InitKeyExch), adhkd.reply);
+        const Message response = answer_adhkd(msg, kCpuPort, ctx);
         out.to_cpu.push_back(seal(response, *verify_key, std::move(frame), ctx));
         break;
       }
@@ -528,91 +559,49 @@ dataplane::PipelineOutput P4AuthAgent::handle_key_exchange_cpu(const Message& ms
       if (!port.has_value()) {
         push_alert(out, ctx, AlertMsg::DigestMismatch, msg.header.src.value, msg.header.seq_num,
                    0, /*detail=*/3);
-        out.dropped = true;
         break;
       }
       if (!msg.header.is_response()) {
-        const AdhkdResponse adhkd = adhkd_respond(config_.schedule, payload, ctx.rng());
-        ctx.costs().add_hash(17);
-        install_key(*port, adhkd.master, ctx);
-        Message response =
-            make_response_header(msg, HdrType::KeyExchange,
-                                 static_cast<std::uint8_t>(KeyExchMsg::InitKeyExch), adhkd.reply);
+        Message response = answer_adhkd(msg, *port, ctx);
         out.to_cpu.push_back(seal_local(response, std::move(frame), ctx));
       } else {
-        const auto pending = pending_port_exchange_.find(*port);
-        if (pending == pending_port_exchange_.end()) break;
-        const Key64 master = pending->second.finish(payload);
-        ctx.costs().add_hash(17);
-        pending_port_exchange_.erase(pending);
-        install_key(*port, master, ctx);
+        finish_port_exchange(*port, std::get<AdhkdPayload>(msg.payload), ctx);
       }
       break;
     }
 
     case KeyExchMsg::UpdKeyExch: {
-      // Local-key update: C initiates, we respond with the old key.
+      // Local-key update: C initiates, we respond sealed under the old
+      // key (verify_key holds it) and install the new one.
       if (msg.header.is_response() || msg.header.is_port_scope()) break;
-      const auto& payload = std::get<AdhkdPayload>(msg.payload);
-      const AdhkdResponse adhkd = adhkd_respond(config_.schedule, payload, ctx.rng());
-      ctx.costs().add_hash(17);
-      Message response =
-          make_response_header(msg, HdrType::KeyExchange,
-                               static_cast<std::uint8_t>(KeyExchMsg::UpdKeyExch), adhkd.reply);
-      response.header.key_version = msg.header.key_version;
-      // Sealed under the old key, before the new one installs.
-      Bytes sealed = seal(response, *verify_key, std::move(frame), ctx);
-      install_key(kCpuPort, adhkd.master, ctx);
-      out.to_cpu.push_back(std::move(sealed));
+      const Message response = answer_adhkd(msg, kCpuPort, ctx);
+      out.to_cpu.push_back(seal(response, *verify_key, std::move(frame), ctx));
       break;
     }
 
-    case KeyExchMsg::PortKeyInit: {
-      // Begin ADHKD toward the peer, redirected via the controller.
-      const auto& request = std::get<PortKeyPayload>(msg.payload);
-      set_neighbor(request.port, request.peer);
-      auto [it, inserted] =
-          pending_port_exchange_.insert_or_assign(request.port, AdhkdInitiator(config_.schedule));
-      (void)inserted;
-      const AdhkdPayload leg = it->second.start(ctx.rng());
-      Message exchange;
-      exchange.header.hdr_type = HdrType::KeyExchange;
-      exchange.header.msg_type = static_cast<std::uint8_t>(KeyExchMsg::InitKeyExch);
-      exchange.header.seq_num = cdp_tx_.next();
-      exchange.header.flags = kFlagPortScope;
-      exchange.header.src = config_.self;
-      exchange.header.dst = request.peer;
-      exchange.payload = leg;
-      out.to_cpu.push_back(seal_local(exchange, std::move(frame), ctx));
-      break;
-    }
-
+    case KeyExchMsg::PortKeyInit:
     case KeyExchMsg::PortKeyUpdate: {
-      // Begin ADHKD directly over the link, authenticated by the current
-      // port key (§VI-C: "directly managed by the data planes").
       const auto& request = std::get<PortKeyPayload>(msg.payload);
-      const auto port_key = keys_.current(request.port);
-      if (!port_key.has_value()) {
+      // Only a data port has a port key, and an update runs under the
+      // current one: refused before any state changes.
+      if (data_slot(request.port) == nullptr ||
+          (kind == KeyExchMsg::PortKeyUpdate && !keys_.has_key(request.port))) {
         push_alert(out, ctx, AlertMsg::DigestMismatch, request.port.value, msg.header.seq_num, 0,
                    /*detail=*/4);
-        out.dropped = true;
         break;
       }
-      auto [it, inserted] =
-          pending_port_exchange_.insert_or_assign(request.port, AdhkdInitiator(config_.schedule));
-      (void)inserted;
-      const AdhkdPayload leg = it->second.start(ctx.rng());
-      Message exchange;
-      exchange.header.hdr_type = HdrType::KeyExchange;
-      exchange.header.msg_type = static_cast<std::uint8_t>(KeyExchMsg::UpdKeyExch);
-      exchange.header.seq_num = port_tx_[request.port].next();
-      exchange.header.flags = kFlagPortScope;
-      exchange.header.key_version = keys_.current_version(request.port);
-      exchange.header.src = config_.self;
-      exchange.header.dst = request.peer;
-      exchange.payload = leg;
-      out.emits.push_back(
-          dataplane::Emit{request.port, seal(exchange, *port_key, std::move(frame), ctx)});
+      if (kind == KeyExchMsg::PortKeyInit) {
+        // Begin ADHKD toward the peer, redirected via the controller.
+        set_neighbor(request.port, request.peer);
+        out.to_cpu.push_back(start_port_exchange(KeyExchMsg::InitKeyExch, request.port,
+                                                 request.peer, std::move(frame), ctx));
+      } else {
+        // Begin ADHKD directly over the link, authenticated by the current
+        // port key (§VI-C: "directly managed by the data planes").
+        out.emits.push_back(dataplane::Emit{
+            request.port, start_port_exchange(KeyExchMsg::UpdKeyExch, request.port,
+                                              request.peer, std::move(frame), ctx)});
+      }
       break;
     }
   }
@@ -633,27 +622,11 @@ dataplane::PipelineOutput P4AuthAgent::handle_dp_data(const Header& header,
   const auto key = keys_.get(port, header.key_version);
   // Verified over the wire bytes' digest cover, the span the burst
   // pre-pass hashed; both paths bill its size.
-  const std::span<const std::uint8_t> frame(packet.payload);
-  const bool verified =
-      key.has_value() && planned != nullptr && planned->key == *key
-          ? digest_.verify_planned(planned->digest, digest_cover(frame).size(), header.digest,
-                                   ctx.costs())
-          : verify(key, frame, ctx);
-  ctx.note_verify("dp_verify", verified);
-  note_verify(ctx, verified, port, header.seq_num, HdrType::DpData);
-  if (!verified) {
-    ++stats_.digest_failures;
-    ++stats_.feedback_rejected;
-    out = dataplane::PipelineOutput::drop();
-    push_alert(out, ctx, AlertMsg::DigestMismatch, port.value, header.seq_num, 0);
-    return out;
-  }
-  if (!port_rx_[port].accept(header.seq_num)) {
-    ++stats_.replay_rejections;
-    note_replay(ctx, port, header.seq_num, port_rx_[port].last());
-    out = dataplane::PipelineOutput::drop();
-    push_alert(out, ctx, AlertMsg::ReplayDetected, port.value, header.seq_num,
-               port_rx_[port].last());
+  if (const Admission verdict = admit("dp_verify", packet.payload, header, key, port,
+                                      /*replay_check=*/true, ctx, planned);
+      verdict != Admission::Admitted) {
+    if (verdict == Admission::Forged) ++stats_.feedback_rejected;
+    reject(out, ctx, verdict, port.value, header, port);
     return out;
   }
   ++stats_.feedback_verified;
@@ -685,45 +658,19 @@ dataplane::PipelineOutput P4AuthAgent::handle_key_exchange_port(const Message& m
   }
 
   const auto key = keys_.get(ingress, msg.header.key_version);
-  const bool verified = verify(key, frame, ctx);
-  ctx.note_verify("kmp_port_verify", verified);
-  note_verify(ctx, verified, ingress, msg.header.seq_num, HdrType::KeyExchange);
-  if (!verified) {
-    ++stats_.digest_failures;
-    out.dropped = true;
-    push_alert(out, ctx, AlertMsg::DigestMismatch, ingress.value, msg.header.seq_num, 0);
+  if (const Admission verdict = admit("kmp_port_verify", frame, msg.header, key, ingress,
+                                      /*replay_check=*/!msg.header.is_response(), ctx);
+      verdict != Admission::Admitted) {
+    reject(out, ctx, verdict, ingress.value, msg.header, ingress);
     return out;
   }
 
-  const auto& payload = std::get<AdhkdPayload>(msg.payload);
   if (!msg.header.is_response()) {
-    if (!port_rx_[ingress].accept(msg.header.seq_num)) {
-      ++stats_.replay_rejections;
-      note_replay(ctx, ingress, msg.header.seq_num, port_rx_[ingress].last());
-      out.dropped = true;
-      push_alert(out, ctx, AlertMsg::ReplayDetected, ingress.value, msg.header.seq_num,
-                 port_rx_[ingress].last());
-      return out;
-    }
-    const AdhkdResponse adhkd = adhkd_respond(config_.schedule, payload, ctx.rng());
-    ctx.costs().add_hash(17);
-    Message response =
-        make_response_header(msg, HdrType::KeyExchange,
-                             static_cast<std::uint8_t>(KeyExchMsg::UpdKeyExch), adhkd.reply);
-    response.header.key_version = msg.header.key_version;
-    Bytes sealed = seal(response, *key, std::move(frame), ctx);
-    install_key(ingress, adhkd.master, ctx);
-    out.emits.push_back(dataplane::Emit{ingress, std::move(sealed)});
-  } else {
-    const auto pending = pending_port_exchange_.find(ingress);
-    if (pending == pending_port_exchange_.end()) {
-      out.dropped = true;
-      return out;
-    }
-    const Key64 master = pending->second.finish(payload);
-    ctx.costs().add_hash(17);
-    pending_port_exchange_.erase(pending);
-    install_key(ingress, master, ctx);
+    // Answered under the key that verified the request, not the new one.
+    const Message response = answer_adhkd(msg, ingress, ctx);
+    out.emits.push_back(dataplane::Emit{ingress, seal(response, *key, std::move(frame), ctx)});
+  } else if (!finish_port_exchange(ingress, std::get<AdhkdPayload>(msg.payload), ctx)) {
+    out.dropped = true;
   }
   return out;
 }
@@ -736,30 +683,25 @@ dataplane::PipelineOutput P4AuthAgent::run_inner(dataplane::Packet& packet,
 
   for (auto& emit : out.emits) {
     if (!is_protected_magic(emit.payload)) continue;
+    const PortSlot* egress = data_slot(emit.port);
     const auto key = keys_.current(emit.port);
-    if (!key.has_value()) continue;  // no port key yet: leaves untagged
+    if (egress == nullptr || !key.has_value()) continue;  // no port key yet: leaves untagged
 
-    Message frame;
-    frame.header.hdr_type = HdrType::DpData;
-    frame.header.msg_type = 1;
-    frame.header.seq_num = port_tx_[emit.port].next();
-    frame.header.key_version = keys_.current_version(emit.port);
-    frame.header.src = config_.self;
-    const auto neighbor = neighbor_of_port_.find(emit.port);
-    frame.header.dst = neighbor != neighbor_of_port_.end() ? neighbor->second : NodeId{};
+    Message frame = originate(emit.port, HdrType::DpData, 1, egress->neighbor.value_or(NodeId{}),
+                              config_.encrypt_feedback ? kFlagEncrypted : 0,
+                              DpDataPayload{std::move(emit.payload)});
+    Bytes& inner = std::get<DpDataPayload>(frame.payload).inner;
     if (config_.encrypt_feedback) {
       // Encrypt-then-MAC: the digest below covers the ciphertext.
-      frame.header.flags |= kFlagEncrypted;
       const Key64 enc_key =
           config_.schedule.kdf.derive_labeled(*key, 0, crypto::kEncryptionLabel);
-      crypto::xor_keystream(enc_key, feedback_nonce(frame.header), emit.payload);
-      ctx.costs().add_hash(emit.payload.size());  // keystream generation
+      crypto::xor_keystream(enc_key, feedback_nonce(frame.header), inner);
+      ctx.costs().add_hash(inner.size());  // keystream generation
     }
-    frame.payload = DpDataPayload{std::move(emit.payload)};
     // Pool-backed wrap: the sealed frame reuses a recycled buffer and the
     // consumed inner buffer goes back to the pool for the next emit.
     emit.payload = seal(frame, *key, ctx.acquire_buffer(encoded_size(frame.payload)), ctx);
-    ctx.release_buffer(std::move(std::get<DpDataPayload>(frame.payload).inner));
+    ctx.release_buffer(std::move(inner));
     ++stats_.feedback_tagged;
   }
   return out;
@@ -895,8 +837,10 @@ dataplane::PipelineModel P4AuthAgent::pipeline_model() const {
   const auto [upd_in, upd_out] = add_install();
   m.branch(upd_kdf, upd_in);
   m.branch(upd_out, ack_key);
+  m.branch(kmp_fresh, alert_rd, "port_key_init_bad_port",
+           {{"kmp.kind_port_init", true}, {"kmp.port_valid", false}});
   const auto pki = m.then(kmp_fresh, M::reg_write(pending), "port_key_init",
-                          {{"kmp.kind_port_init", true}});
+                          {{"kmp.kind_port_init", true}, {"kmp.port_valid", true}});
   m.branch(pki, ack_key);
   m.branch(kmp_fresh, alert_rd, "port_key_upd_no_key",
            {{"kmp.kind_port_upd", true}, {"kmp.port_key_known", false}});

@@ -23,7 +23,10 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -72,7 +75,8 @@ class P4AuthAgent : public dataplane::DataPlaneProgram {
   // --- topology / exposure configuration (done by the operator pipeline
   //     at deploy time, like p4Info + LLDP would) -------------------------
 
-  /// Declares that `port` faces neighbour switch `peer`.
+  /// Declares that `port` faces neighbour switch `peer`. Ignored for a
+  /// port outside 1..num_ports.
   void set_neighbor(PortId port, NodeId peer);
 
   /// Makes a register addressable by C-DP requests: installs the two
@@ -126,14 +130,12 @@ class P4AuthAgent : public dataplane::DataPlaneProgram {
   const Config& config() const noexcept { return config_; }
 
  private:
-  // C-DP dispatch (CPU-port arrivals). `msg` is `frame` decoded; the
+  // C-DP handlers (CPU-port arrivals). `msg` is `frame` decoded; the
   // digest is verified over `frame`, the bytes as received. A reply that
   // answers the request (register ack/nAck, KMP response, the port-key
   // leg a portKeyInit/Update starts) is sealed into `frame` itself, only
   // after verify and the replay check: the request's buffer carries its
   // answer back, so the round trip draws nothing from the network pool.
-  dataplane::PipelineOutput handle_control(const Message& msg, Bytes& frame,
-                                           dataplane::PipelineContext& ctx);
   dataplane::PipelineOutput handle_register_op(const Message& msg, Bytes& frame,
                                                dataplane::PipelineContext& ctx);
   dataplane::PipelineOutput handle_key_exchange_cpu(const Message& msg, Bytes& frame,
@@ -155,15 +157,60 @@ class P4AuthAgent : public dataplane::DataPlaneProgram {
   bool is_protected_magic(const Bytes& payload) const noexcept;
   std::optional<PortId> port_of_neighbor(NodeId peer) const;
 
-  /// Builds, seals (seal_local) and rate-limits an alert.
+  /// Per-port protocol state, like the paper's port-indexed registers
+  /// (§VII): slot 0 is the C-DP channel, slot p the link on data port p.
+  struct PortSlot {
+    SeqTracker rx;                          ///< replay window of inbound frames
+    SeqCounter tx;                          ///< seq of frames this agent originates
+    std::optional<NodeId> neighbor;         ///< data ports: the switch across the link
+    std::optional<AdhkdInitiator> pending;  ///< data ports: port-key exchange in flight
+  };
+  /// The only place a port number becomes a slot index: null outside
+  /// 0..num_ports; data_slot() also refuses slot 0.
+  PortSlot* slot(PortId port) noexcept;
+  PortSlot* data_slot(PortId port) noexcept;
+
+  /// The admission step of every authenticated ingress: verifies `frame`
+  /// under `key` (through the burst-planned tag when one matches), then
+  /// checks `port`'s replay window unless `replay_check` is off (KMP
+  /// responses). Owns the verify and replay counters and records; the
+  /// caller answers a rejection with its own nAck or alert.
+  enum class Admission : std::uint8_t { Admitted, Forged, Replayed };
+  Admission admit(std::string_view site, std::span<const std::uint8_t> frame,
+                  const Header& header, const std::optional<Key64>& key, PortId port,
+                  bool replay_check, dataplane::PipelineContext& ctx,
+                  const dataplane::PlannedDigest* planned = nullptr);
+  /// The alert for a rejected frame: DigestMismatch (expected seq 0) or
+  /// ReplayDetected (expected = `port`'s window top).
+  void reject(dataplane::PipelineOutput& out, dataplane::PipelineContext& ctx,
+              Admission verdict, std::uint32_t context, const Header& header, PortId port);
+
+  /// Drops the frame and raises an alert: built, sealed (seal_local)
+  /// and rate-limited.
   void push_alert(dataplane::PipelineOutput& out, dataplane::PipelineContext& ctx, AlertMsg code,
                   std::uint32_t context, std::uint16_t observed, std::uint16_t expected,
                   std::uint32_t detail = 0);
 
   void install_key(PortId slot, Key64 key, dataplane::PipelineContext& ctx);
 
-  Message make_response_header(const Message& request, HdrType type, std::uint8_t msg_type,
-                               Payload payload) const;
+  /// A frame this agent originates on `channel` (a slot's port): src =
+  /// self, the slot's next seq and the channel's current key version.
+  Message originate(PortId channel, HdrType type, std::uint8_t msg_type, NodeId dst,
+                    std::uint8_t flags, Payload payload);
+  /// The answer to `request`: its type, seq, key version and port scope.
+  Message make_response(const Message& request, std::uint8_t msg_type, Payload payload) const;
+
+  /// ADHKD responder: installs the master in `slot` and returns the
+  /// unsealed answer leg, which the caller seals under a key it holds.
+  Message answer_adhkd(const Message& request, PortId slot, dataplane::PipelineContext& ctx);
+  /// ADHKD initiator for `port`'s key: parks it in the port's slot and
+  /// seals its first leg into `frame`, an InitKeyExch on the C-DP channel
+  /// under the local key or an UpdKeyExch on the link under the port key.
+  Bytes start_port_exchange(KeyExchMsg kind, PortId port, NodeId peer, Bytes frame,
+                            dataplane::PipelineContext& ctx);
+  /// Installs the key of `port`'s pending exchange; false if none.
+  bool finish_port_exchange(PortId port, const AdhkdPayload& answer,
+                            dataplane::PipelineContext& ctx);
 
   // The digest extern over core::digest_cover, billed to the packet.
   /// Encodes `msg` into `out` and seals the frame under `key`.
@@ -172,9 +219,6 @@ class P4AuthAgent : public dataplane::DataPlaneProgram {
   /// (K_seed, version 0, before local-key init); a plain encode with
   /// authentication off.
   Bytes seal_local(Message& msg, Bytes out, dataplane::PipelineContext& ctx) const;
-  /// False without a key; else whether the frame's digest verifies.
-  bool verify(const std::optional<Key64>& key, std::span<const std::uint8_t> frame,
-              dataplane::PipelineContext& ctx) const;
 
   // --- telemetry hooks ----------------------------------------------------
   // Per-switch counter series cached on first use (registry references
@@ -194,10 +238,6 @@ class P4AuthAgent : public dataplane::DataPlaneProgram {
   };
   /// Binds (or rebinds) the cache to the context's bundle; null when off.
   TeleSeries* tele(dataplane::PipelineContext& ctx);
-  void note_verify(dataplane::PipelineContext& ctx, bool ok, PortId port, std::uint16_t seq,
-                   HdrType hdr);
-  void note_replay(dataplane::PipelineContext& ctx, PortId port, std::uint16_t seq,
-                   std::uint16_t last);
   void note_table_lookup(dataplane::PipelineContext& ctx, bool hit, RegisterId reg);
   void note_unauth_drop(dataplane::PipelineContext& ctx, PortId port);
   void note_alert(dataplane::PipelineContext& ctx, bool suppressed, AlertMsg code);
@@ -212,16 +252,11 @@ class P4AuthAgent : public dataplane::DataPlaneProgram {
   std::vector<std::string> exposed_names_;
   std::unordered_map<RegisterId, std::string> exposed_by_id_;
 
-  std::unordered_map<PortId, NodeId> neighbor_of_port_;
+  std::vector<PortSlot> slots_;  // [0, num_ports]
   std::unordered_map<NodeId, PortId> port_of_peer_;
   std::vector<std::uint8_t> protected_magics_;
 
   std::optional<Key64> k_auth_;
-  SeqTracker cdp_rx_;
-  SeqCounter cdp_tx_;
-  std::unordered_map<PortId, SeqTracker> port_rx_;
-  std::unordered_map<PortId, SeqCounter> port_tx_;
-  std::unordered_map<PortId, AdhkdInitiator> pending_port_exchange_;
 
   RateLimiter alert_limiter_;
   dataplane::DigestPlan burst_plan_;

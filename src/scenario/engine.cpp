@@ -318,8 +318,8 @@ ScenarioEvidence run_scenario(const ScenarioSpec& spec) {
         const bool raw_blink = frame[0] == bk::kPacketMagic;
         bool dp_data = false;
         if (!raw_blink) {
-          const auto decoded = core::decode(frame);
-          dp_data = decoded.ok() && decoded.value().header.hdr_type == core::HdrType::DpData;
+          const auto header = core::decode_header(frame);
+          dp_data = header.ok() && header.value().hdr_type == core::HdrType::DpData;
         }
         if (raw_blink || dp_data) {
           --*remaining;

@@ -1,12 +1,14 @@
 #include <gtest/gtest.h>
 
 #include "core/auth.hpp"
+#include "core/lldp.hpp"
 #include "stack_helpers.hpp"
 
 namespace p4auth::controller {
 namespace {
 
 using testing::kProbeMagic;
+using testing::kUserReg;
 using testing::Stack;
 using testing::StackSwitch;
 
@@ -43,6 +45,43 @@ TEST_F(TwoSwitchFixture, PortKeyInitEstablishesSharedKey) {
   ASSERT_TRUE(a->agent->keys().has_key(kPortA));
   ASSERT_TRUE(b->agent->keys().has_key(kPortB));
   EXPECT_EQ(a->agent->keys().current(kPortA), b->agent->keys().current(kPortB));
+}
+
+TEST_F(TwoSwitchFixture, PortKeyOpsNamingAPortOutsideTheSwitchFailBeforeSending) {
+  const auto local_a = a->agent->keys().current(kCpuPort);
+  const auto sent = stack.controller.stats().kmp_messages_sent;
+  const auto run = [&](auto start) {
+    std::optional<Status> result;
+    start([&](Status s) { result = std::move(s); });
+    stack.sim.run();
+    return result.has_value() ? std::move(*result) : Status(make_error("no callback"));
+  };
+  // Port 0 names the local key's slot; the stack's switches have 8 ports.
+  ASSERT_FALSE(run([&](auto done) {
+                 stack.controller.init_port_key(kA, PortId{0}, kB, kPortB, done);
+               }).ok());
+  ASSERT_FALSE(run([&](auto done) {
+                 stack.controller.init_port_key(kA, PortId{40}, kB, kPortB, done);
+               }).ok());
+  EXPECT_FALSE(run([&](auto done) {
+                 stack.controller.init_port_key(kA, kPortA, kB, PortId{9}, done);
+               }).ok());
+  EXPECT_FALSE(run([&](auto done) {
+                 stack.controller.update_port_key(kA, PortId{0}, kB, done);
+               }).ok());
+  EXPECT_FALSE(run([&](auto done) {
+                 stack.controller.update_port_key(kA, PortId{40}, kB, done);
+               }).ok());
+  EXPECT_EQ(stack.controller.stats().kmp_messages_sent, sent);
+  EXPECT_EQ(a->agent->keys().current(kCpuPort), local_a);
+  EXPECT_EQ(a->agent->stats().key_installs, 1u);
+
+  std::optional<Result<std::uint64_t>> read;
+  stack.controller.read_register(kA, kUserReg, 0,
+                                 [&](Result<std::uint64_t> r) { read = std::move(r); });
+  stack.sim.run();
+  ASSERT_TRUE(read.has_value());
+  EXPECT_TRUE(read->ok());
 }
 
 TEST_F(TwoSwitchFixture, PortKeyInitUsesFiveKmpMessages) {
@@ -159,6 +198,32 @@ TEST_F(TwoSwitchFixture, ProbesKeepVerifyingAcrossKeyRollover) {
   stack.sim.run();
   EXPECT_EQ(a->agent->stats().feedback_verified, 2u);
   EXPECT_EQ(a->agent->stats().feedback_rejected, 0u);
+}
+
+TEST(LldpAutoPortKeys, ForgedAnnouncementNamingPortZeroIsDropped) {
+  Controller::Config config;
+  config.auto_port_keys = true;
+  Stack stack(config);
+  StackSwitch& a = stack.add_switch(kA);
+  StackSwitch& b = stack.add_switch(kB);
+  stack.connect(a, kPortA, b, kPortB);
+  ASSERT_TRUE(stack.init_local_key_sync(kA).ok());
+  ASSERT_TRUE(stack.init_local_key_sync(kB).ok());
+  const auto local_a = a.agent->keys().current(kCpuPort);
+
+  // One forged announcement heard on b's port: "I am a, this is my port 0".
+  stack.net.inject(kB, kPortB, core::encode_lldp(core::LldpAnnouncement{kA, PortId{0}}));
+  stack.sim.run();
+
+  EXPECT_TRUE(stack.controller.adjacencies().empty());
+  EXPECT_EQ(stack.controller.stats().auto_port_inits, 0u);
+  EXPECT_EQ(a.agent->keys().current(kCpuPort), local_a);
+  std::optional<Result<std::uint64_t>> read;
+  stack.controller.read_register(kA, kUserReg, 0,
+                                 [&](Result<std::uint64_t> r) { read = std::move(r); });
+  stack.sim.run();
+  ASSERT_TRUE(read.has_value());
+  EXPECT_TRUE(read->ok());
 }
 
 }  // namespace

@@ -332,6 +332,40 @@ TEST_F(AgentTest, PortKeyInitViaControllerRedirect) {
   EXPECT_EQ(agent_->stats().key_installs, 2u);
 }
 
+TEST_F(AgentTest, PortKeyInitNamingAPortOutsideTheSwitchIsRejected) {
+  establish_local_key();
+  // Port 0 is the local key's slot and port 9 is past this 8-port switch:
+  // neither may start an exchange, bind a neighbour or reach a key slot.
+  for (const PortId bad : {PortId{0}, PortId{9}}) {
+    Message init;
+    init.header.hdr_type = HdrType::KeyExchange;
+    init.header.msg_type = static_cast<std::uint8_t>(KeyExchMsg::PortKeyInit);
+    init.header.seq_num = ctl_seq_.next();
+    init.header.key_version = local_version_;
+    init.header.src = kControllerId;
+    init.header.dst = kSelf;
+    init.payload = PortKeyPayload{bad, kPeer};
+    seal(init, local_key_);
+    auto out = deliver(encode(init), kCpuPort);
+    EXPECT_TRUE(out.dropped);
+    ASSERT_EQ(out.to_cpu.size(), 1u);  // the alert, no ADHKD leg
+    const Message alert = decode(out.to_cpu[0]).value();
+    ASSERT_EQ(alert.header.hdr_type, HdrType::Alert);
+    EXPECT_EQ(static_cast<AlertMsg>(alert.header.msg_type), AlertMsg::DigestMismatch);
+    const auto& payload = std::get<AlertPayload>(alert.payload);
+    EXPECT_EQ(payload.context, bad.value);
+    EXPECT_EQ(payload.observed_seq, init.header.seq_num);
+    EXPECT_EQ(payload.detail, 4u);
+  }
+  EXPECT_EQ(agent_->stats().key_installs, 1u);
+  EXPECT_EQ(agent_->keys().current(kCpuPort), local_key_);
+  const Message req =
+      make_register_request(RegisterMsg::WriteReq, 1, 42, local_key_, local_version_);
+  EXPECT_EQ(static_cast<RegisterMsg>(
+                decode(deliver(encode(req), kCpuPort).to_cpu.at(0)).value().header.msg_type),
+            RegisterMsg::Ack);
+}
+
 TEST_F(AgentTest, VerifiedDpDataReachesInnerProgram) {
   establish_local_key();
   establish_port_key(PortId{1});

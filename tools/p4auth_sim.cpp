@@ -207,7 +207,7 @@ Result<CampaignArgs> parse_campaign_args(int argc, char** argv) {
   }
   if (trace_dir != nullptr) campaign.trace_dir = trace_dir;
   const auto range = runner::parse_seed_range(seeds);
-  if (!range.ok()) return make_error(range.error().message);
+  if (!range.ok()) return range.error();
   campaign.active = true;
   campaign.seeds = range.value();
   campaign.jobs = jobs != nullptr ? static_cast<int>(std::strtoull(jobs, nullptr, 10)) : 1;

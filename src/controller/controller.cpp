@@ -36,24 +36,21 @@ void Controller::attach_switch(NodeId id, netsim::ControlChannel& channel, Key64
                                              config_.max_outstanding);
   channel.set_controller_sink(
       [this](NodeId sw, Bytes frame) { on_packet_in(sw, std::move(frame)); });
-  switches_.emplace(id, std::move(state));
-}
-
-Controller::SwitchState* Controller::state_of(NodeId sw) {
-  const auto it = switches_.find(sw);
-  return it == switches_.end() ? nullptr : it->second.get();
+  if (id.value >= switches_.size()) switches_.resize(id.value + 1u);
+  // The first attach of an id wins, as a map emplace would.
+  if (switches_[id.value] == nullptr) switches_[id.value] = std::move(state);
 }
 
 std::optional<Key64> Controller::local_key(NodeId sw) const {
-  const auto it = switches_.find(sw);
-  if (it == switches_.end()) return std::nullopt;
-  return it->second->keys.local().current();
+  const SwitchState* st = state_of(sw);
+  if (st == nullptr) return std::nullopt;
+  return st->keys.local().current();
 }
 
 std::vector<std::uint16_t> Controller::stale_requests(NodeId sw, SimTime age) const {
-  const auto it = switches_.find(sw);
-  if (it == switches_.end()) return {};
-  return it->second->ledger.unacked_older_than(sim_.now(), age);
+  const SwitchState* st = state_of(sw);
+  if (st == nullptr) return {};
+  return st->ledger.unacked_older_than(sim_.now(), age);
 }
 
 Bytes Controller::seal_request(const Message& msg, Key64 key) {
@@ -95,21 +92,32 @@ std::function<void(V)> Controller::track_kmp(NodeId sw, const char* op,
                                              std::function<void(V)> done) {
   if (telemetry_ == nullptr) return done;
   return [this, sw, op, start = sim_.now(), done = std::move(done)](V result) {
-    const bool ok = result.ok();
-    const SimTime rtt = sim_.now() - start;
-    telemetry_->metrics
-        .histogram("kmp.rtt_ns", telemetry::Labels{{"op", op}})
-        .observe(static_cast<double>(rtt.ns()));
-    telemetry_->metrics
-        .counter("kmp.completed",
-                 telemetry::Labels{{"op", op}, {"ok", ok ? "true" : "false"}})
-        .inc();
-    // Fires inside the final message's delivery span, so the completion
-    // record shares the operation's trace id.
-    telemetry_->record(sim_.now(), sw, kCpuPort, telemetry::TraceEventKind::KmpComplete,
-                       static_cast<std::uint64_t>(rtt.ns()), ok ? 1 : 0);
+    record_kmp(sw, op, start, result.ok());
     if (done) done(std::move(result));
   };
+}
+
+std::function<void()> Controller::port_key_delivered(NodeId sw, const char* op, SimTime start,
+                                                     std::function<void(Status)> done) {
+  return [this, sw, op, start, done = std::move(done)]() {
+    record_kmp(sw, op, start, /*ok=*/true);
+    if (done) done(Status{});
+  };
+}
+
+void Controller::record_kmp(NodeId sw, const char* op, SimTime start, bool ok) {
+  if (telemetry_ == nullptr) return;
+  const SimTime rtt = sim_.now() - start;
+  telemetry_->metrics
+      .histogram("kmp.rtt_ns", telemetry::Labels{{"op", op}})
+      .observe(static_cast<double>(rtt.ns()));
+  telemetry_->metrics
+      .counter("kmp.completed", telemetry::Labels{{"op", op}, {"ok", ok ? "true" : "false"}})
+      .inc();
+  // Fires inside the final message's delivery span, so the completion
+  // record shares the operation's trace id.
+  telemetry_->record(sim_.now(), sw, kCpuPort, telemetry::TraceEventKind::KmpComplete,
+                     static_cast<std::uint64_t>(rtt.ns()), ok ? 1 : 0);
 }
 
 telemetry::SpanTracker::Scope Controller::span_operation(std::uint64_t domain,
@@ -327,8 +335,7 @@ void Controller::init_port_key(NodeId a, PortId port_a, NodeId b, PortId port_b,
   }
   const auto span = span_operation(telemetry::kTraceDomainKmp,
                                    (static_cast<std::uint64_t>(a.value) << 16) | b.value);
-  pending_port_inits_.push_back(
-      PendingPortInit{a, port_a, b, port_b, track_kmp(a, "port_init", std::move(done))});
+  pending_port_inits_.push_back(PendingPortInit{a, port_a, b, port_b, sim_.now(), std::move(done)});
 
   send(*st_a,
        request(*st_a, HdrType::KeyExchange, static_cast<std::uint8_t>(KeyExchMsg::PortKeyInit),
@@ -352,8 +359,7 @@ void Controller::update_port_key(NodeId a, PortId port_a, NodeId b,
   send(*st_a,
        request(*st_a, HdrType::KeyExchange, static_cast<std::uint8_t>(KeyExchMsg::PortKeyUpdate),
                st_a->tx_seq.next(), PortKeyPayload{port_a, b}, st_a->local_key()),
-       /*is_kmp=*/true,
-       [done = track_kmp(a, "port_update", std::move(done))]() { done(Status{}); });
+       /*is_kmp=*/true, port_key_delivered(a, "port_update", sim_.now(), std::move(done)));
 }
 
 void Controller::on_key_exchange(SwitchState& st, const Message& msg, bool digest_ok) {
@@ -416,7 +422,7 @@ void Controller::on_key_exchange(SwitchState& st, const Message& msg, bool diges
         // Response leg heading back to the initiator completes the init.
         for (auto it = pending_port_inits_.begin(); it != pending_port_inits_.end(); ++it) {
           if (it->a == msg.header.dst && it->b == msg.header.src) {
-            delivered = [done = std::move(it->done)]() { done(Status{}); };
+            delivered = port_key_delivered(it->a, "port_init", it->start, std::move(it->done));
             pending_port_inits_.erase(it);
             break;
           }

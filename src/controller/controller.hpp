@@ -21,7 +21,6 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "common/buffer_pool.hpp"
@@ -139,7 +138,7 @@ class Controller {
 
   /// Current mirrored local key for a switch (tests/benches).
   std::optional<Key64> local_key(NodeId sw) const;
-  bool has_switch(NodeId sw) const { return switches_.contains(sw); }
+  bool has_switch(NodeId sw) const { return state_of(sw) != nullptr; }
 
   /// §VIII: requests to `sw` issued more than `age` ago and never
   /// answered — the request/response-imbalance DoS signal an operator
@@ -179,6 +178,7 @@ class Controller {
     PortId port_a{};
     NodeId b{};
     PortId port_b{};
+    SimTime start{};  ///< when the init was issued (kmp.rtt_ns)
     std::function<void(Status)> done;
   };
 
@@ -227,7 +227,10 @@ class Controller {
     bool digest_ok = true;
   };
 
-  SwitchState* state_of(NodeId sw);
+  /// The attached switch `sw`, or null: one index into switches_.
+  SwitchState* state_of(NodeId sw) const noexcept {
+    return sw.value < switches_.size() ? switches_[sw.value].get() : nullptr;
+  }
   void on_packet_in(NodeId sw, Bytes frame);
   /// Verifies every staged PacketIn in one multi-lane digest call and
   /// dispatches them in arrival order.
@@ -256,10 +259,18 @@ class Controller {
   /// Key to verify an inbound message from `st`, given its header.
   std::optional<Key64> verify_key_for(SwitchState& st, const core::Message& msg) const;
 
-  /// Wraps a KMP completion callback so it records kmp.rtt_ns{op},
-  /// kmp.completed{op,ok} and a kmp_complete trace event when it fires.
+  /// Wraps a KMP completion callback so it records the operation
+  /// (record_kmp) when it fires.
   template <typename V>
   std::function<void(V)> track_kmp(NodeId sw, const char* op, std::function<void(V)> done);
+  /// The `delivered` callback that completes a port-key operation issued
+  /// at `start`: records it and reports success to `done`. One closure
+  /// holds `done` itself, not a track_kmp wrapper of it.
+  std::function<void()> port_key_delivered(NodeId sw, const char* op, SimTime start,
+                                           std::function<void(Status)> done);
+  /// Records a finished KMP operation when telemetry is on:
+  /// kmp.rtt_ns{op}, kmp.completed{op,ok} and a kmp_complete trace event.
+  void record_kmp(NodeId sw, const char* op, SimTime start, bool ok);
 
   // Span plumbing (no-ops when telemetry is off). An operation entry
   // point roots a new trace — unless one is already active, in which
@@ -282,7 +293,7 @@ class Controller {
   std::vector<crypto::DigestJob> digest_jobs_;
   std::vector<Digest32> digest_tags_;
   std::vector<StagedPacketIn*> digest_staged_;
-  std::unordered_map<NodeId, std::unique_ptr<SwitchState>> switches_;
+  std::vector<std::unique_ptr<SwitchState>> switches_;  ///< by NodeId value; null = not attached
   std::vector<PendingPortInit> pending_port_inits_;
   std::vector<Adjacency> adjacencies_;
   std::vector<AlertRecord> alerts_;

@@ -130,7 +130,8 @@ void Fabric::finalize_shards() {
     for (int k = 0; k < count; ++k) {
       const int size = base + (k < rem ? 1 : 0);
       for (int i = 0; i < size; ++i) {
-        assignment.emplace_back(NodeId{order[cursor++]}, k);
+        // `order` holds NodeId values, so the cast loses nothing.
+        assignment.emplace_back(NodeId{static_cast<std::uint16_t>(order[cursor++])}, k);
       }
     }
   }

@@ -11,14 +11,12 @@ Link* Network::connect(NodeId a, PortId port_a, NodeId b, PortId port_b, LinkCon
   auto link = std::make_unique<Link>(LinkEndpoint{a, port_a}, LinkEndpoint{b, port_b}, config);
   Link* raw = link.get();
   links_.push_back(std::move(link));
-  link_by_port_[PortKey{a, port_a}] = raw;
-  link_by_port_[PortKey{b, port_b}] = raw;
+  for (const auto& [node, port] : {std::pair{a, port_a}, std::pair{b, port_b}}) {
+    std::vector<Link*>& links = slot_of(node).links;
+    if (port.value >= links.size()) links.resize(port.value + 1u, nullptr);
+    links[port.value] = raw;
+  }
   return raw;
-}
-
-Link* Network::link_at(NodeId node, PortId port) noexcept {
-  const auto it = link_by_port_.find(PortKey{node, port});
-  return it == link_by_port_.end() ? nullptr : it->second;
 }
 
 void Network::bind_tele(ShardState& st) noexcept {

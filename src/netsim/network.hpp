@@ -10,7 +10,6 @@
 
 #include <array>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -39,20 +38,24 @@ class Network {
     T* raw = node.get();
     raw->attach(this);
     raw->set_burst_index(static_cast<std::uint32_t>(nodes_.size()));
-    nodes_by_id_.emplace(raw->id(), raw);
+    NodeSlot& slot = slot_of(raw->id());
+    if (slot.node == nullptr) slot.node = raw;  // the first node with an id keeps it
     nodes_.push_back(std::move(node));
     return raw;
   }
 
   Node* node(NodeId id) noexcept {
-    const auto it = nodes_by_id_.find(id);
-    return it == nodes_by_id_.end() ? nullptr : it->second;
+    return id.value < by_id_.size() ? by_id_[id.value].node : nullptr;
   }
 
   /// Wires (a, port_a) <-> (b, port_b). A port can carry one link.
   Link* connect(NodeId a, PortId port_a, NodeId b, PortId port_b, LinkConfig config = {});
 
-  Link* link_at(NodeId node, PortId port) noexcept;
+  Link* link_at(NodeId node, PortId port) noexcept {
+    if (node.value >= by_id_.size()) return nullptr;
+    const std::vector<Link*>& links = by_id_[node.value].links;
+    return port.value < links.size() ? links[port.value] : nullptr;
+  }
 
   /// Sends `payload` out of (from, port): records utilization, applies the
   /// direction's tamper hook, and delivers to the peer after
@@ -131,16 +134,17 @@ class Network {
   Stats merged_stats() const noexcept;
 
  private:
-  struct PortKey {
-    NodeId node;
-    PortId port;
-    bool operator==(const PortKey&) const = default;
+  /// What the network knows of one node id: the node and, by port, the
+  /// link on each port. Indexed by NodeId value; read-only while running.
+  struct NodeSlot {
+    Node* node = nullptr;
+    std::vector<Link*> links;  ///< by PortId value; null = no link
   };
-  struct PortKeyHash {
-    std::size_t operator()(const PortKey& k) const noexcept {
-      return (static_cast<std::size_t>(k.node.value) << 16) | k.port.value;
-    }
-  };
+
+  NodeSlot& slot_of(NodeId id) {
+    if (id.value >= by_id_.size()) by_id_.resize(id.value + 1u);
+    return by_id_[id.value];
+  }
 
   /// One frame whose delivery event fired but whose processing waits for
   /// the burst to close. The payload buffer is staged by move and later
@@ -217,9 +221,8 @@ class Network {
   }
 
   std::vector<std::unique_ptr<Node>> nodes_;
-  std::unordered_map<NodeId, Node*> nodes_by_id_;
   std::vector<std::unique_ptr<Link>> links_;
-  std::unordered_map<PortKey, Link*, PortKeyHash> link_by_port_;
+  std::vector<NodeSlot> by_id_;  ///< nodes and links by NodeId value
   BufferPool pool_;
 
   std::vector<ShardState> shards_;  ///< one per shard

@@ -35,7 +35,7 @@ void ShardedSimulator::run() {
     // A lone shard has no cross-shard edges, so no window is needed — and
     // none is possible: with no cut links the lookahead is legitimately
     // zero, which would make the strictly-below-horizon window spin.
-    // Draining the heap directly fires the exact same order the windowed
+    // Draining the queue directly fires the exact same order the windowed
     // schedule would.
     set_current_shard(0);
     sims_[0]->run();

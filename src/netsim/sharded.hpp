@@ -1,14 +1,14 @@
 // Conservative parallel discrete-event engine: one topology, many cores.
 //
 // The fabric's node set is partitioned into shards, each driven by its
-// own Simulator (event heap, clock, buffer pool, telemetry bundle). The
+// own Simulator (event queue, clock, buffer pool, telemetry bundle). The
 // engine advances the whole system in lookahead windows:
 //
-//   1. barrier: flush every shard's outbox into the target heaps
+//   1. barrier: flush every shard's outbox into the target queues
 //   2. t_min  = earliest pending event across all shards
 //   3. window = [t_min, t_min + lookahead); every shard runs all its
 //      events strictly below the horizon, in parallel on a WorkerPool
-//   4. repeat until every heap and outbox is empty
+//   4. repeat until every queue and outbox is empty
 //
 // Lookahead is the minimum cross-shard delivery delay (link latency /
 // control-channel base, computed by the Fabric at partition time), so a
@@ -19,13 +19,13 @@
 // Determinism: every event carries a (time, order) pair where order =
 // (rank << 32 | per-rank counter) is allocated by the *sending* rank
 // (see Simulator). Each rank's counter lives on exactly one shard, so
-// the orders — and therefore each heap's fire sequence — are a pure
+// the orders — and therefore each queue's fire sequence — are a pure
 // function of the schedule, not the partition: metrics, traces, audit
 // trails, and bench JSON are byte-identical for any shard count (pinned
 // by tests/integration/shard_equivalence_test).
 //
 // This is the only engine. A one-shard engine — the default — simply
-// drains its lone heap, which is what a standalone Simulator does too.
+// drains its lone queue, which is what a standalone Simulator does too.
 #pragma once
 
 #include <cstdint>
@@ -63,7 +63,7 @@ class ShardedSimulator {
   void set_lookahead(SimTime lookahead) noexcept { lookahead_ = lookahead; }
   SimTime lookahead() const noexcept { return lookahead_; }
 
-  /// Runs windows until every heap and outbox drains, then re-aligns
+  /// Runs windows until every queue and outbox drains, then re-aligns
   /// all shard clocks to the global end time so quiescent harness code
   /// sees one consistent "now" regardless of shard count. Cross-shard
   /// events sent during a window (Simulator::send_after) wait in the

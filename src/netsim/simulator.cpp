@@ -1,5 +1,6 @@
 #include "netsim/simulator.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 #include "telemetry/telemetry.hpp"
@@ -8,10 +9,19 @@ namespace p4auth::netsim {
 
 void Simulator::push_event(SimTime t, std::uint64_t key, std::uint64_t order, Handler&& fn) {
   ++scheduled_;
-  if (key != 0 && t == step_time_ && !step_stale_) step_add(key);
-  heap_.push_back(Entry{t, order, key, park(std::move(fn))});
-  if (heap_.size() > max_queue_depth_) max_queue_depth_ = heap_.size();
-  std::push_heap(heap_.begin(), heap_.end(), Later{});
+  const std::uint32_t slot = park(std::move(fn));
+  entries_[slot] = Entry{t, order, key, kNoSlot};
+  if (t == base_) {
+    // Bucket 0 stays sorted by descending order; a push at now usually
+    // lands near the back, among the events about to fire.
+    const auto pos = std::partition_point(
+        current_.begin(), current_.end(),
+        [&](std::uint32_t s) { return entries_[s].order > order; });
+    current_.insert(pos, slot);
+  } else {
+    link(slot);
+  }
+  if (++size_ > max_queue_depth_) max_queue_depth_ = size_;
 }
 
 std::uint32_t Simulator::park(Handler&& fn) {
@@ -22,6 +32,7 @@ std::uint32_t Simulator::park(Handler&& fn) {
     return slot;
   }
   slab_.push_back(std::move(fn));
+  entries_.emplace_back();
   // Every slot is either pending or free, so the free list never needs
   // more room than the slab has: fire_next() can release without
   // allocating.
@@ -29,42 +40,40 @@ std::uint32_t Simulator::park(Handler&& fn) {
   return static_cast<std::uint32_t>(slab_.size() - 1);
 }
 
-void Simulator::step_add(std::uint64_t key) {
-  for (StepKey& k : step_keys_) {
-    if (k.key == key) {
-      ++k.n;
-      return;
-    }
+void Simulator::link(std::uint32_t slot) noexcept {
+  Entry& e = entries_[slot];
+  const auto b = static_cast<std::size_t>(std::bit_width(e.time.ns() ^ base_.ns()) - 1);
+  const std::uint64_t bit = std::uint64_t{1} << b;
+  if ((mask_ & bit) == 0) {
+    e.next = kNoSlot;
+    bucket_min_[b] = e.time;
+    mask_ |= bit;
+  } else {
+    e.next = bucket_head_[b];
+    if (e.time < bucket_min_[b]) bucket_min_[b] = e.time;
   }
-  step_keys_.push_back(StepKey{key, 1});
+  bucket_head_[b] = slot;
 }
 
-void Simulator::step_remove(std::uint64_t key) noexcept {
-  for (StepKey& k : step_keys_) {
-    if (k.key != key) continue;
-    if (--k.n == 0) {
-      k = step_keys_.back();
-      step_keys_.pop_back();
+void Simulator::refill() {
+  const auto b = static_cast<std::size_t>(std::countr_zero(mask_));
+  mask_ &= mask_ - 1;
+  base_ = bucket_min_[b];
+  // Every event in bucket b agrees with the new base above bit b, so each
+  // one lands in bucket 0 or in a bucket below b: none is revisited here.
+  for (std::uint32_t slot = bucket_head_[b]; slot != kNoSlot;) {
+    const std::uint32_t next = entries_[slot].next;
+    if (entries_[slot].time == base_) {
+      current_.push_back(slot);
+    } else {
+      link(slot);
     }
-    return;
+    slot = next;
   }
-}
-
-void Simulator::count_step() {
-  step_stale_ = false;
-  step_keys_.clear();
-  // Nothing pending fires before the step time and a heap parent never
-  // fires after its children, so every pending event at the step time
-  // has only ancestors at that time: they form a connected subtree at the
-  // root. Descending only into children at the step time visits exactly
-  // those events, and the recursion is no deeper than the heap.
-  if (!heap_.empty() && heap_.front().time == step_time_) count_subtree(0);
-}
-
-void Simulator::count_subtree(std::size_t i) {
-  if (heap_[i].key != 0) step_add(heap_[i].key);
-  for (std::size_t c = 2 * i + 1; c <= 2 * i + 2 && c < heap_.size(); ++c) {
-    if (heap_[c].time == step_time_) count_subtree(c);
+  if (current_.size() > 1) {
+    std::sort(current_.begin(), current_.end(), [this](std::uint32_t a, std::uint32_t c) {
+      return entries_[a].order > entries_[c].order;
+    });
   }
 }
 
@@ -118,27 +127,23 @@ void Simulator::export_stats() {
   auto& m = telemetry_->metrics;
   m.counter("sim.events_scheduled").inc(scheduled_);
   m.counter("sim.events_processed").inc(processed_);
-  m.gauge("sim.queue_depth").set(static_cast<double>(heap_.size()));
+  m.gauge("sim.queue_depth").set(static_cast<double>(size_));
 }
 
 void Simulator::fire_next() {
-  // Move the closure out and free its slot before it runs: it may
-  // schedule new events, which can reuse the slot or grow the slab.
-  std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  const Entry ev = heap_.back();
-  heap_.pop_back();
-  Handler fn = std::move(slab_[ev.slot]);
-  free_slots_.push_back(ev.slot);
-  if (ev.time != step_time_) {
-    step_time_ = ev.time;
-    step_stale_ = true;
-  } else if (ev.key != 0 && !step_stale_) {
-    step_remove(ev.key);
-  }
+  if (current_.empty()) refill();
+  const std::uint32_t slot = current_.back();
+  current_.pop_back();
+  --size_;
+  const Entry& ev = entries_[slot];
   now_ = ev.time;
   firing_key_ = ev.key;
   firing_order_ = ev.order;
   current_rank_ = static_cast<std::uint32_t>(ev.order >> 32);
+  // Move the closure out and free its slot before it runs: it may
+  // schedule new events, which can reuse the slot or grow the slab.
+  Handler fn = std::move(slab_[slot]);
+  free_slots_.push_back(slot);
   ++processed_;
   fn();
   firing_key_ = 0;
@@ -146,12 +151,13 @@ void Simulator::fire_next() {
 }
 
 void Simulator::run(std::size_t max_events) {
-  while (!heap_.empty() && processed_ < max_events) fire_next();
+  while (size_ != 0 && processed_ < max_events) fire_next();
   current_rank_ = kRootRank;
 }
 
 void Simulator::run_until(SimTime t) {
-  while (!heap_.empty() && heap_.front().time <= t) fire_next();
+  SimTime next{};
+  while (peek(next) && next <= t) fire_next();
   current_rank_ = kRootRank;
   // Advance-only: a run_until into the past (t < now()) must not rewind
   // the clock, or subsequent after() calls would schedule "before" events
@@ -162,7 +168,8 @@ void Simulator::run_until(SimTime t) {
 void Simulator::run_window(SimTime horizon) {
   in_window_ = true;
   horizon_ = horizon;
-  while (!heap_.empty() && heap_.front().time < horizon) fire_next();
+  SimTime next{};
+  while (peek(next) && next < horizon) fire_next();
   in_window_ = false;
   current_rank_ = kRootRank;
 }

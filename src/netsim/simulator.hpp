@@ -13,19 +13,35 @@
 // docs/DESIGN.md "Sharded simulation"). A standalone Simulator is simply
 // a one-shard engine: the same ordering, the same coalescing.
 //
-// The binary heap (std::vector + std::push_heap) orders 32-byte,
-// trivially copyable entries {time, order, key, slot}; the closures stay
-// put. Each closure is a move-only InplaceHandler (inline up to 64 bytes)
-// parked in a slab, `slot` names its place there, and freed slots go on a
-// free list for reuse. A closure is moved once into its slot when it is
-// scheduled and once out when it fires, however far it travels through
-// the heap. The free list never holds more indices than the slab has
-// slots, and it is reserved to the slab's capacity whenever the slab
-// grows, so once the slab has reached the run's high-water depth the
+// The queue is a monotone radix bucket queue. Every push has
+// t >= now() >= the last refill time `base_` (schedules clamp to now(),
+// and the clock only moves forward outside a pop), which is the radix
+// heap's precondition. Bucket 0 (`current_`) holds the pending events at
+// base_, sorted so the smallest order fires first; bucket b >= 1 holds
+// the events whose time first differs from base_ at bit b-1 (its highest
+// differing bit), so every event in bucket b fires before any in bucket
+// b+1. A 64-bit mask names the non-empty buckets and each keeps its
+// minimum time: a peek is O(1) and changes nothing. When bucket 0 runs
+// dry, the lowest non-empty bucket's minimum becomes the new base_ and
+// that bucket's events move down, each to a strictly lower bucket, so an
+// event moves at most 64 times (in the benchmark workloads, one to four).
+//
+// Each pending event is one 32-byte Entry {time, order, key, next} in
+// `entries_`, beside its closure in `slab_` at the same slot; buckets
+// 1..64 are singly linked lists through `next`. A closure is a move-only
+// InplaceHandler (inline up to 64 bytes), moved once into its slot when
+// scheduled and once out when it fires. Freed slots go on a free list
+// that is reserved to the slab's capacity whenever the slab grows, and
+// bucket 0 keeps its capacity, so once the slab has reached the run's
+// high-water depth (and bucket 0 its largest same-time group) the
 // schedule/fire cycle performs no heap allocations.
+//
+// coalesce_continues() reads bucket 0 directly: while a handler runs,
+// bucket 0 is exactly the set of other events pending at now().
 #pragma once
 
-#include <algorithm>
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <type_traits>
 #include <vector>
@@ -69,15 +85,16 @@ class Simulator {
 
   /// True iff called from an event handler whose event carries a nonzero
   /// key and another pending event fires at the same time with the same
-  /// key, wherever it sits in the heap. The network uses this to decide
+  /// key, wherever it sits in the queue. The network uses this to decide
   /// whether a staged delivery burst keeps growing or must flush now —
-  /// purely a count; the heap order is untouched, so burst grouping is a
-  /// deterministic function of the schedule.
-  bool coalesce_continues() {
+  /// purely a membership test on the current-time bucket; the queue order
+  /// is untouched, so burst grouping is a deterministic function of the
+  /// schedule.
+  bool coalesce_continues() const noexcept {
     if (firing_key_ == 0) return false;
-    if (step_stale_) count_step();
-    for (const StepKey& k : step_keys_) {
-      if (k.key == firing_key_) return true;
+    // Next to fire sits at the back: a burst's next member is found first.
+    for (auto it = current_.rbegin(); it != current_.rend(); ++it) {
+      if (entries_[*it].key == firing_key_) return true;
     }
     return false;
   }
@@ -90,7 +107,7 @@ class Simulator {
   void run_until(SimTime t);
 
   std::size_t processed() const noexcept { return processed_; }
-  bool empty() const noexcept { return heap_.empty(); }
+  bool empty() const noexcept { return size_ == 0; }
 
   // --- Rank ordering & sharded execution -----------------------------------
 
@@ -132,14 +149,15 @@ class Simulator {
   /// legal because the lookahead puts it at or past the horizon.
   void send_after(Simulator& dst, SimTime delay, std::uint64_t key, Handler&& fn);
 
-  /// Moves every outboxed event onto its destination heap. Called by the
+  /// Moves every outboxed event onto its destination queue. Called by the
   /// engine's coordinator at a barrier, when no window is running.
   void flush_outbox();
 
   /// Fire time of the earliest pending event; `ok` false when empty.
   SimTime next_event_time(bool& ok) const noexcept {
-    ok = !heap_.empty();
-    return ok ? heap_.front().time : SimTime{};
+    SimTime t{};
+    ok = peek(t);
+    return t;
   }
 
   /// Runs every event with time strictly below `horizon` (the conservative
@@ -160,7 +178,7 @@ class Simulator {
   // --- Self-observability --------------------------------------------------
 
   /// Current and high-water event-queue depth (scheduled, not yet fired).
-  std::size_t queue_depth() const noexcept { return heap_.size(); }
+  std::size_t queue_depth() const noexcept { return size_; }
   std::size_t max_queue_depth() const noexcept { return max_queue_depth_; }
   std::uint64_t events_scheduled() const noexcept { return scheduled_; }
 
@@ -174,32 +192,20 @@ class Simulator {
   /// Writes queue/processing totals into the registry (sim.* series).
   /// Call once per run, before the bundle is stamped/serialised. The
   /// high-water depth is left out: it depends on how events split across
-  /// shard heaps, so it would break byte-equivalence across --shards.
+  /// shard queues, so it would break byte-equivalence across --shards.
   void export_stats();
 
  private:
-  /// One pending event as the heap sees it; its closure waits in slab_.
+  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+
+  /// One pending event; its closure waits in slab_ at the same slot.
   struct Entry {
     SimTime time;
     std::uint64_t order;
     std::uint64_t key;   ///< coalescing key (0 = never coalesces)
-    std::uint32_t slot;  ///< index of the closure in slab_
+    std::uint32_t next;  ///< next slot in the same bucket (buckets 1..64)
   };
   static_assert(sizeof(Entry) == 32 && std::is_trivially_copyable_v<Entry>);
-  /// Heap predicate: std::push_heap builds a max-heap, so "later fires
-  /// lower" puts the earliest (time, order) at the front. (time, order)
-  /// pairs are unique, which makes the fire order total and deterministic.
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const noexcept {
-      if (a.time != b.time) return a.time > b.time;
-      return a.order > b.order;
-    }
-  };
-  /// Pending events at the step time that carry `key` (n > 0 always).
-  struct StepKey {
-    std::uint64_t key;
-    std::uint32_t n;
-  };
   /// A cross-shard send held until the barrier, closure beside its entry.
   struct Outgoing {
     Simulator* dst;
@@ -210,16 +216,26 @@ class Simulator {
   };
 
   void push_event(SimTime t, std::uint64_t key, std::uint64_t order, Handler&& fn);
-  /// Parks `fn` in a free slab slot (growing the slab only when none is
-  /// free) and returns the slot.
+  /// Parks `fn` in a free slab slot (growing the slab and entries_ only
+  /// when none is free) and returns the slot.
   std::uint32_t park(Handler&& fn);
   void observe_lag_value(SimTime lag);
-  void step_add(std::uint64_t key);
-  void step_remove(std::uint64_t key) noexcept;
-  /// Counts step_keys_ from the pending events at step_time_.
-  void count_step();
-  /// Adds heap node `i` (at step_time_) and its descendants at step_time_.
-  void count_subtree(std::size_t i);
+  /// Links `slot` (time > base_) into the bucket of its highest bit that
+  /// differs from base_.
+  void link(std::uint32_t slot) noexcept;
+  /// Bucket 0 is empty: makes the lowest non-empty bucket's minimum the
+  /// new base_ and moves that bucket's events down.
+  void refill();
+  /// Time of the earliest pending event; false when none is pending.
+  bool peek(SimTime& t) const noexcept {
+    if (!current_.empty()) {
+      t = base_;
+      return true;
+    }
+    if (mask_ == 0) return false;
+    t = bucket_min_[static_cast<std::size_t>(std::countr_zero(mask_))];
+    return true;
+  }
 
   /// Pops the earliest event, advances the clock and runs the handler.
   void fire_next();
@@ -229,23 +245,24 @@ class Simulator {
   std::uint64_t firing_key_ = 0;  ///< key of the event currently running
   std::uint64_t firing_order_ = 0;
   std::size_t processed_ = 0;
-  std::vector<Entry> heap_;
+  std::vector<Entry> entries_;             ///< pending events, by slot
   std::vector<Handler> slab_;              ///< closures of pending events, by slot
   std::vector<std::uint32_t> free_slots_;  ///< capacity >= slab_.capacity()
+  std::size_t size_ = 0;                   ///< pending events
+  /// Bucket 0: slots pending at base_, by descending order (next at back).
+  std::vector<std::uint32_t> current_;
+  SimTime base_{};  ///< time of the last refill; every pending event is >= it
+  /// Bucket b (1..64) lives at index b-1: list head, minimum time, and
+  /// bit b-1 of mask_ set iff it is non-empty (heads are stale otherwise).
+  std::array<std::uint32_t, 64> bucket_head_{};
+  std::array<SimTime, 64> bucket_min_{};
+  std::uint64_t mask_ = 0;
   std::size_t max_queue_depth_ = 0;
 
   std::uint64_t own_root_counter_ = 0;
   std::uint64_t* root_counter_ = &own_root_counter_;
   std::uint32_t current_rank_ = kRootRank;
   std::vector<std::uint32_t> rank_counters_;
-
-  /// Per-key count of the pending events at step_time_ — the time of the
-  /// last popped event (0 before the first). Stale from the pop that
-  /// reaches a new time until the first coalesce_continues() of that step
-  /// counts it from the heap; kept exact by push (+1) and pop (-1) after.
-  SimTime step_time_{};
-  bool step_stale_ = false;
-  std::vector<StepKey> step_keys_;
 
   std::vector<Outgoing> outbox_;  ///< cross-shard sends of the running window
   bool in_window_ = false;

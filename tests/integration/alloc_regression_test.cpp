@@ -20,13 +20,16 @@
 // closed loop of authenticated reads and writes: the controller draws
 // each request from its own pool and the agent seals the ack into the
 // request's buffer, which comes back to that pool (docs/DESIGN.md,
-// "Control round trip").
+// "Control round trip"). The same pair pins what a port-key update still
+// allocates. The deep-queue case drives a bare simulator thousands of
+// events deep through its bucket refills.
 //
 // This binary compiles src/common/alloc_probe.cpp directly (see that
 // file's header comment): the counting operator new is per-binary and an
 // archive member would not be pulled in.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <type_traits>
 
@@ -257,6 +260,54 @@ TEST(AllocRegression, DrainedQueueRefillsWithoutAllocating) {
                              << AllocProbe::deallocations() << " frees in the same window";
 }
 
+/// Schedules `kDeep` events at pseudo-random times over the next 20 ms;
+/// each fires once and re-arms itself once within the same 20 ms, so the
+/// queue stays thousands deep while it drains (the depth hula_mitm keeps
+/// pending) and every refill moves events down several buckets.
+void deep_round(netsim::Simulator& sim, std::uint64_t& fired) {
+  constexpr std::uint64_t kDeep = 4096;
+  constexpr std::uint64_t kSpanNs = 20'000'000;
+  const SimTime start = sim.now();
+  std::uint64_t x = 0x9E3779B97F4A7C15u;
+  const auto next_ns = [&x] {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    return x % kSpanNs;
+  };
+  for (std::uint64_t i = 0; i < kDeep; ++i) {
+    const SimTime first = start + SimTime::from_ns(next_ns());
+    const SimTime second = start + SimTime::from_ns(next_ns());
+    sim.at(first, [&sim, &fired, second] {
+      ++fired;
+      // The capture stays inline, so re-arming touches only the queue.
+      sim.at(std::max(second, sim.now()), [&fired] { ++fired; });
+    });
+  }
+  sim.run();
+}
+
+TEST(AllocRegression, DeepQueueSchedulesAndFiresWithoutAllocating) {
+  ASSERT_TRUE(AllocProbe::active());
+  netsim::Simulator sim;
+  std::uint64_t fired = 0;
+  // The first round sizes the slab, the entry table and the current-time
+  // bucket; the second replays the same schedule 20 ms later.
+  deep_round(sim, fired);
+  const std::size_t high_water = sim.max_queue_depth();
+  ASSERT_GE(high_water, 4096u);
+
+  AllocProbe::reset();
+  deep_round(sim, fired);
+  const std::uint64_t allocations = AllocProbe::allocations();
+
+  EXPECT_EQ(fired, 4u * 4096u);
+  EXPECT_TRUE(sim.empty());
+  EXPECT_EQ(sim.max_queue_depth(), high_water);
+  EXPECT_EQ(allocations, 0u) << "a warm deep queue must schedule, refill and fire in place; "
+                             << AllocProbe::deallocations() << " frees in the same window";
+}
+
 /// Two l3fwd switches on the P4Auth control channel, every key installed,
 /// the agents' l3_stats register exposed to the controller.
 void build_l3_pair(experiments::Fabric& fabric) {
@@ -395,6 +446,41 @@ TEST(AllocRegression, RegisterAckRidesInTheRequestBuffer) {
   // The network pool is never asked for a reply buffer: its acquire count,
   // which the seed-7 goldens pin, does not move.
   EXPECT_EQ(fabric.net.pool().stats().acquires, acquires_before);
+}
+
+TEST(AllocRegression, PortKeyUpdateAllocatesItsCompletionAndOnePoolMiss) {
+  ASSERT_TRUE(AllocProbe::active());
+  experiments::Fabric fabric(line_options());
+  build_l3_pair(fabric);
+
+  std::uint64_t completed = 0;
+  std::uint64_t failed = 0;
+  // Captures two pointers: std::function keeps the callback inline.
+  const auto done = [&completed, &failed](Status s) { ++(s.ok() ? completed : failed); };
+  static_assert(sizeof(done) <= 16);
+  const auto update = [&] {
+    fabric.controller.update_port_key(kS1, PortId{1}, kS2, done);
+    fabric.run_all();
+  };
+  for (int i = 0; i < 8; ++i) update();  // warmup: every table, slot and batch is sized
+
+  constexpr std::uint64_t kUpdates = 32;
+  AllocProbe::reset();
+  for (std::uint64_t i = 0; i < kUpdates; ++i) update();
+  const std::uint64_t allocations = AllocProbe::allocations();
+
+  EXPECT_EQ(completed, 8 + kUpdates);
+  EXPECT_EQ(failed, 0u);
+  // Two allocations per update, both known:
+  //  - the `delivered` closure holds `done` (a 32-byte std::function)
+  //    beside the switch, op and start time: past std::function's local
+  //    buffer, so it is boxed once;
+  //  - the controller pool misses once: the portKeyUpdate buffer leaves
+  //    through a data port as the DP-DP leg and dies in the network pool,
+  //    so it never comes back to the controller.
+  // Any new allocation on the update path shows here as a third.
+  EXPECT_EQ(allocations, 2 * kUpdates) << AllocProbe::deallocations()
+                                       << " frees in the same window";
 }
 
 }  // namespace

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <set>
 #include <memory>
 #include <random>
 #include <utility>
@@ -307,6 +309,208 @@ TEST(Simulator, KeysDoNotChangeFireOrder) {
   sim.run();
   // Strictly (time, insertion seq), keys ignored for ordering.
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+}
+
+/// Drives a simulator with a random schedule and checks every pop against
+/// a brute-force reference: a sorted set of the pending (time, order)
+/// pairs. Pushes come from the harness and from inside handlers, under
+/// random ranks, at now() and at delays from 0 ns to ~18 minutes, so
+/// every radix bucket and every refill depth is exercised; the harness
+/// also jumps the clock (run_until past every event, sync_clock) and
+/// stops mid-schedule (bounded run), then schedules between now() and
+/// the earliest pending event.
+class PopOrderOracle {
+ public:
+  explicit PopOrderOracle(std::uint64_t seed) : rng_(seed) {}
+
+  void run(int rounds) {
+    for (int round = 0; round < rounds; ++round) {
+      const int batch = 1 + static_cast<int>(pick(16));
+      for (int i = 0; i < batch; ++i) schedule(sim_.now() + random_delay());
+      switch (pick(4)) {
+        case 0:
+          sim_.run_until(sim_.now() + random_delay());
+          break;
+        case 1:
+          sim_.run();
+          sim_.sync_clock(sim_.now() + random_delay());
+          break;
+        case 2: {
+          // Jump the clock toward, but not onto, the earliest pending event.
+          bool ok = false;
+          const SimTime next = sim_.next_event_time(ok);
+          if (ok && next > sim_.now()) {
+            sim_.run_until(sim_.now() + SimTime::from_ns(pick((next - sim_.now()).ns())));
+          }
+          break;
+        }
+        default:
+          sim_.run(sim_.processed() + pick(40));
+          break;
+      }
+      check_peek();
+    }
+    sim_.run();
+    EXPECT_TRUE(pending_.empty());
+  }
+
+  int fired() const noexcept { return fired_; }
+
+ private:
+  std::uint64_t pick(std::uint64_t n) { return n == 0 ? 0 : rng_() % n; }
+  /// 0 ns a quarter of the time; otherwise up to 2^(0..40) ns.
+  SimTime random_delay() {
+    if (pick(4) == 0) return SimTime{};
+    return SimTime::from_ns(pick(std::uint64_t{2} << pick(41)));
+  }
+
+  void schedule(SimTime t) {
+    // A random rank, so orders at one time do not arrive sorted.
+    sim_.set_context(static_cast<std::uint32_t>(pick(5)));
+    const std::uint64_t order = sim_.allocate_order();
+    ASSERT_TRUE(pending_.emplace(t.ns(), order).second);
+    sim_.at_ordered(t, 0, order, [this, t, order] { fire(t, order); });
+  }
+
+  void fire(SimTime t, std::uint64_t order) {
+    ASSERT_FALSE(pending_.empty());
+    EXPECT_EQ(*pending_.begin(), std::make_pair(t.ns(), order)) << "pop " << fired_;
+    EXPECT_EQ(sim_.now(), t);
+    pending_.erase(std::make_pair(t.ns(), order));
+    ++fired_;
+    if (spawned_ < 20000 && pick(2) == 0) {
+      const int n = 1 + static_cast<int>(pick(3));
+      for (int i = 0; i < n; ++i, ++spawned_) {
+        schedule(pick(2) == 0 ? sim_.now() : sim_.now() + random_delay());
+      }
+    }
+  }
+
+  void check_peek() {
+    bool ok = false;
+    const SimTime next = sim_.next_event_time(ok);
+    EXPECT_EQ(ok, !pending_.empty());
+    if (ok) {
+      EXPECT_EQ(next.ns(), pending_.begin()->first);
+    }
+    EXPECT_EQ(sim_.queue_depth(), pending_.size());
+  }
+
+  Simulator sim_;
+  std::mt19937_64 rng_;
+  std::set<std::pair<std::uint64_t, std::uint64_t>> pending_;
+  int spawned_ = 0;
+  int fired_ = 0;
+};
+
+TEST(Simulator, PopOrderMatchesBruteForceReferenceOnRandomSchedules) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    PopOrderOracle oracle(seed);
+    oracle.run(300);
+    EXPECT_GT(oracle.fired(), 2000) << "seed " << seed;
+  }
+}
+
+TEST(Simulator, PushAfterAClockJumpFiresBeforeEarlierPendingEvents) {
+  Simulator sim;
+  std::vector<int> fired;
+  const auto log = [&](int id) { return [&fired, id] { fired.push_back(id); }; };
+  // The last pop is at 100 ns; 1024 and 1500 share no high bit with it.
+  sim.at(SimTime::from_ns(100), log(0));
+  sim.at(SimTime::from_ns(1024), log(6));
+  sim.at(SimTime::from_ns(1500), log(7));
+  sim.run_until(SimTime::from_ns(100));
+  ASSERT_EQ(fired, (std::vector<int>{0}));
+
+  // Jump to 1000 without a pop, then land events between now and 1024.
+  sim.run_until(SimTime::from_ns(1000));
+  sim.at(SimTime::from_ns(1023), log(5));
+  sim.at(SimTime::from_ns(1000), log(1));
+  sim.at(SimTime::from_ns(1001), log(2));
+  bool ok = false;
+  EXPECT_EQ(sim.next_event_time(ok), SimTime::from_ns(1000));
+  EXPECT_TRUE(ok);
+  sim.run_until(SimTime::from_ns(1001));
+  EXPECT_EQ(fired, (std::vector<int>{0, 1, 2}));
+
+  // A quiescent-style jump, then pushes between it and the next event.
+  sim.sync_clock(SimTime::from_ns(1010));
+  sim.after(SimTime::from_ns(4), log(4));  // 1014
+  sim.at(SimTime::from_ns(1010), log(3));
+  EXPECT_EQ(sim.next_event_time(ok), SimTime::from_ns(1010));
+  sim.run();
+  EXPECT_EQ(fired, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
+  EXPECT_EQ(sim.now(), SimTime::from_ns(1500));
+}
+
+TEST(Simulator, NextEventTimeLeavesThePopOrderUnchanged) {
+  // Two simulators get the same random schedule; one is peeked before
+  // every pop, the other never. Both must fire the same sequence, and the
+  // peek must name the time of the event that fires next.
+  Simulator peeked;
+  Simulator plain;
+  std::vector<std::pair<std::uint64_t, int>> seq_peeked;
+  std::vector<std::pair<std::uint64_t, int>> seq_plain;
+  std::mt19937_64 rng(23);
+  for (int id = 0; id < 3000; ++id) {
+    const SimTime t = SimTime::from_ns(rng() % (std::uint64_t{1} << (rng() % 30)));
+    peeked.at(t, [&, id] { seq_peeked.emplace_back(peeked.now().ns(), id); });
+    plain.at(t, [&, id] { seq_plain.emplace_back(plain.now().ns(), id); });
+  }
+  while (!peeked.empty()) {
+    bool ok = false;
+    const SimTime next = peeked.next_event_time(ok);
+    ASSERT_TRUE(ok);
+    EXPECT_EQ(peeked.next_event_time(ok), next) << "a peek moved the queue";
+    peeked.run(peeked.processed() + 1);
+    EXPECT_EQ(peeked.now(), next);
+  }
+  plain.run();
+  EXPECT_EQ(seq_peeked, seq_plain);
+  EXPECT_TRUE(std::is_sorted(seq_plain.begin(), seq_plain.end(),
+                             [](const auto& a, const auto& b) { return a.first < b.first; }));
+}
+
+TEST(Simulator, RunWindowStopsBelowTheHorizonAndOutboxedEventsFireInOrder) {
+  // Two shards of one engine. Shard A's handlers send to shard B inside a
+  // window; the sends wait in A's outbox until the flush and then fire on
+  // B in (time, order) among B's own events, whatever the push order.
+  Simulator a;
+  Simulator b;
+  b.share_root_counter(a);
+  std::vector<std::pair<std::uint64_t, char>> on_b;
+  const auto log_b = [&](char tag) {
+    return [&on_b, &b, tag] { on_b.emplace_back(b.now().ns(), tag); };
+  };
+
+  const SimTime horizon = SimTime::from_ns(100);
+  b.at(SimTime::from_ns(150), log_b('y'));  // root order 0
+  b.at(SimTime::from_ns(100), log_b('x'));  // at the horizon: waits for the next window
+  a.set_context(Simulator::rank_of(NodeId{3}));
+  a.at(SimTime::from_ns(40), [&] {
+    a.send_after(b, SimTime::from_ns(110), 0, log_b('c'));  // 150, after 'y' (rank 5 > root)
+    a.send_after(b, SimTime::from_ns(60), 0, log_b('a'));   // 100, after 'x'
+  });
+  a.at(SimTime::from_ns(99), [&] {
+    a.send_after(b, SimTime::from_ns(1), 0, log_b('b'));  // 100, after 'a'
+  });
+  a.at(SimTime::from_ns(100), [] {});  // at the horizon: stays pending
+
+  a.run_window(horizon);
+  b.run_window(horizon);
+  EXPECT_EQ(a.now(), SimTime::from_ns(99));
+  EXPECT_TRUE(on_b.empty());
+  EXPECT_EQ(b.queue_depth(), 2u);
+  bool ok = false;
+  EXPECT_EQ(a.next_event_time(ok), horizon);
+
+  a.flush_outbox();
+  EXPECT_EQ(b.queue_depth(), 5u);
+  EXPECT_EQ(b.next_event_time(ok), horizon);
+  b.run_window(SimTime::from_ns(151));
+  using Fired = std::vector<std::pair<std::uint64_t, char>>;
+  EXPECT_EQ(on_b, (Fired{{100, 'x'}, {100, 'a'}, {100, 'b'}, {150, 'y'}, {150, 'c'}}));
+  EXPECT_TRUE(b.empty());
 }
 
 /// A callable that counts its own moves, and on its call records how many

@@ -1,7 +1,5 @@
 #include "apps/blink/blink.hpp"
 
-#include <memory>
-
 namespace p4auth::apps::blink {
 
 Bytes encode_packet(const BlinkPacket& packet) {
@@ -122,30 +120,16 @@ dataplane::PipelineModel BlinkProgram::pipeline_model() const {
 
 void BlinkManager::install_next_hops(std::uint16_t prefix, const std::vector<PortId>& hops,
                                      std::function<void(Status)> done) {
-  struct State {
-    std::size_t remaining;
-    bool failed = false;
-    std::function<void(Status)> done;
-  };
-  auto state = std::make_shared<State>();
-  state->remaining = BlinkProgram::Config::kNextHopSlots;
-  state->done = std::move(done);
-
+  std::vector<controller::Controller::RegisterOp> writes;
   for (std::size_t slot = 0; slot < BlinkProgram::Config::kNextHopSlots; ++slot) {
     const std::uint64_t value = slot < hops.size() ? hops[slot].value + 1 : 0;
     const auto idx = static_cast<std::uint32_t>(
         static_cast<std::size_t>(prefix) * BlinkProgram::Config::kNextHopSlots + slot);
-    controller_.write_register(sw_, kNextHopsReg, idx, value,
-                               [state](Result<std::uint64_t> result) {
-                                 if (state->failed) return;
-                                 if (!result.ok()) {
-                                   state->failed = true;
-                                   state->done(result.error());
-                                   return;
-                                 }
-                                 if (--state->remaining == 0) state->done(Status{});
-                               });
+    writes.push_back({core::RegisterMsg::WriteReq, kNextHopsReg, idx, value});
   }
+  controller_.run_register_ops(
+      sw_, writes,
+      [done = std::move(done)](Result<std::vector<std::uint64_t>> r) { done(status_of(r)); });
 }
 
 }  // namespace p4auth::apps::blink

@@ -1,7 +1,5 @@
 #include "apps/flowradar/flowradar.hpp"
 
-#include <memory>
-
 #include "common/rng.hpp"
 #include "crypto/crc32.hpp"
 
@@ -149,45 +147,30 @@ DecodeResult decode_flowset(std::vector<std::uint64_t> flow_xor,
 }
 
 void FlowRadarManager::export_and_decode(std::function<void(Result<DecodeResult>)> done) {
-  struct State {
-    std::vector<std::uint64_t> flow_xor, flow_cnt, pkt_cnt;
-    std::size_t reads = 0;
-    bool failed = false;
-    std::function<void(Result<DecodeResult>)> done;
-  };
-  auto state = std::make_shared<State>();
-  state->flow_xor.assign(cells_, 0);
-  state->flow_cnt.assign(cells_, 0);
-  state->pkt_cnt.assign(cells_, 0);
-  state->done = std::move(done);
-  const std::size_t total = 3 * cells_;
-
-  const auto on_read = [state, total](std::vector<std::uint64_t>& dest, std::size_t idx,
-                                      Result<std::uint64_t> value) {
-    if (state->failed) return;
-    if (!value.ok()) {
-      state->failed = true;
-      state->done(make_error("export aborted: " + value.error().message));
-      return;
-    }
-    dest[idx] = value.value();
-    if (++state->reads == total) {
-      state->done(decode_flowset(state->flow_xor, state->flow_cnt, state->pkt_cnt));
-    }
-  };
-
+  // Per cell, in this order: flow_xor, flow_cnt, pkt_cnt.
+  constexpr RegisterId kExported[] = {kFlowXorReg, kFlowCntReg, kPktCntReg};
+  std::vector<controller::Controller::RegisterOp> reads;
+  reads.reserve(3 * cells_);
   for (std::size_t i = 0; i < cells_; ++i) {
-    const auto idx = static_cast<std::uint32_t>(i);
-    controller_.read_register(sw_, kFlowXorReg, idx, [state, on_read, i](auto v) {
-      on_read(state->flow_xor, i, std::move(v));
-    });
-    controller_.read_register(sw_, kFlowCntReg, idx, [state, on_read, i](auto v) {
-      on_read(state->flow_cnt, i, std::move(v));
-    });
-    controller_.read_register(sw_, kPktCntReg, idx, [state, on_read, i](auto v) {
-      on_read(state->pkt_cnt, i, std::move(v));
-    });
+    for (const RegisterId reg : kExported) {
+      reads.push_back({core::RegisterMsg::ReadReq, reg, static_cast<std::uint32_t>(i)});
+    }
   }
+  controller_.run_register_ops(
+      sw_, reads,
+      [cells = cells_, done = std::move(done)](Result<std::vector<std::uint64_t>> snapshot) {
+        if (!snapshot.ok()) {
+          done(snapshot.error());
+          return;
+        }
+        std::vector<std::uint64_t> flow_xor(cells), flow_cnt(cells), pkt_cnt(cells);
+        for (std::size_t i = 0; i < cells; ++i) {
+          flow_xor[i] = snapshot.value()[3 * i];
+          flow_cnt[i] = snapshot.value()[3 * i + 1];
+          pkt_cnt[i] = snapshot.value()[3 * i + 2];
+        }
+        done(decode_flowset(std::move(flow_xor), std::move(flow_cnt), std::move(pkt_cnt)));
+      });
 }
 
 }  // namespace p4auth::apps::flowradar

@@ -1,7 +1,5 @@
 #include "apps/flowstats/flowstats.hpp"
 
-#include <memory>
-
 namespace p4auth::apps::flowstats {
 
 Bytes encode_packet(const FlowPacket& packet) {
@@ -87,47 +85,34 @@ dataplane::PipelineModel FlowStatsProgram::pipeline_model() const {
 
 void FlowStatsManager::inspect_flow(std::uint16_t flow,
                                     std::function<void(Result<Verdict>)> done) {
-  struct State {
-    std::uint64_t sum = 0;
-    std::uint64_t cnt = 0;
-    int reads = 0;
-    bool failed = false;
-    std::function<void(Result<Verdict>)> done;
-  };
-  auto state = std::make_shared<State>();
-  state->done = std::move(done);
-
-  const auto on_read = [this, state, flow](bool is_sum, Result<std::uint64_t> value) {
-    if (state->failed) return;
-    if (!value.ok()) {
-      state->failed = true;
-      state->done(make_error("inspection aborted: " + value.error().message));
-      return;
-    }
-    (is_sum ? state->sum : state->cnt) = value.value();
-    if (++state->reads < 2) return;
-
-    Verdict verdict;
-    verdict.avg_ipd_us =
-        state->cnt > 0 ? static_cast<double>(state->sum) / static_cast<double>(state->cnt) : 0.0;
-    verdict.blocked = verdict.avg_ipd_us >= band_.low_us && verdict.avg_ipd_us <= band_.high_us;
-    if (!verdict.blocked) {
-      state->done(verdict);
-      return;
-    }
-    controller_.write_register(sw_, kBlockedReg, flow, 1,
-                               [state, verdict](Result<std::uint64_t> result) {
-                                 if (!result.ok()) {
-                                   state->done(result.error());
-                                   return;
-                                 }
-                                 state->done(verdict);
-                               });
-  };
-  controller_.read_register(sw_, kIpdSumReg, flow,
-                            [on_read](Result<std::uint64_t> v) { on_read(true, std::move(v)); });
-  controller_.read_register(sw_, kIpdCntReg, flow,
-                            [on_read](Result<std::uint64_t> v) { on_read(false, std::move(v)); });
+  using core::RegisterMsg;
+  controller_.run_register_ops(
+      sw_, {{RegisterMsg::ReadReq, kIpdSumReg, flow}, {RegisterMsg::ReadReq, kIpdCntReg, flow}},
+      [this, flow, done = std::move(done)](Result<std::vector<std::uint64_t>> read) mutable {
+        if (!read.ok()) {
+          done(read.error());
+          return;
+        }
+        const std::uint64_t sum = read.value()[0];
+        const std::uint64_t cnt = read.value()[1];
+        Verdict verdict;
+        verdict.avg_ipd_us = cnt > 0 ? static_cast<double>(sum) / static_cast<double>(cnt) : 0.0;
+        verdict.blocked =
+            verdict.avg_ipd_us >= band_.low_us && verdict.avg_ipd_us <= band_.high_us;
+        if (!verdict.blocked) {
+          done(verdict);
+          return;
+        }
+        controller_.run_register_ops(
+            sw_, {{RegisterMsg::WriteReq, kBlockedReg, flow, 1}},
+            [verdict, done = std::move(done)](Result<std::vector<std::uint64_t>> written) {
+              if (!written.ok()) {
+                done(written.error());
+                return;
+              }
+              done(verdict);
+            });
+      });
 }
 
 }  // namespace p4auth::apps::flowstats

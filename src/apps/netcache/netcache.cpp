@@ -1,5 +1,8 @@
 #include "apps/netcache/netcache.hpp"
 
+#include <algorithm>
+#include <span>
+
 #include "crypto/crc32.hpp"
 
 namespace p4auth::apps::netcache {
@@ -129,103 +132,96 @@ dataplane::PipelineModel NetCacheProgram::pipeline_model() const {
   return m;
 }
 
-void NetCacheManager::estimate_key(std::uint32_t key,
-                                   std::function<void(Result<std::uint64_t>)> done) {
-  struct State {
-    std::uint64_t min_count = ~0ull;
-    int reads = 0;
-    bool failed = false;
-    std::function<void(Result<std::uint64_t>)> done;
-  };
-  auto state = std::make_shared<State>();
-  state->done = std::move(done);
+namespace {
+
+/// The estimate of the `key_pos`-th key whose sketch reads produced
+/// `counts`: the minimum over its rows.
+std::uint64_t min_over_rows(const std::vector<std::uint64_t>& counts, std::size_t key_pos) {
+  constexpr std::size_t kRows = NetCacheProgram::Config::kCmsRows;
+  return std::ranges::min(std::span(counts).subspan(key_pos * kRows, kRows));
+}
+
+}  // namespace
+
+void NetCacheManager::append_sketch_reads(
+    std::uint32_t key, std::vector<controller::Controller::RegisterOp>& reads) const {
   for (int row = 0; row < NetCacheProgram::Config::kCmsRows; ++row) {
     const auto idx =
         static_cast<std::uint32_t>(NetCacheProgram::cms_index(row, key, cms_width_));
-    controller_.read_register(sw_, kCmsReg, idx, [state](Result<std::uint64_t> value) {
-      if (state->failed) return;
-      if (!value.ok()) {
-        state->failed = true;
-        state->done(make_error("sketch read aborted: " + value.error().message));
-        return;
-      }
-      state->min_count = std::min(state->min_count, value.value());
-      if (++state->reads == NetCacheProgram::Config::kCmsRows) state->done(state->min_count);
-    });
+    reads.push_back({core::RegisterMsg::ReadReq, kCmsReg, idx});
   }
+}
+
+void NetCacheManager::estimate_key(std::uint32_t key,
+                                   std::function<void(Result<std::uint64_t>)> done) {
+  std::vector<controller::Controller::RegisterOp> reads;
+  append_sketch_reads(key, reads);
+  controller_.run_register_ops(
+      sw_, reads, [done = std::move(done)](Result<std::vector<std::uint64_t>> counts) {
+        if (!counts.ok()) {
+          done(counts.error());
+          return;
+        }
+        done(min_over_rows(counts.value(), 0));
+      });
 }
 
 void NetCacheManager::install_hottest(std::vector<std::uint32_t> candidates,
                                       std::uint32_t slot, std::uint64_t value,
                                       std::function<void(Result<std::uint32_t>)> done) {
-  struct State {
-    std::size_t remaining;
-    bool failed = false;
-    std::uint32_t best_key = 0;
-    std::uint64_t best_count = 0;
-    std::function<void(Result<std::uint32_t>)> done;
-  };
-  auto state = std::make_shared<State>();
-  state->remaining = candidates.size();
-  state->done = std::move(done);
   if (candidates.empty()) {
-    state->done(make_error("no candidate keys"));
+    done(make_error("no candidate keys"));
     return;
   }
-  for (const std::uint32_t key : candidates) {
-    estimate_key(key, [this, state, key, slot, value](Result<std::uint64_t> estimate) {
-      if (state->failed) return;
-      if (!estimate.ok()) {
-        state->failed = true;
-        state->done(estimate.error());
-        return;
-      }
-      if (estimate.value() >= state->best_count) {
-        state->best_count = estimate.value();
-        state->best_key = key;
-      }
-      if (--state->remaining > 0) return;
-      install_hot_key(slot, state->best_key, value, [state](Status status) {
-        if (!status.ok()) {
-          state->done(status.error());
+  std::vector<controller::Controller::RegisterOp> reads;
+  reads.reserve(candidates.size() * NetCacheProgram::Config::kCmsRows);
+  for (const std::uint32_t key : candidates) append_sketch_reads(key, reads);
+  controller_.run_register_ops(
+      sw_, reads,
+      [this, candidates = std::move(candidates), slot, value,
+       done = std::move(done)](Result<std::vector<std::uint64_t>> counts) mutable {
+        if (!counts.ok()) {
+          done(counts.error());
           return;
         }
-        state->done(state->best_key);
+        // Ties go to the later candidate.
+        std::uint32_t best_key = 0;
+        std::uint64_t best_count = 0;
+        for (std::size_t i = 0; i < candidates.size(); ++i) {
+          const std::uint64_t estimate = min_over_rows(counts.value(), i);
+          if (estimate >= best_count) {
+            best_count = estimate;
+            best_key = candidates[i];
+          }
+        }
+        install_hot_key(slot, best_key, value, [best_key, done = std::move(done)](Status status) {
+          if (!status.ok()) {
+            done(status.error());
+            return;
+          }
+          done(best_key);
+        });
       });
-    });
-  }
 }
 
 void NetCacheManager::install_hot_key(std::uint32_t slot, std::uint32_t key,
                                       std::uint64_t value, std::function<void(Status)> done) {
-  auto state = std::make_shared<std::pair<int, bool>>(0, false);  // {completed, failed}
-  const auto on_write = [state, done = std::move(done)](Result<std::uint64_t> result) {
-    if (state->second) return;
-    if (!result.ok()) {
-      state->second = true;
-      done(result.error());
-      return;
-    }
-    if (++state->first == 2) done(Status{});
-  };
-  controller_.write_register(sw_, kCacheKeyReg, slot, key, on_write);
-  controller_.write_register(sw_, kCacheValReg, slot, value, on_write);
+  using core::RegisterMsg;
+  controller_.run_register_ops(
+      sw_, {{RegisterMsg::WriteReq, kCacheKeyReg, slot, key},
+            {RegisterMsg::WriteReq, kCacheValReg, slot, value}},
+      [done = std::move(done)](Result<std::vector<std::uint64_t>> r) { done(status_of(r)); });
 }
 
 void NetCacheManager::clear_sketch(std::size_t entries, std::function<void(Status)> done) {
-  auto state = std::make_shared<std::pair<std::size_t, bool>>(0, false);
-  const auto on_write = [state, entries, done = std::move(done)](Result<std::uint64_t> result) {
-    if (state->second) return;
-    if (!result.ok()) {
-      state->second = true;
-      done(result.error());
-      return;
-    }
-    if (++state->first == entries) done(Status{});
-  };
+  std::vector<controller::Controller::RegisterOp> writes;
+  writes.reserve(entries);
   for (std::size_t i = 0; i < entries; ++i) {
-    controller_.write_register(sw_, kCmsReg, static_cast<std::uint32_t>(i), 0, on_write);
+    writes.push_back({core::RegisterMsg::WriteReq, kCmsReg, static_cast<std::uint32_t>(i), 0});
   }
+  controller_.run_register_ops(
+      sw_, writes,
+      [done = std::move(done)](Result<std::vector<std::uint64_t>> r) { done(status_of(r)); });
 }
 
 }  // namespace p4auth::apps::netcache

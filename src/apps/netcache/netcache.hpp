@@ -106,10 +106,14 @@ class NetCacheManager {
                        std::function<void(Status)> done);
 
   /// Clears `entries` sketch counters (Table I: "C periodically clears
-  /// query statistics").
+  /// query statistics"). Zero entries complete at once.
   void clear_sketch(std::size_t entries, std::function<void(Status)> done);
 
  private:
+  /// Appends the kCmsRows sketch reads behind `key`'s estimate.
+  void append_sketch_reads(std::uint32_t key,
+                           std::vector<controller::Controller::RegisterOp>& reads) const;
+
   controller::Controller& controller_;
   NodeId sw_;
   std::size_t cms_width_;

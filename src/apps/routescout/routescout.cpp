@@ -1,7 +1,6 @@
 #include "apps/routescout/routescout.hpp"
 
 #include <cmath>
-#include <memory>
 
 #include "common/rng.hpp"
 
@@ -126,50 +125,44 @@ dataplane::PipelineModel RouteScoutProgram::pipeline_model() const {
 }
 
 void RouteScoutManager::run_epoch(std::function<void(Status)> done) {
-  auto epoch = std::make_shared<EpochState>();
-  epoch->sums.assign(static_cast<std::size_t>(num_paths_), 0);
-  epoch->counts.assign(static_cast<std::size_t>(num_paths_), 0);
-  epoch->done = std::move(done);
-
+  if (num_paths_ < 1) {
+    done(make_error("RouteScout needs at least one path"));
+    return;
+  }
   // Pull phase: read sum and count for every path; any verification
   // failure aborts the epoch (the controller refuses to act on data it
   // cannot authenticate).
-  const std::size_t total_reads = 2 * static_cast<std::size_t>(num_paths_);
+  std::vector<controller::Controller::RegisterOp> reads;
   for (int path = 0; path < num_paths_; ++path) {
     const auto idx = static_cast<std::uint32_t>(path);
-    const auto on_read = [this, epoch, path, total_reads](bool is_sum,
-                                                          Result<std::uint64_t> value) {
-      if (epoch->failed) return;
-      if (!value.ok()) {
-        epoch->failed = true;
-        ++stats_.epochs_aborted;
-        epoch->done(make_error("epoch aborted: " + value.error().message));
-        return;
-      }
-      auto& slot = is_sum ? epoch->sums[static_cast<std::size_t>(path)]
-                          : epoch->counts[static_cast<std::size_t>(path)];
-      slot = value.value();
-      if (++epoch->reads_done == total_reads) finish_epoch(epoch);
-    };
-    controller_.read_register(sw_, kLatSumReg, idx,
-                              [on_read](Result<std::uint64_t> v) { on_read(true, std::move(v)); });
-    controller_.read_register(
-        sw_, kLatCntReg, idx,
-        [on_read](Result<std::uint64_t> v) { on_read(false, std::move(v)); });
+    reads.push_back({core::RegisterMsg::ReadReq, kLatSumReg, idx});
+    reads.push_back({core::RegisterMsg::ReadReq, kLatCntReg, idx});
   }
+  controller_.run_register_ops(
+      sw_, reads,
+      [this, done = std::move(done)](Result<std::vector<std::uint64_t>> aggregates) mutable {
+        if (!aggregates.ok()) {
+          ++stats_.epochs_aborted;
+          done(aggregates.error());
+          return;
+        }
+        finish_epoch(aggregates.value(), std::move(done));
+      });
 }
 
-void RouteScoutManager::finish_epoch(const std::shared_ptr<EpochState>& epoch) {
+void RouteScoutManager::finish_epoch(const std::vector<std::uint64_t>& aggregates,
+                                     std::function<void(Status)> done) {
   // Analyze: inverse-latency weighting; paths with no samples keep a tiny
-  // weight so they continue to be probed.
+  // weight so they continue to be probed. `aggregates` holds each path's
+  // (sum, count) pair in path order.
   const auto paths = static_cast<std::size_t>(num_paths_);
   std::vector<double> avg(paths, 0.0);
   std::vector<double> weight(paths, 0.0);
   double total_weight = 0.0;
   for (std::size_t i = 0; i < paths; ++i) {
-    avg[i] = epoch->counts[i] > 0
-                 ? static_cast<double>(epoch->sums[i]) / static_cast<double>(epoch->counts[i])
-                 : 0.0;
+    const std::uint64_t sum = aggregates[2 * i];
+    const std::uint64_t count = aggregates[2 * i + 1];
+    avg[i] = count > 0 ? static_cast<double>(sum) / static_cast<double>(count) : 0.0;
     weight[i] = avg[i] > 0 ? 1.0 / avg[i] : 1e-6;
     total_weight += weight[i];
   }
@@ -185,26 +178,23 @@ void RouteScoutManager::finish_epoch(const std::shared_ptr<EpochState>& epoch) {
   stats_.last_avg_latency_us = avg;
 
   // Push phase: write the new split and clear the aggregates.
-  const std::size_t total_writes = 3 * paths;
-  const auto on_write = [this, epoch, total_writes](Result<std::uint64_t> result) {
-    if (epoch->failed) return;
-    if (!result.ok()) {
-      epoch->failed = true;
-      ++stats_.epochs_aborted;
-      epoch->done(make_error("epoch aborted on write: " + result.error().message));
-      return;
-    }
-    if (++epoch->writes_done == total_writes) {
-      ++stats_.epochs_completed;
-      epoch->done(Status{});
-    }
-  };
+  std::vector<controller::Controller::RegisterOp> writes;
+  writes.reserve(3 * paths);
   for (std::size_t i = 0; i < paths; ++i) {
     const auto idx = static_cast<std::uint32_t>(i);
-    controller_.write_register(sw_, kSplitReg, idx, split[i], on_write);
-    controller_.write_register(sw_, kLatSumReg, idx, 0, on_write);
-    controller_.write_register(sw_, kLatCntReg, idx, 0, on_write);
+    writes.push_back({core::RegisterMsg::WriteReq, kSplitReg, idx, split[i]});
+    writes.push_back({core::RegisterMsg::WriteReq, kLatSumReg, idx, 0});
+    writes.push_back({core::RegisterMsg::WriteReq, kLatCntReg, idx, 0});
   }
+  controller_.run_register_ops(
+      sw_, writes, [this, done = std::move(done)](Result<std::vector<std::uint64_t>> written) {
+        if (written.ok()) {
+          ++stats_.epochs_completed;
+        } else {
+          ++stats_.epochs_aborted;
+        }
+        done(status_of(written));
+      });
 }
 
 }  // namespace p4auth::apps::routescout

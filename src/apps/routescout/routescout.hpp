@@ -86,6 +86,7 @@ class RouteScoutManager {
   RouteScoutManager(controller::Controller& controller, NodeId sw, int num_paths)
       : controller_(controller), sw_(sw), num_paths_(num_paths) {}
 
+  /// One epoch; fails at once when the manager has no path.
   void run_epoch(std::function<void(Status)> done);
 
   struct Stats {
@@ -97,16 +98,9 @@ class RouteScoutManager {
   const Stats& stats() const noexcept { return stats_; }
 
  private:
-  struct EpochState {
-    std::vector<std::uint64_t> sums;
-    std::vector<std::uint64_t> counts;
-    std::size_t reads_done = 0;
-    std::size_t writes_done = 0;
-    bool failed = false;
-    std::function<void(Status)> done;
-  };
-
-  void finish_epoch(const std::shared_ptr<EpochState>& epoch);
+  /// Analyzes the pulled (sum, count) pairs and pushes the new split.
+  void finish_epoch(const std::vector<std::uint64_t>& aggregates,
+                    std::function<void(Status)> done);
 
   controller::Controller& controller_;
   NodeId sw_;

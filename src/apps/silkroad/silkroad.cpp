@@ -105,24 +105,16 @@ dataplane::PipelineModel SilkRoadProgram::pipeline_model() const {
   return m;
 }
 
-void SilkRoadManager::write_bit(std::uint16_t vip, std::uint64_t value,
-                                std::function<void(Status)> done) {
-  controller_.write_register(sw_, kTransitReg, vip, value,
-                             [done = std::move(done)](Result<std::uint64_t> result) {
-                               if (!result.ok()) {
-                                 done(result.error());
-                                 return;
-                               }
-                               done(Status{});
-                             });
-}
-
 void SilkRoadManager::begin_migration(std::uint16_t vip, std::function<void(Status)> done) {
-  write_bit(vip, 1, std::move(done));
+  controller_.run_register_ops(
+      sw_, {{core::RegisterMsg::WriteReq, kTransitReg, vip, 1}},
+      [done = std::move(done)](Result<std::vector<std::uint64_t>> r) { done(status_of(r)); });
 }
 
 void SilkRoadManager::finish_migration(std::uint16_t vip, std::function<void(Status)> done) {
-  write_bit(vip, 0, std::move(done));
+  controller_.run_register_ops(
+      sw_, {{core::RegisterMsg::WriteReq, kTransitReg, vip, 0}},
+      [done = std::move(done)](Result<std::vector<std::uint64_t>> r) { done(status_of(r)); });
 }
 
 }  // namespace p4auth::apps::silkroad

@@ -80,8 +80,6 @@ class SilkRoadManager {
   void finish_migration(std::uint16_t vip, std::function<void(Status)> done);
 
  private:
-  void write_bit(std::uint16_t vip, std::uint64_t value, std::function<void(Status)> done);
-
   controller::Controller& controller_;
   NodeId sw_;
 };

@@ -9,8 +9,8 @@
 
 namespace p4auth {
 
-/// Error payload used across the library: a machine-readable code plus a
-/// human-readable message.
+/// Error payload used across the library: a human-readable message (no
+/// machine-readable code yet).
 struct Error {
   std::string message;
 };
@@ -73,5 +73,12 @@ class [[nodiscard]] Result<void, E> {
 };
 
 using Status = Result<void, Error>;
+
+/// The outcome of `result` without its value.
+template <typename T, typename E>
+Result<void, E> status_of(const Result<T, E>& result) {
+  if (result.ok()) return {};
+  return result.error();
+}
 
 }  // namespace p4auth

@@ -1,6 +1,7 @@
 #include "controller/controller.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/logging.hpp"
 #include "core/lldp.hpp"
@@ -173,6 +174,40 @@ void Controller::write_register(NodeId sw, RegisterId reg, std::uint32_t index,
                                 std::function<void(Result<std::uint64_t>)> done) {
   issue_register_op(sw, RegisterMsg::WriteReq, reg, index, value, config_.compose_write,
                     std::move(done));
+}
+
+void Controller::run_register_ops(
+    NodeId sw, const std::vector<RegisterOp>& ops,
+    std::function<void(Result<std::vector<std::uint64_t>>)> done) {
+  if (ops.empty()) {
+    done(std::vector<std::uint64_t>{});
+    return;
+  }
+  // Shared by the ops' completions; `done` is emptied once it has fired.
+  struct Batch {
+    std::vector<std::uint64_t> values;
+    std::size_t remaining = 0;
+    std::function<void(Result<std::vector<std::uint64_t>>)> done;
+  };
+  auto batch = std::make_shared<Batch>(
+      Batch{std::vector<std::uint64_t>(ops.size()), ops.size(), std::move(done)});
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    const RegisterOp& op = ops[i];
+    const SimTime compose =
+        op.op == RegisterMsg::WriteReq ? config_.compose_write : config_.compose_read;
+    issue_register_op(sw, op.op, op.reg, op.index, op.value, compose,
+                      [batch, i](Result<std::uint64_t> result) {
+                        if (!batch->done) return;  // already decided
+                        if (!result.ok()) {
+                          std::exchange(batch->done, nullptr)(result.error());
+                          return;
+                        }
+                        batch->values[i] = result.value();
+                        if (--batch->remaining == 0) {
+                          std::exchange(batch->done, nullptr)(std::move(batch->values));
+                        }
+                      });
+  }
 }
 
 void Controller::issue_register_op(NodeId sw, RegisterMsg op, RegisterId reg,

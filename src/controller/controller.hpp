@@ -92,6 +92,24 @@ class Controller {
   void write_register(NodeId sw, RegisterId reg, std::uint32_t index, std::uint64_t value,
                       std::function<void(Result<std::uint64_t>)> done);
 
+  /// One op of a run_register_ops batch.
+  struct RegisterOp {
+    core::RegisterMsg op = core::RegisterMsg::ReadReq;  ///< ReadReq or WriteReq
+    RegisterId reg{};
+    std::uint32_t index = 0;
+    std::uint64_t value = 0;  ///< what a WriteReq writes; unused by a read
+  };
+
+  /// The one fan-out of the controller-side apps: issues every op at
+  /// once, in list order, exactly as read_register/write_register would.
+  /// `done` fires once, inline from the answer that decides the outcome:
+  /// with every op's value in list order (a write yields the value
+  /// written), or with the first failed op's error unchanged, after which
+  /// later answers are ignored. An empty list completes at once; the
+  /// batch schedules no event of its own.
+  void run_register_ops(NodeId sw, const std::vector<RegisterOp>& ops,
+                        std::function<void(Result<std::vector<std::uint64_t>>)> done);
+
   // --- Observability ------------------------------------------------------
 
   struct AlertRecord {

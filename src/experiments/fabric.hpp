@@ -8,6 +8,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -141,6 +142,22 @@ class Fabric {
   /// Internal bundles for shards 1.. (shard 0 uses options().telemetry).
   std::vector<std::unique_ptr<telemetry::Telemetry>> shard_bundles_;
 };
+
+/// Retries `op` (an async operation reporting a Status to the callback it
+/// is given) until it succeeds or `attempts` tries are spent, running the
+/// fabric to quiescence after each try. Returns the last failure.
+template <typename Op>
+Status retry_sync(Fabric& fabric, int attempts, Op op) {
+  Status last = make_error("not attempted");
+  for (int i = 0; i < attempts; ++i) {
+    std::optional<Status> result;
+    op([&](Status s) { result = std::move(s); });
+    fabric.run_all();
+    if (result.has_value() && result->ok()) return Status{};
+    if (result.has_value()) last = std::move(*result);
+  }
+  return last;
+}
 
 /// Pre-shared boot secret per switch (stands in for the per-switch secret
 /// compiled into the binary).

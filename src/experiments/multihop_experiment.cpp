@@ -95,7 +95,7 @@ SingleSwitchOverhead run_single_switch_overhead(std::uint64_t seed) {
     auto& receiver = fabric.at(NodeId{2});
     const SimTime before = receiver.sw->total_processing_time();
     fabric.net.inject(NodeId{1}, kHostPort, hula::encode_probe_gen());
-    fabric.sim.run();
+    fabric.run_all();
     return static_cast<double>((receiver.sw->total_processing_time() - before).ns());
   };
 

@@ -42,21 +42,6 @@ bool detected(const Fabric& fabric) {
          fabric.controller.stats().response_digest_failures > 0;
 }
 
-/// Retries `op` (async with Status callback) until success or `attempts`
-/// exhausted, draining the simulator between tries.
-template <typename Op>
-Status retry_sync(Fabric& fabric, int attempts, Op op) {
-  Status last = make_error("not attempted");
-  for (int i = 0; i < attempts; ++i) {
-    std::optional<Status> result;
-    op([&](Status s) { result = std::move(s); });
-    fabric.run_all();
-    if (result.has_value() && result->ok()) return Status{};
-    if (result.has_value()) last = std::move(*result);
-  }
-  return last;
-}
-
 // --- Row 1: FRR (RouteScout) -------------------------------------------------
 
 Table1Row row_frr(std::uint64_t seed) {

@@ -1,5 +1,6 @@
 #include "runner/runner.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <exception>
@@ -139,34 +140,11 @@ void WorkerPool::dispatch(std::size_t count, const std::function<void(std::size_
 }
 
 void parallel_for(std::size_t count, int workers, const std::function<void(std::size_t)>& body) {
-  workers = resolve_workers(workers);
-  if (count <= 1 || workers == 1) {
-    for (std::size_t i = 0; i < count; ++i) body(i);
-    return;
-  }
-  if (static_cast<std::size_t>(workers) > count) workers = static_cast<int>(count);
-
-  std::atomic<std::size_t> next{0};
-  std::mutex error_mutex;
-  std::exception_ptr first_error;
-  const auto worker = [&] {
-    for (;;) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= count) return;
-      try {
-        body(i);
-      } catch (...) {
-        const std::lock_guard<std::mutex> lock(error_mutex);
-        if (!first_error) first_error = std::current_exception();
-      }
-    }
-  };
-
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(workers));
-  for (int w = 0; w < workers; ++w) pool.emplace_back(worker);
-  for (auto& t : pool) t.join();
-  if (first_error) std::rethrow_exception(first_error);
+  // The caller is one of the workers, so a lone worker (or job) spawns
+  // no thread.
+  const std::size_t threads = std::min(static_cast<std::size_t>(resolve_workers(workers)), count);
+  WorkerPool pool(threads > 0 ? static_cast<int>(threads - 1) : 0);
+  pool.dispatch(count, body);
 }
 
 CampaignResult run_campaign(std::size_t count, int workers,

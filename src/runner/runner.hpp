@@ -82,11 +82,11 @@ int resolve_workers(int requested) noexcept;
 int resolve_shard_workers(int requested, int shards, int jobs) noexcept;
 
 /// Fixed pool of persistent worker threads for repeated fork-join
-/// dispatches. Unlike parallel_for — which spawns and joins threads per
-/// call — the pool starts its threads once and re-dispatches them, so a
-/// caller issuing thousands of small parallel steps (the sharded
+/// dispatches. The pool starts its threads once and re-dispatches them,
+/// so a caller issuing thousands of small parallel steps (the sharded
 /// simulator runs one dispatch per lookahead window) pays wakeup cost,
-/// not thread-creation cost.
+/// not thread-creation cost. parallel_for is one dispatch on a pool of
+/// its own.
 ///
 /// dispatch(count, task) runs task(i) for every i in [0, count); the
 /// calling thread participates, so total parallelism is threads + 1.
@@ -125,12 +125,13 @@ class WorkerPool {
   std::exception_ptr first_error_;
 };
 
-/// Invokes `body(i)` for every i in [0, count) across `workers` threads
-/// (inline on the caller when workers <= 1 or count <= 1) and blocks
-/// until all complete. Work is claimed from an atomic counter, so the
-/// assignment of jobs to threads is scheduling-dependent — bodies must
-/// not care which thread runs them. The first exception thrown by any
-/// body is rethrown here after all workers have stopped.
+/// Invokes `body(i)` for every i in [0, count) across `workers` threads,
+/// the caller among them (inline on the caller when workers <= 1 or
+/// count <= 1), and blocks until all complete: one WorkerPool dispatch
+/// on min(workers, count) - 1 threads. Work is claimed from an atomic
+/// counter, so the assignment of jobs to threads is scheduling-dependent
+/// — bodies must not care which thread runs them. The first exception
+/// thrown by any body is rethrown here after all workers have stopped.
 void parallel_for(std::size_t count, int workers, const std::function<void(std::size_t)>& body);
 
 /// Runs `count` jobs over `workers` threads and reduces the results in

@@ -82,20 +82,6 @@ attacks::ValueTransform forge_n(std::uint32_t shots, std::uint64_t forged) {
   };
 }
 
-/// Retries an async Status operation, draining the simulator per try.
-template <typename Op>
-Status retry_sync(Fabric& fabric, int attempts, Op op) {
-  Status last = make_error("not attempted");
-  for (int i = 0; i < attempts; ++i) {
-    std::optional<Status> result;
-    op([&](Status s) { result = std::move(s); });
-    fabric.sim.run();
-    if (result.has_value() && result->ok()) return Status{};
-    if (result.has_value()) last = std::move(*result);
-  }
-  return last;
-}
-
 struct Topo {
   FabricSwitch* app_sw = nullptr;
   netsim::Link* first_link = nullptr;  ///< S1's link toward S2 (if any)
@@ -264,7 +250,7 @@ ScenarioEvidence run_scenario(const ScenarioSpec& spec) {
     ev.init_error = "install failed: " + install.error().message;
     return ev;
   }
-  fabric.sim.run();
+  fabric.run_all();
   ev.init_ok = true;
 
   const std::uint64_t writes_baseline = topo.app_sw->agent->stats().writes_served;
@@ -359,7 +345,7 @@ ScenarioEvidence run_scenario(const ScenarioSpec& spec) {
       break;
   }
 
-  fabric.sim.run();
+  fabric.run_all();
 
   // --- Post-run probes ----------------------------------------------------
   if (spec.attack == AttackKind::ReportInflate) {
@@ -372,7 +358,7 @@ ScenarioEvidence run_scenario(const ScenarioSpec& spec) {
       std::optional<Result<std::uint64_t>> result;
       fabric.controller.read_register(kAppSwitch, target.reg, target.index,
                                       [&](auto r) { result = std::move(r); });
-      fabric.sim.run();
+      fabric.run_all();
       if (result.has_value() && result->ok()) {
         ev.readback_ok = true;
         ev.readback_value = result->value();

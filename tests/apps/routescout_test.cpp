@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 namespace p4auth::apps::routescout {
 namespace {
 
@@ -103,6 +105,21 @@ TEST_F(RouteScoutTest, OutOfRangePathSampleDropped) {
 TEST_F(RouteScoutTest, UnknownMagicDropped) {
   auto out = deliver(Bytes{0x7E, 1, 2});
   EXPECT_TRUE(out.dropped);
+}
+
+TEST(RouteScoutManagerTest, EpochWithoutPathsFails) {
+  // An epoch over zero paths has nothing to split; it must fail at once
+  // rather than push a split it cannot index.
+  netsim::Simulator sim;
+  controller::Controller controller(sim, controller::Controller::Config{});
+  RouteScoutManager manager(controller, NodeId{1}, /*num_paths=*/0);
+  std::optional<Status> result;
+  manager.run_epoch([&](Status s) { result = std::move(s); });
+  ASSERT_TRUE(result.has_value());
+  EXPECT_FALSE(result->ok());
+  EXPECT_TRUE(sim.empty());
+  EXPECT_EQ(controller.stats().requests_sent, 0u);
+  EXPECT_EQ(manager.stats().epochs_completed, 0u);
 }
 
 }  // namespace

@@ -411,5 +411,150 @@ TEST(ControllerKmp, KeyExchangeClosesTheBatchBeforeALaterFrameFromItsSwitch) {
   EXPECT_EQ(stack.controller.stats().response_digest_failures, 0u);
 }
 
+// --- run_register_ops: the controller-side apps' one fan-out ---------------
+
+using Op = Controller::RegisterOp;
+using Values = Result<std::vector<std::uint64_t>>;
+
+TEST(ControllerBatch, ValuesAndFramesFollowListOrder) {
+  Stack stack;
+  StackSwitch& sw = stack.add_switch(kSw);
+  ASSERT_TRUE(stack.init_local_key_sync(kSw).ok());
+  ASSERT_TRUE(sw.sw->registers().by_name("user_reg")->write(5, 0xAB).ok());
+  ASSERT_TRUE(sw.sw->registers().by_name("user_reg")->write(7, 0x70).ok());
+  std::vector<core::Message> sent;
+  netsim::OsInterposer tap;
+  tap.to_dataplane = [&sent](Bytes& frame) {
+    sent.push_back(core::decode(frame).value());
+    return netsim::TamperVerdict::Pass;
+  };
+  sw.sw->set_os_interposer(std::move(tap));
+
+  // Distinct indices, so each frame names its op.
+  const std::vector<Op> ops = {{core::RegisterMsg::ReadReq, kUserReg, 5},
+                               {core::RegisterMsg::WriteReq, kUserReg, 6, 0x66},
+                               {core::RegisterMsg::ReadReq, kUserReg, 7},
+                               {core::RegisterMsg::WriteReq, kUserReg, 8, 0x88}};
+  int calls = 0;
+  std::optional<Values> result;
+  stack.controller.run_register_ops(kSw, ops, [&](Values v) {
+    ++calls;
+    result = std::move(v);
+  });
+  stack.sim.run();
+  EXPECT_EQ(calls, 1);
+  ASSERT_TRUE(result.has_value() && result->ok());
+  // A write yields the value written.
+  EXPECT_EQ(result->value(), (std::vector<std::uint64_t>{0xAB, 0x66, 0x70, 0x88}));
+
+  // Seqs follow the list. Reads compose faster than writes, so the two
+  // kinds interleave on the wire, each in list order.
+  ASSERT_EQ(sent.size(), ops.size());
+  std::vector<int> seq_by_pos(ops.size());
+  std::vector<std::size_t> read_order, write_order;
+  for (const core::Message& msg : sent) {
+    const std::size_t pos = std::get<core::RegisterOpPayload>(msg.payload).index - 5;
+    ASSERT_LT(pos, ops.size());
+    EXPECT_EQ(msg.header.msg_type, static_cast<std::uint8_t>(ops[pos].op)) << pos;
+    seq_by_pos[pos] = msg.header.seq_num;
+    (ops[pos].op == core::RegisterMsg::ReadReq ? read_order : write_order).push_back(pos);
+  }
+  for (std::size_t pos = 1; pos < ops.size(); ++pos) {
+    EXPECT_EQ(seq_by_pos[pos], seq_by_pos[pos - 1] + 1) << pos;
+  }
+  EXPECT_EQ(read_order, (std::vector<std::size_t>{0, 2}));
+  EXPECT_EQ(write_order, (std::vector<std::size_t>{1, 3}));
+}
+
+TEST(ControllerBatch, NackMidListFailsOnceWithItsError) {
+  Stack stack;
+  stack.add_switch(kSw);
+  ASSERT_TRUE(stack.init_local_key_sync(kSw).ok());
+  // Register 77 exists on the switch but is not exposed: the agent nAcks.
+  const std::vector<Op> ops = {{core::RegisterMsg::WriteReq, kUserReg, 1, 0x11},
+                               {core::RegisterMsg::ReadReq, RegisterId{77}, 0},
+                               {core::RegisterMsg::WriteReq, kUserReg, 2, 0x22}};
+  int calls = 0;
+  std::optional<Values> result;
+  stack.controller.run_register_ops(kSw, ops, [&](Values v) {
+    ++calls;
+    result = std::move(v);
+  });
+  stack.sim.run();
+  EXPECT_EQ(calls, 1);
+  ASSERT_TRUE(result.has_value());
+  ASSERT_FALSE(result->ok());
+  EXPECT_EQ(result->error().message, "nAck from data plane");
+  // The answers after the nAck still arrive; they complete nothing.
+  EXPECT_EQ(stack.controller.stats().nacks_received, 1u);
+  EXPECT_EQ(stack.controller.stats().acks_received, 2u);
+}
+
+TEST(ControllerBatch, UnknownSwitchFailsOnceSynchronously) {
+  Stack stack;
+  stack.add_switch(kSw);
+  int calls = 0;
+  std::optional<Values> result;
+  stack.controller.run_register_ops(NodeId{9},
+                                    {{core::RegisterMsg::ReadReq, kUserReg, 0},
+                                     {core::RegisterMsg::ReadReq, kUserReg, 1}},
+                                    [&](Values v) {
+                                      ++calls;
+                                      result = std::move(v);
+                                    });
+  ASSERT_TRUE(result.has_value());
+  EXPECT_FALSE(result->ok());
+  EXPECT_EQ(calls, 1);
+  stack.sim.run();
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(stack.controller.stats().requests_sent, 0u);
+}
+
+TEST(ControllerBatch, EmptyListCompletesAtOnce) {
+  Stack stack;
+  stack.add_switch(kSw);
+  std::optional<Values> result;
+  stack.controller.run_register_ops(kSw, {}, [&](Values v) { result = std::move(v); });
+  ASSERT_TRUE(result.has_value() && result->ok());
+  EXPECT_TRUE(result->value().empty());
+  EXPECT_TRUE(stack.sim.empty());
+}
+
+TEST(ControllerBatch, SchedulesNoEventBeyondItsOps) {
+  const std::vector<Op> ops = {{core::RegisterMsg::WriteReq, kUserReg, 3, 0x33},
+                               {core::RegisterMsg::ReadReq, kUserReg, 3},
+                               {core::RegisterMsg::WriteReq, kUserReg, 4, 0x44},
+                               {core::RegisterMsg::ReadReq, kUserReg, 0}};
+  const auto run = [&ops](bool batched) {
+    Stack stack;
+    stack.add_switch(kSw);
+    EXPECT_TRUE(stack.init_local_key_sync(kSw).ok());
+    const std::size_t before = stack.sim.processed();
+    int completions = 0;
+    if (batched) {
+      stack.controller.run_register_ops(kSw, ops, [&](Values v) {
+        EXPECT_TRUE(v.ok());
+        ++completions;
+      });
+    } else {
+      for (const Op& op : ops) {
+        const auto count = [&](Result<std::uint64_t> v) {
+          EXPECT_TRUE(v.ok());
+          ++completions;
+        };
+        if (op.op == core::RegisterMsg::WriteReq) {
+          stack.controller.write_register(kSw, op.reg, op.index, op.value, count);
+        } else {
+          stack.controller.read_register(kSw, op.reg, op.index, count);
+        }
+      }
+    }
+    stack.sim.run();
+    EXPECT_EQ(completions, batched ? 1 : static_cast<int>(ops.size()));
+    return std::pair{stack.sim.processed() - before, stack.sim.now()};
+  };
+  EXPECT_EQ(run(true), run(false));
+}
+
 }  // namespace
 }  // namespace p4auth::controller

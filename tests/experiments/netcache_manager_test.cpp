@@ -79,6 +79,27 @@ TEST_F(NetCacheStack, ClearSketchResetsPopularity) {
   EXPECT_EQ(program->estimate(0xAAAA), 0u);
 }
 
+TEST_F(NetCacheStack, InstallHottestBreaksTiesTowardTheLaterCandidate) {
+  // An empty sketch estimates every key at 0: the argmax runs with >= in
+  // candidate order, so the last candidate wins.
+  nc::NetCacheManager manager(fabric->controller, kSw);
+  std::optional<Result<std::uint32_t>> installed;
+  manager.install_hottest({0xAAAA, 0xBBBB, 0xCCCC}, /*slot=*/0, /*value=*/1,
+                          [&](auto r) { installed = std::move(r); });
+  fabric->sim.run();
+  ASSERT_TRUE(installed.has_value() && installed->ok());
+  EXPECT_EQ(installed->value(), 0xCCCCu);
+}
+
+TEST_F(NetCacheStack, ClearingZeroEntriesCompletesAtOnce) {
+  nc::NetCacheManager manager(fabric->controller, kSw);
+  std::optional<Status> cleared;
+  manager.clear_sketch(0, [&](Status s) { cleared = std::move(s); });
+  ASSERT_TRUE(cleared.has_value());
+  EXPECT_TRUE(cleared->ok());
+  EXPECT_TRUE(fabric->sim.empty());
+}
+
 TEST_F(NetCacheStack, EmptyCandidateListFails) {
   nc::NetCacheManager manager(fabric->controller, kSw);
   std::optional<Result<std::uint32_t>> installed;

@@ -1,7 +1,9 @@
 // Table I shape guards: for every victim system class, the attack hurts
 // the baseline metric, P4Auth restores it, and only P4Auth detects the
-// attack.
+// attack. One exact pin holds every row's numbers to the last bit.
 #include <gtest/gtest.h>
+
+#include <iterator>
 
 #include "experiments/table1_experiment.hpp"
 
@@ -75,6 +77,37 @@ TEST_F(Table1, MeasurementAttackPoisonsDecode) {
   EXPECT_LT(r.attacked, r.baseline - 10.0);  // poisoned counts
   EXPECT_GT(r.with_p4auth, 95.0);
   EXPECT_TRUE(r.detected_with);
+}
+
+TEST_F(Table1, RowsMatchParentExactly) {
+  // Seed 1, recorded before the controller-side apps shared one register-op
+  // fan-out: that refactor must not move a single bit of Table I.
+  struct Expected {
+    const char* system;
+    double baseline, attacked, with_p4auth;
+    bool detected_without, detected_with;
+  };
+  const Expected expected[] = {
+      {"FRR (RouteScout)", 0x1.c9cd4e445e075p+3, 0x1.2b20e22df4dc5p+6, 0x1.c7b450e2c424ep+3,
+       false, true},
+      {"FRR (Blink)", 0x1.9p+6, 0x0p+0, 0x1.9p+6, false, true},
+      {"LB (SilkRoad)", 0x0p+0, 0x1.9p+6, 0x0p+0, false, true},
+      {"IDS/IPS (Netwarden)", 0x1p+0, 0x0p+0, 0x1p+0, false, true},
+      {"Cache (NetCache)", 0x1.43eb851eb851fp+5, 0x1.9p+7, 0x1.43eb851eb851fp+5, false, true},
+      {"Measurement (FlowRadar)", 0x1.9p+6, 0x1.ep+5, 0x1.9p+6, false, true},
+  };
+  ASSERT_EQ(rows().size(), std::size(expected));
+  for (std::size_t i = 0; i < rows().size(); ++i) {
+    const Table1Row& r = rows()[i];
+    const Expected& e = expected[i];
+    SCOPED_TRACE(e.system);
+    EXPECT_EQ(r.system, e.system);
+    EXPECT_EQ(r.baseline, e.baseline);
+    EXPECT_EQ(r.attacked, e.attacked);
+    EXPECT_EQ(r.with_p4auth, e.with_p4auth);
+    EXPECT_EQ(r.detected_without, e.detected_without);
+    EXPECT_EQ(r.detected_with, e.detected_with);
+  }
 }
 
 }  // namespace

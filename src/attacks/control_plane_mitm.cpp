@@ -34,6 +34,17 @@ netsim::TamperVerdict rewrite_value(Bytes& frame, RegisterMsg op,
 
 }  // namespace
 
+ValueTransform counted_implant(std::uint32_t shots, ValueRewrite rewrite) {
+  return [shots, rewrite = std::move(rewrite)](std::uint32_t index,
+                                               std::uint64_t value) mutable {
+    if (shots == 0) return value;
+    const std::optional<std::uint64_t> forged = rewrite(index, value);
+    if (!forged.has_value()) return value;
+    --shots;
+    return *forged;
+  };
+}
+
 netsim::OsInterposer make_write_value_tamper(std::optional<RegisterId> target,
                                              ValueTransform transform) {
   netsim::OsInterposer interposer;

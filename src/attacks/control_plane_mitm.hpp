@@ -17,6 +17,18 @@ namespace p4auth::attacks {
 /// Receives the register index and current value; returns the forged value.
 using ValueTransform = std::function<std::uint64_t(std::uint32_t index, std::uint64_t value)>;
 
+/// Like ValueTransform, but may pass on a value: nullopt leaves it as is.
+using ValueRewrite =
+    std::function<std::optional<std::uint64_t>(std::uint32_t index, std::uint64_t value)>;
+
+/// The intermittent implant of the Table I experiments: applies `rewrite`
+/// until it has forged `shots` values, then goes quiet. A shot is spent
+/// only when `rewrite` returns a value, so a rewrite that always forges
+/// spends one per message and a selective one only on the values it
+/// picks. The count lives in the returned transform; hand it to the
+/// interposer rather than copying it.
+ValueTransform counted_implant(std::uint32_t shots, ValueRewrite rewrite);
+
 /// Rewrites the value of register *write requests* heading to the data
 /// plane (Attack on update messages, Table I). `target` empty = any
 /// register.

@@ -1,6 +1,5 @@
 #include "controller/controller.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "common/logging.hpp"
@@ -219,13 +218,11 @@ void Controller::issue_register_op(NodeId sw, RegisterMsg op, RegisterId reg,
     return;
   }
   const std::uint16_t seq = st->tx_seq.next();
-  if (auto s = st->ledger.on_request(seq, sim_.now()); !s.ok()) {
+  // The ledger takes `done`, unless it refuses the request.
+  if (auto s = st->ledger.on_request(seq, sim_.now(), done); !s.ok()) {
     done(s.error());
     return;
   }
-  const auto pending = std::find_if(st->pending_ops.begin(), st->pending_ops.end(),
-                                    [seq](const PendingOp& p) { return p.seq == seq; });
-  if (pending == st->pending_ops.end()) st->pending_ops.push_back(PendingOp{seq, std::move(done)});
   ++stats_.requests_sent;
   const auto span = span_operation(telemetry::kTraceDomainRegOp, sw.value);
 
@@ -242,22 +239,17 @@ void Controller::on_register_response(SwitchState& st, const Message& msg, bool 
   const auto op = static_cast<RegisterMsg>(msg.header.msg_type);
   if (op != RegisterMsg::Ack && op != RegisterMsg::NAck) return;
 
-  if (!st.ledger.on_response(msg.header.seq_num)) {
+  auto done = st.ledger.on_response(msg.header.seq_num);
+  if (!done.has_value()) {
     ++stats_.unmatched_responses;
+    return;
   }
-  const auto it = std::find_if(st.pending_ops.begin(), st.pending_ops.end(),
-                               [seq = msg.header.seq_num](const PendingOp& p) {
-                                 return p.seq == seq;
-                               });
-  if (it == st.pending_ops.end()) return;
-  auto done = std::move(it->done);
-  st.pending_ops.erase(it);
 
   SimTime delay = config_.parse_response;
   if (config_.p4auth_enabled) delay += config_.digest_cost;
 
   // Captures only what completion needs, so the closure stays inline.
-  sim_.after(delay, [this, done = std::move(done), digest_ok, nack = op == RegisterMsg::NAck,
+  sim_.after(delay, [this, done = std::move(*done), digest_ok, nack = op == RegisterMsg::NAck,
                      value = std::get<RegisterOpPayload>(msg.payload).value]() {
     if (!digest_ok) {
       ++stats_.response_digest_failures;

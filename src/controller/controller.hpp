@@ -175,12 +175,6 @@ class Controller {
   const std::vector<Adjacency>& adjacencies() const noexcept { return adjacencies_; }
 
  private:
-  /// An issued register op awaiting its ack/nAck.
-  struct PendingOp {
-    std::uint16_t seq = 0;
-    std::function<void(Result<std::uint64_t>)> done;
-  };
-
   enum class LocalPhase { Eak, Adhkd };
   struct PendingLocal {
     LocalPhase phase = LocalPhase::Eak;
@@ -213,10 +207,8 @@ class Controller {
     core::MirrorKeyStore keys;
     std::optional<Key64> k_auth;
     core::SeqCounter tx_seq;
-    core::OutstandingLedger ledger;
-    /// Flat, in issue order; never longer than the ledger's bound. The
-    /// first entry for a seq wins, as in the ledger.
-    std::vector<PendingOp> pending_ops;
+    /// Issued register ops awaiting their ack/nAck, with their completions.
+    core::OutstandingLedger<std::function<void(Result<std::uint64_t>)>> ledger;
     std::optional<PendingLocal> pending_local;
 
     SwitchState(NodeId node, netsim::ControlChannel* ch, Key64 seed, int num_ports,

@@ -6,12 +6,14 @@
 //    responses is detected (responses without a matching request) and the
 //    request/response imbalance threshold can trip. The ledger is a flat
 //    vector in issue order, never longer than its bound: a warm ledger
-//    registers and matches requests without allocating.
+//    registers and matches requests without allocating. Each entry can
+//    carry the request's completion, so a caller keeps one list.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <deque>
+#include <optional>
 #include <vector>
 
 #include "common/result.hpp"
@@ -45,31 +47,46 @@ class RateLimiter {
   std::uint64_t suppressed_ = 0;
 };
 
+/// The ledger's per-request payload when a caller needs none.
+struct NoCompletion {};
+
+/// `Completion` rides with each entry (the controller keeps the callback
+/// its answer completes), so one list carries the whole outstanding
+/// request.
+template <typename Completion = NoCompletion>
 class OutstandingLedger {
  public:
   explicit OutstandingLedger(std::size_t max_outstanding)
       : max_outstanding_(max_outstanding) {}
 
-  /// Registers an issued request; fails when the in-flight bound is hit.
-  /// A seq already in flight keeps its first entry (and issue time).
-  Status on_request(std::uint16_t seq, SimTime now) {
+  /// Registers an issued request and moves its completion in from
+  /// `done`. Fails when the in-flight bound is hit, leaving `done` with
+  /// the caller to report the refusal. A seq already in flight keeps its
+  /// first entry (issue time and completion); `done` is then dropped.
+  Status on_request(std::uint16_t seq, SimTime now, Completion& done) {
     if (pending_.size() >= max_outstanding_) {
       return make_error("outstanding request limit reached");
     }
-    if (find(seq) == pending_.end()) pending_.push_back(Entry{seq, now});
+    if (find(seq) == pending_.end()) pending_.push_back(Entry{seq, now, std::move(done)});
     return {};
   }
+  Status on_request(std::uint16_t seq, SimTime now) {
+    Completion none{};
+    return on_request(seq, now, none);
+  }
 
-  /// Matches a response to its request. An unmatched response is the
-  /// §VIII "many modified response messages" signature.
-  bool on_response(std::uint16_t seq) {
+  /// Matches a response to its request and hands back its completion.
+  /// An unmatched response is the §VIII "many modified response
+  /// messages" signature.
+  std::optional<Completion> on_response(std::uint16_t seq) {
     const auto it = find(seq);
     if (it == pending_.end()) {
       ++unmatched_responses_;
-      return false;
+      return std::nullopt;
     }
+    std::optional<Completion> done(std::move(it->done));
     pending_.erase(it);
-    return true;
+    return done;
   }
 
   std::size_t outstanding() const noexcept { return pending_.size(); }
@@ -89,9 +106,10 @@ class OutstandingLedger {
   struct Entry {
     std::uint16_t seq = 0;
     SimTime issued{};
+    [[no_unique_address]] Completion done{};
   };
 
-  std::vector<Entry>::iterator find(std::uint16_t seq) {
+  typename std::vector<Entry>::iterator find(std::uint16_t seq) {
     return std::find_if(pending_.begin(), pending_.end(),
                         [seq](const Entry& e) { return e.seq == seq; });
   }

@@ -52,12 +52,9 @@ Fabric::ProgramFactory make_hula(NodeId self, bool is_tor, std::vector<PortId> p
 }  // namespace
 
 HulaResult run_hula_experiment(Scenario scenario, const HulaOptions& options) {
-  const bool p4auth =
-      scenario == Scenario::P4AuthAttack || scenario == Scenario::P4AuthClean;
-  const bool adversary = scenario == Scenario::Attack || scenario == Scenario::P4AuthAttack;
 
   Fabric::Options fabric_options;
-  fabric_options.p4auth = p4auth;
+  fabric_options.p4auth = p4auth_on(scenario);
   fabric_options.seed = options.seed;
   fabric_options.protected_magics = {hula::kProbeMagic};
   fabric_options.telemetry = options.telemetry;
@@ -89,7 +86,7 @@ HulaResult run_hula_experiment(Scenario scenario, const HulaOptions& options) {
     return HulaResult{};  // surfaces as all-zero shares; tests assert on setup separately
   }
 
-  if (adversary) {
+  if (adversary_on(scenario)) {
     // The Fig 3 MitM on the S4-S1 link rewrites probes heading to S1.
     s4_s1->set_tamper(kS4, attacks::make_probe_util_rewriter(options.forged_util));
   }

@@ -33,6 +33,15 @@ enum class Scenario {
 
 const char* scenario_name(Scenario scenario);
 
+/// P4Auth guards the run.
+constexpr bool p4auth_on(Scenario scenario) noexcept {
+  return scenario == Scenario::P4AuthAttack || scenario == Scenario::P4AuthClean;
+}
+/// The adversary is armed.
+constexpr bool adversary_on(Scenario scenario) noexcept {
+  return scenario == Scenario::Attack || scenario == Scenario::P4AuthAttack;
+}
+
 struct HulaResult {
   /// Share of S1's data bytes leaving via S2 / S3 / S4, in percent.
   std::array<double, 3> path_share_pct{};

@@ -17,12 +17,9 @@ constexpr PortId kHostPort{9};
 
 RouteScoutResult run_routescout_experiment(Scenario scenario,
                                            const RouteScoutOptions& options) {
-  const bool p4auth =
-      scenario == Scenario::P4AuthAttack || scenario == Scenario::P4AuthClean;
-  const bool adversary = scenario == Scenario::Attack || scenario == Scenario::P4AuthAttack;
 
   Fabric::Options fabric_options;
-  fabric_options.p4auth = p4auth;
+  fabric_options.p4auth = p4auth_on(scenario);
   fabric_options.seed = options.seed;
   fabric_options.telemetry = options.telemetry;
   Fabric fabric(fabric_options);
@@ -42,7 +39,7 @@ RouteScoutResult run_routescout_experiment(Scenario scenario,
   // The adversary arms itself only after the clean epochs, like a stealthy
   // implant waiting for normal operation to settle.
   auto attack_active = std::make_shared<bool>(false);
-  if (adversary) {
+  if (adversary_on(scenario)) {
     edge.sw->set_os_interposer(attacks::make_report_inflater(
         rs::kLatSumReg,
         [attack_active, factor = options.inflate_factor](std::uint32_t index,

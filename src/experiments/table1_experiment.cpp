@@ -1,6 +1,7 @@
 #include "experiments/table1_experiment.hpp"
 
 #include <memory>
+#include <optional>
 
 #include "apps/blink/blink.hpp"
 #include "apps/flowradar/flowradar.hpp"
@@ -17,234 +18,197 @@ namespace {
 constexpr NodeId kSw{1};
 constexpr PortId kHostPort{9};
 
-enum class Mode { NoAttack, Attack, AttackWithP4Auth };
+/// One run's metric, and whether any attack was detected in it.
+struct RowRun {
+  double value = 0;
+  bool detected = false;
+};
 
-bool attack_on(Mode mode) { return mode != Mode::NoAttack; }
-bool p4auth_on(Mode mode) { return mode == Mode::AttackWithP4Auth; }
-
-/// Intermittent-implant transform: forge the first `times` matching
-/// messages, then go quiet.
-attacks::ValueTransform forge_n_times(int times, std::uint64_t forged_value) {
-  auto remaining = std::make_shared<int>(times);
-  return [remaining, forged_value](std::uint32_t, std::uint64_t value) {
-    if (*remaining > 0) {
-      --*remaining;
-      return forged_value;
-    }
-    return value;
-  };
+/// A row's three runs: no attack, attack, attack under P4Auth. The
+/// baseline's detection flag is not reported.
+Table1Row three_runs(std::string system, std::string metric,
+                     RowRun (*run)(Scenario, std::uint64_t), std::uint64_t seed) {
+  Table1Row row;
+  row.system = std::move(system);
+  row.metric = std::move(metric);
+  row.baseline = run(Scenario::Baseline, seed).value;
+  const RowRun attacked = run(Scenario::Attack, seed);
+  const RowRun protected_run = run(Scenario::P4AuthAttack, seed);
+  row.attacked = attacked.value;
+  row.with_p4auth = protected_run.value;
+  row.detected_without = attacked.detected;
+  row.detected_with = protected_run.detected;
+  return row;
 }
 
-/// Detection signal: any data-plane alert or controller-side digest
-/// failure observed.
-bool detected(const Fabric& fabric) {
-  return !fabric.controller.alerts().empty() ||
-         fabric.controller.stats().response_digest_failures > 0;
+/// `options` with P4Auth as `scenario` has it and the run's seed.
+Fabric::Options run_options(Scenario scenario, std::uint64_t seed, Fabric::Options options) {
+  options.p4auth = p4auth_on(scenario);
+  options.seed = seed;
+  return options;
+}
+
+/// The set-up every single-switch run shares: a fresh fabric with the
+/// app on switch S1, its registers exposed to S1's agent, keys up.
+template <typename Program>
+struct AppFabric {
+  Fabric fabric;
+  FabricSwitch* sw = nullptr;
+  Program* program = nullptr;
+  bool keys_ok = false;
+
+  AppFabric(Scenario scenario, std::uint64_t seed, typename Program::Config config = {},
+            Fabric::Options options = {})
+      : fabric(run_options(scenario, seed, std::move(options))) {
+    sw = &fabric.add_switch(kSw, [&](dataplane::RegisterFile& registers) {
+      auto p = std::make_unique<Program>(config, registers);
+      program = p.get();
+      return p;
+    });
+    (void)program->expose_to(*sw->agent);
+    keys_ok = fabric.init_all_keys().ok();
+  }
+
+  /// Detection signal: any data-plane alert or controller-side digest
+  /// failure observed.
+  bool detected() const {
+    return !fabric.controller.alerts().empty() ||
+           fabric.controller.stats().response_digest_failures > 0;
+  }
+};
+
+/// Rewrites every value, one shot per message.
+attacks::ValueTransform every_value(std::uint32_t shots,
+                                    std::uint64_t (*rewrite)(std::uint64_t value)) {
+  return attacks::counted_implant(shots, [rewrite](std::uint32_t, std::uint64_t value) {
+    return std::optional<std::uint64_t>(rewrite(value));
+  });
 }
 
 // --- Row 1: FRR (RouteScout) -------------------------------------------------
 
-Table1Row row_frr(std::uint64_t seed) {
-  Table1Row row;
-  row.system = "FRR (RouteScout)";
-  row.metric = "traffic share on slower path-2 (%)";
-
+RowRun routescout_run(Scenario scenario, std::uint64_t seed) {
   RouteScoutOptions options;
   options.seed = seed;
   options.clean_epochs = 2;
   options.attacked_epochs = 3;
   options.data_packets_per_second = 2000;
-
-  const auto baseline = run_routescout_experiment(Scenario::Baseline, options);
-  const auto attacked = run_routescout_experiment(Scenario::Attack, options);
-  const auto protected_run = run_routescout_experiment(Scenario::P4AuthAttack, options);
-  row.baseline = baseline.path_share_pct[1];
-  row.attacked = attacked.path_share_pct[1];
-  row.with_p4auth = protected_run.path_share_pct[1];
-  row.detected_without = attacked.alerts > 0;
-  row.detected_with = protected_run.alerts > 0;
-  return row;
+  const auto result = run_routescout_experiment(scenario, options);
+  return {result.path_share_pct[1], result.alerts > 0};
 }
 
 // --- Row 1b: FRR (Blink) -------------------------------------------------------
 
-double blink_run(Mode mode, std::uint64_t seed, bool* saw_detection) {
+RowRun blink_run(Scenario scenario, std::uint64_t seed) {
   namespace bk = apps::blink;
-  Fabric::Options options;
-  options.p4auth = p4auth_on(mode);
-  options.seed = seed;
-  Fabric fabric(options);
+  AppFabric<bk::BlinkProgram> app(scenario, seed);
+  if (!app.keys_ok) return {-1, false};
 
-  bk::BlinkProgram* program = nullptr;
-  auto& sw = fabric.add_switch(kSw, [&](dataplane::RegisterFile& registers) {
-    auto p = std::make_unique<bk::BlinkProgram>(bk::BlinkProgram::Config{}, registers);
-    program = p.get();
-    return p;
-  });
-  (void)program->expose_to(*sw.agent);
-  if (!fabric.init_all_keys().ok()) return -1;
-
-  if (attack_on(mode)) {
+  if (adversary_on(scenario)) {
     // Rewrite the primary next hop in the controller's per-prefix list
     // update: traffic for the prefix is hijacked to the attacker's port.
-    auto remaining = std::make_shared<int>(1);
-    sw.sw->set_os_interposer(attacks::make_write_value_tamper(
-        bk::kNextHopsReg, [remaining](std::uint32_t, std::uint64_t value) {
-          if (*remaining > 0 && value != 0) {
-            --*remaining;
-            return std::uint64_t{8};  // attacker's port 7, stored as +1
-          }
-          return value;
-        }));
+    app.sw->sw->set_os_interposer(attacks::make_write_value_tamper(
+        bk::kNextHopsReg,
+        attacks::counted_implant(1, [](std::uint32_t, std::uint64_t value) {
+          // Attacker's port 7, stored as +1.
+          return value != 0 ? std::optional<std::uint64_t>(8) : std::nullopt;
+        })));
   }
 
-  bk::BlinkManager manager(fabric.controller, kSw);
-  (void)retry_sync(fabric, 3, [&](auto done) {
+  bk::BlinkManager manager(app.fabric.controller, kSw);
+  (void)retry_sync(app.fabric, 3, [&](auto done) {
     manager.install_next_hops(1, {PortId{1}, PortId{2}, PortId{3}}, done);
   });
 
   for (int i = 0; i < 200; ++i) {
-    fabric.net.inject(kSw, kHostPort,
-                      bk::encode_packet({1, static_cast<std::uint64_t>(i), false}),
-                      SimTime::from_us(static_cast<std::uint64_t>(5 * i)));
+    app.fabric.net.inject(kSw, kHostPort,
+                          bk::encode_packet({1, static_cast<std::uint64_t>(i), false}),
+                          SimTime::from_us(static_cast<std::uint64_t>(5 * i)));
   }
-  fabric.run_all();
+  app.fabric.run_all();
 
-  if (saw_detection != nullptr) *saw_detection = detected(fabric);
-  const auto it = program->stats().egress_packets.find(PortId{1});
+  const auto& stats = app.program->stats();
+  const auto it = stats.egress_packets.find(PortId{1});
   const double on_primary =
-      it != program->stats().egress_packets.end() ? static_cast<double>(it->second) : 0.0;
-  const double total = static_cast<double>(program->stats().forwarded);
-  return total > 0 ? 100.0 * on_primary / total : 0.0;
-}
-
-Table1Row row_frr_blink(std::uint64_t seed) {
-  Table1Row row;
-  row.system = "FRR (Blink)";
-  row.metric = "traffic on operator-chosen next hop (%)";
-  row.baseline = blink_run(Mode::NoAttack, seed, nullptr);
-  row.attacked = blink_run(Mode::Attack, seed, &row.detected_without);
-  row.with_p4auth = blink_run(Mode::AttackWithP4Auth, seed, &row.detected_with);
-  return row;
+      it != stats.egress_packets.end() ? static_cast<double>(it->second) : 0.0;
+  const double total = static_cast<double>(stats.forwarded);
+  return {total > 0 ? 100.0 * on_primary / total : 0.0, app.detected()};
 }
 
 // --- Row 2: LB (SilkRoad) -----------------------------------------------------
 
-double silkroad_run(Mode mode, std::uint64_t seed, bool* saw_detection) {
+RowRun silkroad_run(Scenario scenario, std::uint64_t seed) {
   namespace slk = apps::silkroad;
-  Fabric::Options options;
-  options.p4auth = p4auth_on(mode);
-  options.seed = seed;
-  Fabric fabric(options);
+  AppFabric<slk::SilkRoadProgram> app(scenario, seed);
+  if (!app.keys_ok) return {-1, false};
 
-  slk::SilkRoadProgram* program = nullptr;
-  auto& sw = fabric.add_switch(kSw, [&](dataplane::RegisterFile& registers) {
-    auto p = std::make_unique<slk::SilkRoadProgram>(slk::SilkRoadProgram::Config{}, registers);
-    program = p.get();
-    return p;
-  });
-  (void)program->expose_to(*sw.agent);
-  if (!fabric.init_all_keys().ok()) return -1;
-
-  if (attack_on(mode)) {
+  if (adversary_on(scenario)) {
     // The implant rewrites the transit-table *clear* (0) into a set (1),
     // stranding new connections on the draining old pool.
-    auto remaining = std::make_shared<int>(1);
-    sw.sw->set_os_interposer(attacks::make_write_value_tamper(
-        slk::kTransitReg, [remaining](std::uint32_t, std::uint64_t value) {
-          if (*remaining > 0 && value == 0) {
-            --*remaining;
-            return std::uint64_t{1};
-          }
-          return value;
-        }));
+    app.sw->sw->set_os_interposer(attacks::make_write_value_tamper(
+        slk::kTransitReg,
+        attacks::counted_implant(1, [](std::uint32_t, std::uint64_t value) {
+          return value == 0 ? std::optional<std::uint64_t>(1) : std::nullopt;
+        })));
   }
 
-  slk::SilkRoadManager manager(fabric.controller, kSw);
-  (void)retry_sync(fabric, 3, [&](auto done) { manager.begin_migration(1, done); });
+  slk::SilkRoadManager manager(app.fabric.controller, kSw);
+  (void)retry_sync(app.fabric, 3, [&](auto done) { manager.begin_migration(1, done); });
 
   // Pending connections arrive during migration (correctly pinned to the
   // old pool), then the migration finishes.
   for (int i = 0; i < 50; ++i) {
-    fabric.net.inject(kSw, kHostPort,
-                      slk::encode_conn({1, 1000ull + static_cast<std::uint64_t>(i)}),
-                      SimTime::from_us(static_cast<std::uint64_t>(10 * i)));
+    app.fabric.net.inject(kSw, kHostPort,
+                          slk::encode_conn({1, 1000ull + static_cast<std::uint64_t>(i)}),
+                          SimTime::from_us(static_cast<std::uint64_t>(10 * i)));
   }
-  fabric.run_all();
+  app.fabric.run_all();
 
-  (void)retry_sync(fabric, 3, [&](auto done) { manager.finish_migration(1, done); });
+  (void)retry_sync(app.fabric, 3, [&](auto done) { manager.finish_migration(1, done); });
 
   // New connections after the migration completed must use the new pool.
-  const auto old_before = program->stats().to_old_pool;
-  const auto new_before = program->stats().to_new_pool;
+  const auto old_before = app.program->stats().to_old_pool;
+  const auto new_before = app.program->stats().to_new_pool;
   for (int i = 0; i < 200; ++i) {
-    fabric.net.inject(kSw, kHostPort,
-                      slk::encode_conn({1, 500'000ull + static_cast<std::uint64_t>(i * 7919)}),
-                      SimTime::from_us(static_cast<std::uint64_t>(10 * i)));
+    app.fabric.net.inject(kSw, kHostPort,
+                          slk::encode_conn({1, 500'000ull + static_cast<std::uint64_t>(i * 7919)}),
+                          SimTime::from_us(static_cast<std::uint64_t>(10 * i)));
   }
-  fabric.run_all();
+  app.fabric.run_all();
 
-  if (saw_detection != nullptr) *saw_detection = detected(fabric);
-  const double misdirected = static_cast<double>(program->stats().to_old_pool - old_before);
-  const double fresh = misdirected + static_cast<double>(program->stats().to_new_pool - new_before);
-  return fresh > 0 ? 100.0 * misdirected / fresh : 0.0;
-}
-
-Table1Row row_lb(std::uint64_t seed) {
-  Table1Row row;
-  row.system = "LB (SilkRoad)";
-  row.metric = "new connections sent to draining pool (%)";
-  row.baseline = silkroad_run(Mode::NoAttack, seed, nullptr);
-  row.attacked = silkroad_run(Mode::Attack, seed, &row.detected_without);
-  row.with_p4auth = silkroad_run(Mode::AttackWithP4Auth, seed, &row.detected_with);
-  return row;
+  const double misdirected = static_cast<double>(app.program->stats().to_old_pool - old_before);
+  const double fresh =
+      misdirected + static_cast<double>(app.program->stats().to_new_pool - new_before);
+  return {fresh > 0 ? 100.0 * misdirected / fresh : 0.0, app.detected()};
 }
 
 // --- Row 3: IDS/IPS (Netwarden) ----------------------------------------------
 
-double flowstats_run(Mode mode, std::uint64_t seed, bool* saw_detection) {
+RowRun flowstats_run(Scenario scenario, std::uint64_t seed) {
   namespace fs = apps::flowstats;
-  Fabric::Options options;
-  options.p4auth = p4auth_on(mode);
-  options.seed = seed;
-  Fabric fabric(options);
+  AppFabric<fs::FlowStatsProgram> app(scenario, seed);
+  if (!app.keys_ok) return {-1, false};
 
-  fs::FlowStatsProgram* program = nullptr;
-  auto& sw = fabric.add_switch(kSw, [&](dataplane::RegisterFile& registers) {
-    auto p = std::make_unique<fs::FlowStatsProgram>(fs::FlowStatsProgram::Config{}, registers);
-    program = p.get();
-    return p;
-  });
-  (void)program->expose_to(*sw.agent);
-  if (!fabric.init_all_keys().ok()) return -1;
-
-  if (attack_on(mode)) {
+  if (adversary_on(scenario)) {
     // Inflate the reported IPD sum 3x so the covert flow's average falls
     // outside the detection band (Table I: evasion).
-    auto remaining = std::make_shared<int>(1);
-    sw.sw->set_os_interposer(attacks::make_report_inflater(
-        fs::kIpdSumReg, [remaining](std::uint32_t, std::uint64_t value) {
-          if (*remaining > 0) {
-            --*remaining;
-            return value * 3;
-          }
-          return value;
-        }));
+    app.sw->sw->set_os_interposer(attacks::make_report_inflater(
+        fs::kIpdSumReg, every_value(1, [](std::uint64_t value) { return value * 3; })));
   }
 
   // Covert flow 7: 50 packets with ~1 ms inter-packet delay (in-band).
   for (int i = 0; i < 50; ++i) {
-    fabric.net.inject(kSw, kHostPort, fs::encode_packet({7, 64}),
-                      SimTime::from_us(static_cast<std::uint64_t>(1000 * i)));
+    app.fabric.net.inject(kSw, kHostPort, fs::encode_packet({7, 64}),
+                          SimTime::from_us(static_cast<std::uint64_t>(1000 * i)));
   }
-  fabric.run_all();
+  app.fabric.run_all();
 
-  fs::FlowStatsManager manager(fabric.controller, kSw);
+  fs::FlowStatsManager manager(app.fabric.controller, kSw);
   bool blocked = false;
   for (int attempt = 0; attempt < 3 && !blocked; ++attempt) {
     std::optional<Result<fs::FlowStatsManager::Verdict>> verdict;
     manager.inspect_flow(7, [&](auto v) { verdict = std::move(v); });
-    fabric.run_all();
+    app.fabric.run_all();
     if (verdict.has_value() && verdict->ok()) {
       blocked = verdict->value().blocked;
       break;  // inspection succeeded: accept its verdict
@@ -252,110 +216,60 @@ double flowstats_run(Mode mode, std::uint64_t seed, bool* saw_detection) {
     // Verification failure: retry (with P4Auth the implant already spent
     // its shot, so the retry sees honest numbers).
   }
-  if (saw_detection != nullptr) *saw_detection = detected(fabric);
-  return blocked ? 1.0 : 0.0;
-}
-
-Table1Row row_ids(std::uint64_t seed) {
-  Table1Row row;
-  row.system = "IDS/IPS (Netwarden)";
-  row.metric = "covert flow blocked (1 = yes)";
-  row.baseline = flowstats_run(Mode::NoAttack, seed, nullptr);
-  row.attacked = flowstats_run(Mode::Attack, seed, &row.detected_without);
-  row.with_p4auth = flowstats_run(Mode::AttackWithP4Auth, seed, &row.detected_with);
-  return row;
+  return {blocked ? 1.0 : 0.0, app.detected()};
 }
 
 // --- Row 4: In-network cache (NetCache) ---------------------------------------
 
-double netcache_run(Mode mode, std::uint64_t seed, bool* saw_detection) {
+RowRun netcache_run(Scenario scenario, std::uint64_t seed) {
   namespace nc = apps::netcache;
-  Fabric::Options options;
-  options.p4auth = p4auth_on(mode);
-  options.seed = seed;
-  Fabric fabric(options);
-
-  nc::NetCacheProgram* program = nullptr;
-  auto& sw = fabric.add_switch(kSw, [&](dataplane::RegisterFile& registers) {
-    auto p = std::make_unique<nc::NetCacheProgram>(nc::NetCacheProgram::Config{}, registers);
-    program = p.get();
-    return p;
-  });
-  (void)program->expose_to(*sw.agent);
-  if (!fabric.init_all_keys().ok()) return -1;
+  AppFabric<nc::NetCacheProgram> app(scenario, seed);
+  if (!app.keys_ok) return {-1, false};
 
   constexpr std::uint32_t kHotKey = 0xABCD;
-  if (attack_on(mode)) {
+  if (adversary_on(scenario)) {
     // Corrupt the hot-key install so the cache holds a key nobody asks for.
-    sw.sw->set_os_interposer(attacks::make_write_value_tamper(
-        nc::kCacheKeyReg, forge_n_times(1, /*forged_value=*/0xDEAD)));
+    app.sw->sw->set_os_interposer(attacks::make_write_value_tamper(
+        nc::kCacheKeyReg, every_value(1, [](std::uint64_t) { return std::uint64_t{0xDEAD}; })));
   }
 
-  nc::NetCacheManager manager(fabric.controller, kSw);
-  (void)retry_sync(fabric, 3,
+  nc::NetCacheManager manager(app.fabric.controller, kSw);
+  (void)retry_sync(app.fabric, 3,
                    [&](auto done) { manager.install_hot_key(0, kHotKey, 777, done); });
 
   // GET workload: the hot key dominates.
-  const auto hits_before = program->stats().hits;
-  const auto misses_before = program->stats().misses;
+  const auto hits_before = app.program->stats().hits;
+  const auto misses_before = app.program->stats().misses;
   Xoshiro256 rng(seed);
   constexpr int kQueries = 500;
   for (int i = 0; i < kQueries; ++i) {
     const std::uint32_t key = rng.next_double() < 0.8 ? kHotKey : 1 + rng.next_u32() % 1000;
-    fabric.net.inject(kSw, kHostPort, nc::encode_query({key}),
-                      SimTime::from_us(static_cast<std::uint64_t>(20 * i)));
+    app.fabric.net.inject(kSw, kHostPort, nc::encode_query({key}),
+                          SimTime::from_us(static_cast<std::uint64_t>(20 * i)));
   }
-  fabric.run_all();
+  app.fabric.run_all();
 
-  if (saw_detection != nullptr) *saw_detection = detected(fabric);
-  const double hits = static_cast<double>(program->stats().hits - hits_before);
-  const double misses = static_cast<double>(program->stats().misses - misses_before);
+  const double hits = static_cast<double>(app.program->stats().hits - hits_before);
+  const double misses = static_cast<double>(app.program->stats().misses - misses_before);
   // Retrieval-latency model: cache hit 5 us, server round trip 200 us.
-  return (hits * 5.0 + misses * 200.0) / std::max(1.0, hits + misses);
-}
-
-Table1Row row_cache(std::uint64_t seed) {
-  Table1Row row;
-  row.system = "Cache (NetCache)";
-  row.metric = "mean GET retrieval time (us)";
-  row.baseline = netcache_run(Mode::NoAttack, seed, nullptr);
-  row.attacked = netcache_run(Mode::Attack, seed, &row.detected_without);
-  row.with_p4auth = netcache_run(Mode::AttackWithP4Auth, seed, &row.detected_with);
-  return row;
+  return {(hits * 5.0 + misses * 200.0) / std::max(1.0, hits + misses), app.detected()};
 }
 
 // --- Row 5: Measurement (FlowRadar) --------------------------------------------
 
-double flowradar_run(Mode mode, std::uint64_t seed, bool* saw_detection) {
+RowRun flowradar_run(Scenario scenario, std::uint64_t seed) {
   namespace fr = apps::flowradar;
+  fr::FlowRadarProgram::Config config;
+  config.cells = 96;
   Fabric::Options options;
-  options.p4auth = p4auth_on(mode);
-  options.seed = seed;
   options.controller_config.max_outstanding = 512;
-  Fabric fabric(options);
+  AppFabric<fr::FlowRadarProgram> app(scenario, seed, config, options);
+  if (!app.keys_ok) return {-1, false};
 
-  fr::FlowRadarProgram* program = nullptr;
-  auto& sw = fabric.add_switch(kSw, [&](dataplane::RegisterFile& registers) {
-    fr::FlowRadarProgram::Config config;
-    config.cells = 96;
-    auto p = std::make_unique<fr::FlowRadarProgram>(config, registers);
-    program = p.get();
-    return p;
-  });
-  (void)program->expose_to(*sw.agent);
-  if (!fabric.init_all_keys().ok()) return -1;
-
-  if (attack_on(mode)) {
+  if (adversary_on(scenario)) {
     // Skew the exported packet counters (poisoning loss analysis).
-    auto remaining = std::make_shared<int>(32);
-    sw.sw->set_os_interposer(attacks::make_report_inflater(
-        fr::kPktCntReg, [remaining](std::uint32_t, std::uint64_t value) {
-          if (*remaining > 0) {
-            --*remaining;
-            return value + 7;
-          }
-          return value;
-        }));
+    app.sw->sw->set_os_interposer(attacks::make_report_inflater(
+        fr::kPktCntReg, every_value(32, [](std::uint64_t value) { return value + 7; })));
   }
 
   // Ground truth: 20 flows, flow f sends f+1 packets.
@@ -363,51 +277,49 @@ double flowradar_run(Mode mode, std::uint64_t seed, bool* saw_detection) {
   SimTime t = SimTime::from_us(1);
   for (std::uint32_t f = 1; f <= 20; ++f) {
     for (std::uint32_t p = 0; p <= f; ++p) {
-      fabric.net.inject(kSw, kHostPort, fr::encode_packet({f * 101}), t);
+      app.fabric.net.inject(kSw, kHostPort, fr::encode_packet({f * 101}), t);
       t += SimTime::from_us(3);
       ++truth[f * 101];
     }
   }
-  fabric.run_all();
+  app.fabric.run_all();
 
-  fr::FlowRadarManager manager(fabric.controller, kSw, 96);
+  fr::FlowRadarManager manager(app.fabric.controller, kSw, 96);
   fr::DecodeResult decoded;
   bool have_decode = false;
   for (int attempt = 0; attempt < 3 && !have_decode; ++attempt) {
     std::optional<Result<fr::DecodeResult>> result;
     manager.export_and_decode([&](auto r) { result = std::move(r); });
-    fabric.run_all();
+    app.fabric.run_all();
     if (result.has_value() && result->ok()) {
       decoded = result->value();
       have_decode = true;
     }
   }
-  if (saw_detection != nullptr) *saw_detection = detected(fabric);
-  if (!have_decode) return 0.0;
+  if (!have_decode) return {0.0, app.detected()};
 
   int correct = 0;
   for (const auto& [flow, count] : truth) {
     const auto it = decoded.flows.find(flow);
     if (it != decoded.flows.end() && it->second == count) ++correct;
   }
-  return 100.0 * static_cast<double>(correct) / static_cast<double>(truth.size());
-}
-
-Table1Row row_measurement(std::uint64_t seed) {
-  Table1Row row;
-  row.system = "Measurement (FlowRadar)";
-  row.metric = "flows decoded with exact packet counts (%)";
-  row.baseline = flowradar_run(Mode::NoAttack, seed, nullptr);
-  row.attacked = flowradar_run(Mode::Attack, seed, &row.detected_without);
-  row.with_p4auth = flowradar_run(Mode::AttackWithP4Auth, seed, &row.detected_with);
-  return row;
+  return {100.0 * static_cast<double>(correct) / static_cast<double>(truth.size()),
+          app.detected()};
 }
 
 }  // namespace
 
 std::vector<Table1Row> run_table1_experiment(std::uint64_t seed) {
-  return {row_frr(seed),   row_frr_blink(seed), row_lb(seed),
-          row_ids(seed),   row_cache(seed),     row_measurement(seed)};
+  return {
+      three_runs("FRR (RouteScout)", "traffic share on slower path-2 (%)", routescout_run, seed),
+      three_runs("FRR (Blink)", "traffic on operator-chosen next hop (%)", blink_run, seed),
+      three_runs("LB (SilkRoad)", "new connections sent to draining pool (%)", silkroad_run,
+                 seed),
+      three_runs("IDS/IPS (Netwarden)", "covert flow blocked (1 = yes)", flowstats_run, seed),
+      three_runs("Cache (NetCache)", "mean GET retrieval time (us)", netcache_run, seed),
+      three_runs("Measurement (FlowRadar)", "flows decoded with exact packet counts (%)",
+                 flowradar_run, seed),
+  };
 }
 
 }  // namespace p4auth::experiments

@@ -76,15 +76,13 @@ Network::Stats Network::merged_stats() const noexcept {
 
 void Network::export_pool_stats() {
   // Each shard exports into its own bundle. Only the partition-invariant
-  // series go unlabelled — the acquire sum (every acquire happens on
+  // series are exported — the acquire sum (every acquire happens on
   // exactly one shard) and the burst high-water max (burst grouping is a
   // pure function of the schedule). Everything else depends on where
   // buffers migrate: even the release sum varies, because a release
   // parks (counted) or is refused (dropped) based on how full the
-  // receiving shard's free list is. Those are exported only as explicit
-  // per-shard diagnostics.
-  for (std::size_t k = 0; k < shards_.size(); ++k) {
-    ShardState& st = shards_[k];
+  // receiving shard's free list is. Those are not exported.
+  for (ShardState& st : shards_) {
     if (st.telemetry == nullptr) continue;
     const BufferPool::Stats& s = st.pool->stats();
     auto& m = st.telemetry->metrics;
@@ -94,17 +92,6 @@ void Network::export_pool_stats() {
     auto& bh = m.gauge("pool.burst_highwater");
     bh.set_merge_max();
     bh.set(static_cast<double>(st.burst_highwater));
-    if (shard_diagnostics_) {
-      const telemetry::Labels labels{{"shard", std::to_string(k)}};
-      m.counter("pool.shard.acquires", labels).inc(s.acquires);
-      m.counter("pool.shard.reuses", labels).inc(s.reuses);
-      m.counter("pool.shard.misses", labels).inc(s.misses);
-      m.counter("pool.shard.releases", labels).inc(s.releases);
-      m.counter("pool.shard.dropped", labels).inc(s.dropped);
-      auto& shw = m.gauge("pool.shard.high_water", labels);
-      shw.set_merge_max();
-      shw.set(static_cast<double>(s.high_water));
-    }
   }
 }
 

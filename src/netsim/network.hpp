@@ -103,16 +103,10 @@ class Network {
 
   std::size_t shard_count() const noexcept { return shards_.size(); }
 
-  /// Opt-in {shard=k}-labelled pool/burst series in the sharded export.
-  /// Off by default: the per-shard split depends on the partition, so the
-  /// labelled series would break byte-equivalence across --shards.
-  void set_shard_diagnostics(bool on) noexcept { shard_diagnostics_ = on; }
-
   /// Writes the pools' counters into the telemetry registry (pool.*).
   /// Call once per run, before the bundle is stamped/serialized. Only the
   /// partition-invariant series (acquire sum, burst high-water max) go
-  /// into each shard's bundle unlabelled, plus the full per-shard series
-  /// under a {shard=k} label when shard diagnostics are enabled.
+  /// into each shard's bundle, unlabelled.
   void export_pool_stats();
 
   /// Flushes any staged delivery burst immediately. The delivery path
@@ -228,7 +222,6 @@ class Network {
   std::vector<ShardState> shards_;  ///< one per shard
   std::vector<std::unique_ptr<BufferPool>> shard_pools_;  ///< pools for shards 1..
   std::vector<int> shard_by_id_;    ///< home shard by NodeId value
-  bool shard_diagnostics_ = false;
 };
 
 }  // namespace p4auth::netsim

@@ -48,29 +48,7 @@ void Switch::on_burst_end() {
 
 void Switch::handle_packet_out(Bytes message) {
   ++stats_.packet_outs;
-  if (interposer_.to_dataplane) {
-    os_original_.assign(message.begin(), message.end());
-    if (interposer_.to_dataplane(message) == TamperVerdict::Drop) {
-      ++stats_.os_dropped;
-      if (telemetry_ != nullptr) {
-        telemetry_->record(network_ != nullptr ? network_->sim().now() : SimTime::zero(), id(),
-                           kCpuPort, telemetry::TraceEventKind::TamperDrop, os_original_.size(),
-                           /*b=*/1);  // toward the data plane (AttackInject convention)
-      }
-      return;
-    }
-    if (message != os_original_) {
-      ++stats_.os_tampered;
-      // The OS seam is an attack surface just like a link: audit the
-      // rewrite so the cause chain shows the adversary action, not only
-      // the downstream verify failure.
-      if (telemetry_ != nullptr) {
-        telemetry_->record(network_ != nullptr ? network_->sim().now() : SimTime::zero(), id(),
-                           kCpuPort, telemetry::TraceEventKind::TamperRewrite, message.size(),
-                           /*b=*/1);
-      }
-    }
-  }
+  if (interposer_.to_dataplane && !cross_os_seam(interposer_.to_dataplane, message, 1)) return;
   dataplane::Packet packet;
   packet.payload = std::move(message);
   packet.ingress = kCpuPort;
@@ -78,6 +56,25 @@ void Switch::handle_packet_out(Bytes message) {
   const auto span = telemetry_ != nullptr ? telemetry_->spans.start_child()
                                           : telemetry::SpanTracker::Scope{};
   run_pipeline(std::move(packet));
+}
+
+bool Switch::cross_os_seam(const std::function<TamperVerdict(Bytes&)>& hook, Bytes& message,
+                           std::uint64_t toward) {
+  os_original_.assign(message.begin(), message.end());
+  const bool dropped = hook(message) == TamperVerdict::Drop;
+  if (!dropped && message == os_original_) return true;
+  ++(dropped ? stats_.os_dropped : stats_.os_tampered);
+  // The OS seam is an attack surface just like a link: audit the drop or
+  // rewrite so the cause chain shows the adversary action, not only the
+  // downstream verify failure.
+  if (telemetry_ != nullptr) {
+    telemetry_->record(network_ != nullptr ? network_->sim().now() : SimTime::zero(), id(),
+                       kCpuPort,
+                       dropped ? telemetry::TraceEventKind::TamperDrop
+                               : telemetry::TraceEventKind::TamperRewrite,
+                       dropped ? os_original_.size() : message.size(), toward);
+  }
+  return !dropped;
 }
 
 void Switch::run_pipeline(dataplane::Packet packet) {
@@ -145,25 +142,8 @@ void Switch::run_pipeline(dataplane::Packet packet) {
 }
 
 void Switch::send_packet_in(Bytes message) {
-  if (interposer_.to_controller) {
-    os_original_.assign(message.begin(), message.end());
-    if (interposer_.to_controller(message) == TamperVerdict::Drop) {
-      ++stats_.os_dropped;
-      if (telemetry_ != nullptr) {
-        telemetry_->record(network_ != nullptr ? network_->sim().now() : SimTime::zero(), id(),
-                           kCpuPort, telemetry::TraceEventKind::TamperDrop, os_original_.size(),
-                           /*b=*/2);  // toward the controller
-      }
-      return;
-    }
-    if (message != os_original_) {
-      ++stats_.os_tampered;
-      if (telemetry_ != nullptr) {
-        telemetry_->record(network_ != nullptr ? network_->sim().now() : SimTime::zero(), id(),
-                           kCpuPort, telemetry::TraceEventKind::TamperRewrite, message.size(),
-                           /*b=*/2);
-      }
-    }
+  if (interposer_.to_controller && !cross_os_seam(interposer_.to_controller, message, 2)) {
+    return;
   }
   if (!packet_in_sink_) {
     ++stats_.packet_ins_lost;

@@ -96,6 +96,12 @@ class Switch : public Node {
  private:
   void run_pipeline(dataplane::Packet packet);
   void send_packet_in(Bytes message);
+  /// Runs one OS interposer hook over a message crossing the seam and
+  /// counts and records what it did. `toward` is the trace record's `b`
+  /// (1: toward the data plane, the AttackInject convention; 2: toward
+  /// the controller). False when the hook dropped the message.
+  bool cross_os_seam(const std::function<TamperVerdict(Bytes&)>& hook, Bytes& message,
+                     std::uint64_t toward);
 
   dataplane::TimingModel timing_;
   Xoshiro256 rng_;

@@ -4,82 +4,28 @@
 #include <optional>
 
 #include "analysis/registry.hpp"
-#include "apps/blink/blink.hpp"
 #include "apps/l3fwd/l3fwd.hpp"
-#include "apps/netcache/netcache.hpp"
 #include "attacks/control_plane_mitm.hpp"
 #include "attacks/digest_flood.hpp"
 #include "attacks/table_poison.hpp"
 #include "controller/key_rotation.hpp"
 #include "experiments/fabric.hpp"
+#include "scenario/apps.hpp"
 
 namespace p4auth::scenario {
 namespace {
 
-namespace bk = apps::blink;
-namespace nc = apps::netcache;
-namespace l3 = apps::l3fwd;
 using experiments::Fabric;
 using experiments::FabricSwitch;
 
-constexpr NodeId kAppSwitch{1};
 constexpr PortId kHostPort{9};
-constexpr std::uint32_t kRoutePrefix = 0xC0A80000;  // 192.168/16
-constexpr std::uint32_t kHotKey = 0xABCD;
-constexpr std::uint64_t kHotValue = 777;
 
-/// Where each attack kind aims, per app. Poison values sit far outside
-/// anything benign traffic or installs write, so the post-run register
-/// probe is unambiguous.
-struct AttackTarget {
-  RegisterId reg{};
-  std::uint32_t index = 0;
-  std::uint64_t poison = 0;
-};
-
-AttackTarget poison_target(AppKind app) {
-  switch (app) {
-    case AppKind::L3Fwd: return {l3::kStatsReg, 0, 0xDEADBEEFull};
-    // Prefix 1's slot 0 lives at index prefix * kNextHopSlots = 3; the
-    // poison re-points it at attacker port 8 (stored +1).
-    case AppKind::Blink: return {bk::kNextHopsReg, 3, 9};
-    case AppKind::NetCache: return {nc::kCacheValReg, 0, 0xDEADull};
-  }
-  return {l3::kStatsReg, 0, 0xDEADBEEFull};
-}
-
-AttackTarget exhaust_target(AppKind app) {
-  // Registers whose corruption cannot change the benign-delivery counter,
-  // so liveness stays assertable under baseline exhaust runs.
-  switch (app) {
-    case AppKind::L3Fwd: return {l3::kStatsReg, 0, 0};
-    case AppKind::Blink: return {bk::kRetxCntReg, 0, 0};
-    case AppKind::NetCache: return {nc::kCmsReg, 0, 0};
-  }
-  return {l3::kStatsReg, 0, 0};
-}
-
-/// The register the ReportInflate probe reads back, and its honest value.
-AttackTarget readback_target(AppKind app) {
-  switch (app) {
-    case AppKind::Blink: return {bk::kNextHopsReg, 3, 2};  // prefix 1 slot 0: port 1, +1
-    case AppKind::NetCache: return {nc::kCacheValReg, 0, kHotValue};
-    case AppKind::L3Fwd: return {l3::kStatsReg, 0, 0};  // never generated
-  }
-  return {bk::kNextHopsReg, 0, 2};
-}
-
-/// Spends `shots` rewrites of matching values, then goes quiet — the
-/// intermittent-implant shape from the Table I experiments.
-attacks::ValueTransform forge_n(std::uint32_t shots, std::uint64_t forged) {
-  auto remaining = std::make_shared<std::uint32_t>(shots);
-  return [remaining, forged](std::uint32_t, std::uint64_t value) {
-    if (*remaining > 0 && value != forged) {
-      --*remaining;
-      return forged;
-    }
-    return value;
-  };
+/// The scenario's OS implant: forges `forged` over each value that is not
+/// already `forged`, one of `shots` each time, then goes quiet.
+attacks::ValueTransform forging_implant(std::uint32_t shots, std::uint64_t forged) {
+  return attacks::counted_implant(shots, [forged](std::uint32_t, std::uint64_t value) {
+    return value != forged ? std::optional<std::uint64_t>(forged) : std::nullopt;
+  });
 }
 
 struct Topo {
@@ -100,7 +46,7 @@ Topo build_topology(Fabric& fabric, const ScenarioSpec& spec,
   for (std::uint32_t i = 0; i < spec.extra_switches; ++i) {
     const NodeId id{static_cast<std::uint16_t>(2 + i)};
     auto& sw = fabric.add_switch(id, [](dataplane::RegisterFile& registers) {
-      return std::make_unique<l3::L3FwdProgram>(registers);
+      return std::make_unique<apps::l3fwd::L3FwdProgram>(registers);
     });
     topo.all.push_back(&sw);
   }
@@ -119,44 +65,16 @@ Topo build_topology(Fabric& fabric, const ScenarioSpec& spec,
   return topo;
 }
 
-void inject_benign(Fabric& fabric, const ScenarioSpec& spec) {
-  for (std::uint32_t i = 0; i < spec.benign_packets; ++i) {
-    const SimTime at = SimTime::from_us(10 + 5ull * i);
-    Bytes payload;
-    switch (spec.app) {
-      case AppKind::L3Fwd:
-        payload = l3::encode_ipv4({kRoutePrefix + 1 + i % 16, 100});
-        break;
-      case AppKind::Blink:
-        payload = bk::encode_packet({1, i, false});
-        break;
-      case AppKind::NetCache:
-        payload = nc::encode_query({i % 4 == 0 ? 1 + i : kHotKey});
-        break;
-    }
-    fabric.net.inject(kAppSwitch, kHostPort, std::move(payload), at);
-  }
-}
-
-std::uint64_t delivered_count(const ScenarioSpec& spec, dataplane::DataPlaneProgram* inner) {
-  switch (spec.app) {
-    case AppKind::L3Fwd:
-      return static_cast<l3::L3FwdProgram*>(inner)->forwarded();
-    case AppKind::Blink:
-      return static_cast<bk::BlinkProgram*>(inner)->stats().forwarded;
-    case AppKind::NetCache: {
-      const auto& stats = static_cast<nc::NetCacheProgram*>(inner)->stats();
-      return stats.hits + stats.misses;
-    }
-  }
-  return 0;
-}
-
 }  // namespace
 
 ScenarioEvidence run_scenario(const ScenarioSpec& spec) {
   ScenarioEvidence ev;
   ev.spec = spec;
+  if (!spec_valid(spec)) {
+    ev.init_error = "invalid spec";
+    return ev;
+  }
+  const AppRow& app = app_row(spec.app);
 
   telemetry::Telemetry telemetry;
   Fabric::Options options;
@@ -166,47 +84,19 @@ ScenarioEvidence run_scenario(const ScenarioSpec& spec) {
   // Authentic alerts drive a defensive rekey — the oracle checks forged
   // ones never do.
   options.controller_config.rekey_on_alert = spec.p4auth;
-  if (spec.attack == AttackKind::LinkMitm) {
+  if (spec.attack == AttackKind::LinkMitm && app.feedback_magic.has_value()) {
     // The on-link adversary needs protected DP-DP feedback to corrupt.
-    options.protected_magics = {bk::kPacketMagic};
+    options.protected_magics = {*app.feedback_magic};
   }
   Fabric fabric(options);
 
   dataplane::DataPlaneProgram* app_program = nullptr;
-  const Fabric::ProgramFactory app_factory = [&](dataplane::RegisterFile& registers)
-      -> std::unique_ptr<dataplane::DataPlaneProgram> {
-    switch (spec.app) {
-      case AppKind::L3Fwd: {
-        auto p = std::make_unique<l3::L3FwdProgram>(registers);
-        app_program = p.get();
-        return p;
-      }
-      case AppKind::Blink: {
-        auto p = std::make_unique<bk::BlinkProgram>(bk::BlinkProgram::Config{}, registers);
-        app_program = p.get();
-        return p;
-      }
-      case AppKind::NetCache: {
-        auto p = std::make_unique<nc::NetCacheProgram>(nc::NetCacheProgram::Config{}, registers);
-        app_program = p.get();
-        return p;
-      }
-    }
-    return nullptr;
-  };
-
-  Topo topo = build_topology(fabric, spec, app_factory);
-  switch (spec.app) {
-    case AppKind::L3Fwd:
-      (void)static_cast<l3::L3FwdProgram*>(app_program)->expose_to(*topo.app_sw->agent);
-      break;
-    case AppKind::Blink:
-      (void)static_cast<bk::BlinkProgram*>(app_program)->expose_to(*topo.app_sw->agent);
-      break;
-    case AppKind::NetCache:
-      (void)static_cast<nc::NetCacheProgram*>(app_program)->expose_to(*topo.app_sw->agent);
-      break;
-  }
+  Topo topo = build_topology(fabric, spec, [&](dataplane::RegisterFile& registers) {
+    auto program = app.make(registers);
+    app_program = program.get();
+    return program;
+  });
+  app.expose(*app_program, *topo.app_sw->agent);
 
   if (const auto status = fabric.init_all_keys(); !status.ok()) {
     ev.init_error = status.error().message;
@@ -215,35 +105,12 @@ ScenarioEvidence run_scenario(const ScenarioSpec& spec) {
 
   // --- Arm the write-path implant before the install it tampers with ----
   if (spec.attack == AttackKind::CpWriteTamper) {
-    const AttackTarget target = poison_target(spec.app);
-    topo.app_sw->sw->set_os_interposer(
-        attacks::make_write_value_tamper(target.reg, forge_n(spec.attack_count, target.poison)));
+    topo.app_sw->sw->set_os_interposer(attacks::make_write_value_tamper(
+        app.poison.reg, forging_implant(spec.attack_count, app.poison.value)));
   }
 
   // --- App install (controller-driven where the paper's Table I does) ---
-  Status install{};
-  switch (spec.app) {
-    case AppKind::L3Fwd:
-      install = static_cast<l3::L3FwdProgram*>(app_program)
-                    ->add_route(kRoutePrefix, 16, PortId{1});
-      break;
-    case AppKind::Blink: {
-      bk::BlinkManager manager(fabric.controller, kAppSwitch);
-      // 5 attempts: a CpWriteTamper implant with 3 shots can spoil up to
-      // three tries before it runs dry.
-      install = retry_sync(fabric, 5, [&](auto done) {
-        manager.install_next_hops(1, {PortId{1}, PortId{2}, PortId{3}}, done);
-      });
-      break;
-    }
-    case AppKind::NetCache: {
-      nc::NetCacheManager manager(fabric.controller, kAppSwitch);
-      install = retry_sync(fabric, 5, [&](auto done) {
-        manager.install_hot_key(0, kHotKey, kHotValue, done);
-      });
-      break;
-    }
-  }
+  const Status install = app.install(fabric, *app_program);
   // Under the baseline a tampered install "succeeds" with the forged
   // value — that is the attack landing, not an engine failure.
   if (!install.ok() && spec.attack != AttackKind::CpWriteTamper) {
@@ -275,7 +142,10 @@ ScenarioEvidence run_scenario(const ScenarioSpec& spec) {
 
   // --- Benign workload + the scenario's attack ---------------------------
   ev.benign_expected = spec.benign_packets;
-  inject_benign(fabric, spec);
+  for (std::uint32_t i = 0; i < spec.benign_packets; ++i) {
+    fabric.net.inject(kAppSwitch, kHostPort, app.benign_frame(i),
+                      SimTime::from_us(10 + 5ull * i));
+  }
 
   switch (spec.attack) {
     case AttackKind::None:
@@ -284,44 +154,43 @@ ScenarioEvidence run_scenario(const ScenarioSpec& spec) {
     case AttackKind::ReportInflate:
       // Armed against the post-run read probe; installs are already done,
       // so every shot is left for the misreport.
-      {
-        const AttackTarget target = readback_target(spec.app);
+      if (const auto& cell = app.installed) {
         topo.app_sw->sw->set_os_interposer(attacks::make_report_inflater(
-            target.reg, forge_n(spec.attack_count, target.poison * 3 + 1)));
+            cell->reg, forging_implant(spec.attack_count, cell->value * 3 + 1)));
       }
       break;
     case AttackKind::LinkMitm: {
       // Corrupt the first attack_count protected feedback frames leaving
       // S1 after the window opens. KMP legs crossing the same link are
       // left alone — the adversary hunts app feedback, not key material.
-      auto remaining = std::make_shared<std::uint32_t>(spec.attack_count);
+      // The link owns the hook and calls it in place, so the shot count
+      // lives in the closure.
       const std::uint64_t not_before = start.ns();
-      auto* sim = &fabric.sim;
-      topo.first_link->set_tamper(kAppSwitch, [remaining, not_before, sim](Bytes& frame) {
-        if (*remaining == 0 || sim->now().ns() < not_before || frame.empty()) {
-          return netsim::TamperVerdict::Pass;
-        }
-        const bool raw_blink = frame[0] == bk::kPacketMagic;
-        bool dp_data = false;
-        if (!raw_blink) {
-          const auto header = core::decode_header(frame);
-          dp_data = header.ok() && header.value().hdr_type == core::HdrType::DpData;
-        }
-        if (raw_blink || dp_data) {
-          --*remaining;
-          frame.back() ^= 0x5A;
-        }
-        return netsim::TamperVerdict::Pass;
-      });
+      topo.first_link->set_tamper(
+          kAppSwitch, [remaining = spec.attack_count, not_before, sim = &fabric.sim,
+                       magic = app.feedback_magic](Bytes& frame) mutable {
+            if (remaining == 0 || sim->now().ns() < not_before || frame.empty()) {
+              return netsim::TamperVerdict::Pass;
+            }
+            bool feedback = frame[0] == magic;
+            if (!feedback) {
+              const auto header = core::decode_header(frame);
+              feedback = header.ok() && header.value().hdr_type == core::HdrType::DpData;
+            }
+            if (feedback) {
+              --remaining;
+              frame.back() ^= 0x5A;
+            }
+            return netsim::TamperVerdict::Pass;
+          });
       break;
     }
     case AttackKind::TablePoison: {
-      const AttackTarget target = poison_target(spec.app);
       attacks::TablePoisonPlan plan;
       plan.controller_id = kControllerId;
-      plan.reg = target.reg;
-      plan.index = target.index;
-      plan.value = target.poison;
+      plan.reg = app.poison.reg;
+      plan.index = app.poison.index;
+      plan.value = app.poison.value;
       plan.count = spec.attack_count;
       plan.seed = spec.seed;
       attacks::schedule_table_poison(fabric.sim, *topo.app_sw->sw, &telemetry, plan, start,
@@ -339,7 +208,7 @@ ScenarioEvidence run_scenario(const ScenarioSpec& spec) {
       break;
     case AttackKind::RegisterExhaust:
       attacks::schedule_register_exhaust(fabric.sim, *topo.app_sw->sw, &telemetry,
-                                         kControllerId, exhaust_target(spec.app).reg,
+                                         kControllerId, app.exhaust,
                                          {kControllerId, spec.attack_count, spec.seed}, start,
                                          window);
       break;
@@ -348,10 +217,10 @@ ScenarioEvidence run_scenario(const ScenarioSpec& spec) {
   fabric.run_all();
 
   // --- Post-run probes ----------------------------------------------------
-  if (spec.attack == AttackKind::ReportInflate) {
-    const AttackTarget target = readback_target(spec.app);
+  if (spec.attack == AttackKind::ReportInflate && app.installed.has_value()) {
+    const RegisterCell& target = *app.installed;
     ev.readback_done = true;
-    ev.expected_value = target.poison;  // the honest value for this probe
+    ev.expected_value = target.value;  // the honest value for this probe
     // 5 attempts: the implant holds up to 3 shots, so under P4Auth the
     // probe must outlast them to read the honest value back.
     for (int attempt = 0; attempt < 5 && !ev.readback_ok; ++attempt) {
@@ -368,18 +237,18 @@ ScenarioEvidence run_scenario(const ScenarioSpec& spec) {
     }
   }
 
-  const AttackTarget effect = spec.attack == AttackKind::RegisterExhaust
-                                  ? AttackTarget{exhaust_target(spec.app).reg, 0, 0xEA457EDull}
-                                  : poison_target(spec.app);
+  const RegisterCell effect = spec.attack == AttackKind::RegisterExhaust
+                                  ? RegisterCell{app.exhaust, 0, 0xEA457EDull}
+                                  : app.poison;
   if (spec.attack == AttackKind::CpWriteTamper || spec.attack == AttackKind::TablePoison ||
       spec.attack == AttackKind::RegisterExhaust) {
     if (auto* reg = topo.app_sw->sw->registers().by_id(effect.reg)) {
-      ev.attack_effect_applied = reg->read(effect.index).value_or(0) == effect.poison;
+      ev.attack_effect_applied = reg->read(effect.index).value_or(0) == effect.value;
     }
   }
 
   // --- Evidence harvest ---------------------------------------------------
-  ev.benign_delivered = delivered_count(spec, app_program);
+  ev.benign_delivered = app.delivered(*app_program);
   for (const FabricSwitch* fs : topo.all) {
     const auto& stats = fs->agent->stats();
     ev.digest_failures += stats.digest_failures;
@@ -412,7 +281,7 @@ ScenarioEvidence run_scenario(const ScenarioSpec& spec) {
     }
   }
 
-  if (const auto* entry = analysis::find_program(std::string(app_name(spec.app)))) {
+  if (const auto* entry = analysis::find_program(app.name)) {
     const auto report = analysis::lint_program(*entry);
     ev.lint_errors = static_cast<std::uint64_t>(
         analysis::count_findings(report.findings, analysis::Severity::Error));

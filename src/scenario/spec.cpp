@@ -1,17 +1,11 @@
 #include "scenario/spec.hpp"
 
+#include "scenario/apps.hpp"
 #include "telemetry/json.hpp"
 
 namespace p4auth::scenario {
 
-std::string_view app_name(AppKind app) noexcept {
-  switch (app) {
-    case AppKind::L3Fwd: return "l3fwd";
-    case AppKind::Blink: return "blink";
-    case AppKind::NetCache: return "netcache";
-  }
-  return "l3fwd";
-}
+std::string_view app_name(AppKind app) noexcept { return app_row(app).name; }
 
 std::string_view topology_name(TopologyShape shape) noexcept {
   switch (shape) {
@@ -61,7 +55,7 @@ Result<E> from_name(std::string_view name, std::string_view what, int count,
 }  // namespace
 
 Result<AppKind> app_from_name(std::string_view name) {
-  return from_name<AppKind>(name, "app", 3, app_name);
+  return from_name<AppKind>(name, "app", static_cast<int>(kAppCount), app_name);
 }
 Result<TopologyShape> topology_from_name(std::string_view name) {
   return from_name<TopologyShape>(name, "topology", 3, topology_name);
@@ -95,27 +89,14 @@ ScenarioSpec generate_spec(std::uint64_t campaign_seed, std::uint32_t index) {
   spec.attack = attack_roll < 3 ? AttackKind::None
                                 : static_cast<AttackKind>(1 + (attack_roll - 3));
 
-  const std::uint64_t app_roll = splitmix64(state);
+  // The app comes from the rows that host the attack (apps.hpp). The
+  // on-link adversary corrupts feedback crossing S1's link to S2, so
+  // LinkMitm always runs on a line.
+  const AppChoice choice = apps_for(spec.attack);
+  spec.app = choice.apps[splitmix64(state) % choice.size];
   const std::uint64_t topo_roll = splitmix64(state);
-  switch (spec.attack) {
-    case AttackKind::LinkMitm:
-      // The on-link adversary needs protected DP-DP feedback in flight:
-      // Blink traffic crossing the S1->S2 link of a line.
-      spec.app = AppKind::Blink;
-      spec.topology = TopologyShape::Line;
-      break;
-    case AttackKind::CpWriteTamper:
-    case AttackKind::ReportInflate:
-      // Needs a register the controller installs/reads and benign traffic
-      // leaves alone — Blink next hops or the NetCache cache.
-      spec.app = app_roll % 2 == 0 ? AppKind::Blink : AppKind::NetCache;
-      spec.topology = static_cast<TopologyShape>(topo_roll % 3);
-      break;
-    default:
-      spec.app = static_cast<AppKind>(app_roll % 3);
-      spec.topology = static_cast<TopologyShape>(topo_roll % 3);
-      break;
-  }
+  spec.topology = spec.attack == AttackKind::LinkMitm ? TopologyShape::Line
+                                                      : static_cast<TopologyShape>(topo_roll % 3);
   spec.extra_switches =
       spec.topology == TopologyShape::Single ? 0 : 1 + static_cast<std::uint32_t>(splitmix64(state) % 3);
 
@@ -148,17 +129,10 @@ ScenarioSpec generate_spec(std::uint64_t campaign_seed, std::uint32_t index) {
 bool spec_valid(const ScenarioSpec& spec) noexcept {
   if (spec.topology == TopologyShape::Single && spec.extra_switches != 0) return false;
   if (spec.topology != TopologyShape::Single && spec.extra_switches == 0) return false;
-  switch (spec.attack) {
-    case AttackKind::LinkMitm:
-      return spec.app == AppKind::Blink && spec.topology == TopologyShape::Line;
-    case AttackKind::CpWriteTamper:
-    case AttackKind::ReportInflate:
-      return spec.app == AppKind::Blink || spec.app == AppKind::NetCache;
-    case AttackKind::None:
-      return spec.attack_count == 0;
-    default:
-      return spec.attack_count > 0;
-  }
+  if (static_cast<std::size_t>(spec.app) >= kAppCount) return false;
+  if (!hosts(app_row(spec.app), spec.attack)) return false;
+  if (spec.attack == AttackKind::LinkMitm && spec.topology != TopologyShape::Line) return false;
+  return (spec.attack == AttackKind::None) == (spec.attack_count == 0);
 }
 
 void write_spec(telemetry::JsonWriter& w, const ScenarioSpec& spec) {

@@ -72,9 +72,9 @@ Result<RotationPhase> rotation_from_name(std::string_view name);
 std::uint64_t splitmix64(std::uint64_t& state) noexcept;
 
 /// Derives the scenario at matrix position `index` of the campaign with
-/// seed `campaign_seed`. Deterministic, and valid by construction: the
-/// attack/app/topology compatibility matrix (docs/FUZZING.md) is applied
-/// here, so every generated spec runs.
+/// seed `campaign_seed`. Deterministic, and valid by construction: the app
+/// is drawn from the rows of the app table that host the attack
+/// (scenario/apps.hpp), so every generated spec runs.
 ScenarioSpec generate_spec(std::uint64_t campaign_seed, std::uint32_t index);
 
 /// True when the combination is runnable (the generator only emits valid

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <vector>
+
 #include "core/auth.hpp"
 
 namespace p4auth::attacks {
@@ -86,6 +89,22 @@ TEST(WriteValueTamper, TransformSeesIndex) {
   interposer.to_dataplane(frame1);
   EXPECT_EQ(std::get<RegisterOpPayload>(core::decode(frame0).value().payload).value, 10u);
   EXPECT_EQ(std::get<RegisterOpPayload>(core::decode(frame1).value().payload).value, 20u);
+}
+
+TEST(CountedImplant, SpendsAShotOnlyWhenItForges) {
+  // Forges odd values only, two shots: even values pass without spending
+  // one, and once both are spent everything passes through.
+  auto interposer = make_write_value_tamper(
+      kTarget, counted_implant(2, [](std::uint32_t, std::uint64_t value) {
+        return value % 2 == 1 ? std::optional<std::uint64_t>(value + 100) : std::nullopt;
+      }));
+  std::vector<std::uint64_t> seen;
+  for (std::uint64_t value : {2, 1, 4, 3, 5, 7}) {
+    Bytes frame = tagged_write(kTarget, 0, value);
+    interposer.to_dataplane(frame);
+    seen.push_back(std::get<RegisterOpPayload>(core::decode(frame).value().payload).value);
+  }
+  EXPECT_EQ(seen, (std::vector<std::uint64_t>{2, 101, 4, 103, 5, 7}));
 }
 
 TEST(ReportInflater, RewritesAckValue) {

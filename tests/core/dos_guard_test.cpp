@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+
 namespace p4auth::core {
 namespace {
 
@@ -102,6 +105,23 @@ TEST(OutstandingLedger, UnackedAging) {
   const auto stale = ledger.unacked_older_than(SimTime::from_ms(60), SimTime::from_ms(20));
   ASSERT_EQ(stale.size(), 1u);
   EXPECT_EQ(stale[0], 1);
+}
+
+TEST(OutstandingLedger, CarriesEachRequestsCompletion) {
+  // One list holds the request and its completion: a response hands back
+  // the completion of the first entry for its seq; a refused request
+  // leaves the completion with the caller.
+  OutstandingLedger<std::string> ledger(2);
+  std::string first = "first", reissue = "re-issue", other = "other", refused = "refused";
+  ASSERT_TRUE(ledger.on_request(7, {}, first).ok());
+  ASSERT_TRUE(ledger.on_request(7, {}, reissue).ok());  // seq in flight: dropped
+  ASSERT_TRUE(ledger.on_request(8, {}, other).ok());
+  EXPECT_FALSE(ledger.on_request(9, {}, refused).ok());
+  EXPECT_EQ(refused, "refused");
+  EXPECT_EQ(ledger.on_response(8), std::optional<std::string>("other"));
+  EXPECT_EQ(ledger.on_response(7), std::optional<std::string>("first"));
+  EXPECT_EQ(ledger.on_response(7), std::nullopt);
+  EXPECT_EQ(ledger.unmatched_responses(), 1u);
 }
 
 }  // namespace

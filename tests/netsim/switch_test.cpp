@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <functional>
+#include <vector>
+
 #include "test_helpers.hpp"
 
 namespace p4auth::netsim {
@@ -140,6 +144,50 @@ TEST(Switch, OsInterposerCanDropBothDirections) {
   f.net.inject(NodeId{1}, PortId{5}, Bytes{2});
   f.sim.run();
   EXPECT_FALSE(got_packet_in);
+  EXPECT_EQ(f.sw->stats().os_dropped, 2u);
+}
+
+TEST(Switch, OsSeamRecordsEachDropAndRewriteWithItsDirection) {
+  // A trace record per seam action: TamperRewrite carries the rewritten
+  // size, TamperDrop the original size, and b the direction (1 toward the
+  // data plane, 2 toward the controller). A hook that changes nothing
+  // records nothing.
+  Fixture f;
+  telemetry::Telemetry telemetry;
+  f.sw->set_telemetry(&telemetry);
+  f.sw->set_program(std::make_unique<ToCpuProgram>());
+  f.sw->set_packet_in_sink([](Bytes) {});
+  const auto run = [&](std::function<TamperVerdict(Bytes&)> to_dataplane,
+                       std::function<TamperVerdict(Bytes&)> to_controller) {
+    f.sw->set_os_interposer(OsInterposer{std::move(to_dataplane), std::move(to_controller)});
+    f.sim.after(SimTime::zero(), [&] { f.sw->handle_packet_out(Bytes{1, 2, 3}); });
+    f.sim.run();
+  };
+  const auto drop = [](Bytes&) { return TamperVerdict::Drop; };
+  const auto pass = [](Bytes&) { return TamperVerdict::Pass; };
+  const auto grow = [](Bytes& msg) {
+    msg.push_back(0xEE);
+    return TamperVerdict::Pass;
+  };
+  run(grow, drop);  // PacketOut rewritten to 4 bytes; its PacketIn dropped
+  run(drop, grow);  // PacketOut dropped
+  run(pass, grow);  // PacketIn rewritten to 4 bytes
+  run(pass, pass);  // untouched both ways
+
+  std::vector<std::array<std::uint64_t, 3>> seam;  // kind, a, b
+  for (const auto& r : telemetry.trace.snapshot()) {
+    if (r.kind == telemetry::TraceEventKind::TamperDrop ||
+        r.kind == telemetry::TraceEventKind::TamperRewrite) {
+      EXPECT_EQ(r.node, NodeId{1});
+      EXPECT_EQ(r.port, kCpuPort);
+      seam.push_back({static_cast<std::uint64_t>(r.kind), r.a, r.b});
+    }
+  }
+  const auto rewrite = static_cast<std::uint64_t>(telemetry::TraceEventKind::TamperRewrite);
+  const auto dropped = static_cast<std::uint64_t>(telemetry::TraceEventKind::TamperDrop);
+  EXPECT_EQ(seam, (std::vector<std::array<std::uint64_t, 3>>{
+                      {rewrite, 4, 1}, {dropped, 4, 2}, {dropped, 3, 1}, {rewrite, 4, 2}}));
+  EXPECT_EQ(f.sw->stats().os_tampered, 2u);
   EXPECT_EQ(f.sw->stats().os_dropped, 2u);
 }
 

@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "scenario/apps.hpp"
 #include "scenario/json_in.hpp"
 
 namespace p4auth::scenario {
@@ -101,6 +105,60 @@ TEST(ScenarioSpec, ParseRejectsInvalidCombination) {
                    .ok());
   // extra switches on a single-switch topology.
   EXPECT_FALSE(parse_spec("{\"topology\":\"single\",\"extra_switches\":2}").ok());
+}
+
+TEST(ScenarioSpec, AttacksRunOnTheRowsWithWhatTheyNeed) {
+  // The compatibility matrix, derived from the app table: LinkMitm needs
+  // feedback to corrupt, the implants an installed register.
+  const auto apps = [](AttackKind attack) {
+    const AppChoice choice = apps_for(attack);
+    return std::vector<AppKind>(choice.apps, choice.apps + choice.size);
+  };
+  const std::vector<AppKind> all = {AppKind::L3Fwd, AppKind::Blink, AppKind::NetCache};
+  EXPECT_EQ(apps(AttackKind::LinkMitm), std::vector<AppKind>{AppKind::Blink});
+  EXPECT_EQ(apps(AttackKind::CpWriteTamper),
+            (std::vector<AppKind>{AppKind::Blink, AppKind::NetCache}));
+  EXPECT_EQ(apps(AttackKind::ReportInflate),
+            (std::vector<AppKind>{AppKind::Blink, AppKind::NetCache}));
+  for (AttackKind attack : {AttackKind::None, AttackKind::TablePoison, AttackKind::KmpFlood,
+                            AttackKind::AlertFlood, AttackKind::RegisterExhaust}) {
+    EXPECT_EQ(apps(attack), all) << attack_name(attack);
+  }
+}
+
+TEST(ScenarioSpec, ValidityIsMembershipInTheHostingRows) {
+  for (int a = 0; a < 8; ++a) {
+    const auto attack = static_cast<AttackKind>(a);
+    const AppChoice choice = apps_for(attack);
+    for (int i = 0; i < static_cast<int>(kAppCount); ++i) {
+      ScenarioSpec spec;
+      spec.app = static_cast<AppKind>(i);
+      spec.attack = attack;
+      spec.attack_count = attack == AttackKind::None ? 0 : 1;
+      spec.topology = TopologyShape::Line;
+      spec.extra_switches = 1;
+      const bool listed =
+          std::find(choice.apps, choice.apps + choice.size, spec.app) != choice.apps + choice.size;
+      EXPECT_EQ(spec_valid(spec), listed) << spec_json(spec);
+    }
+  }
+}
+
+TEST(ScenarioSpec, LinkMitmNeedsALineAndEveryAttackAShot) {
+  ScenarioSpec spec;
+  spec.app = AppKind::Blink;
+  spec.attack = AttackKind::LinkMitm;
+  spec.attack_count = 2;
+  spec.topology = TopologyShape::Star;
+  spec.extra_switches = 1;
+  EXPECT_FALSE(spec_valid(spec));
+  spec.topology = TopologyShape::Line;
+  EXPECT_TRUE(spec_valid(spec));
+  // attack_count is 0 exactly when the attack is none.
+  spec.attack_count = 0;
+  EXPECT_FALSE(spec_valid(spec));
+  spec.attack = AttackKind::None;
+  EXPECT_TRUE(spec_valid(spec));
 }
 
 TEST(ScenarioSpec, ParseRejectsMalformedJson) {

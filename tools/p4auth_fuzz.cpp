@@ -11,7 +11,8 @@
 // every corpus entry are byte-identical for any --jobs value. With
 // --out DIR the report lands at DIR/FUZZ_report.json and each
 // oracle-violating scenario at DIR/corpus/<seed>-<index>.json. Exit 0
-// when every scenario passes, 1 when any rule fired, 2 on usage errors.
+// when every scenario passes, 1 when any rule fired, 2 on usage errors
+// (tools/cli_flags.hpp: unknown flags, numbers that do not parse).
 //
 // Replay mode (--repro) accepts a corpus entry or a bare spec JSON,
 // re-runs that single scenario, and prints the fresh verdict to stdout.
@@ -19,12 +20,12 @@
 // byte — diff against the file to confirm the failure. Exit 0 when the
 // scenario ran (whatever its verdict), 2 on parse errors.
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
 
+#include "cli_flags.hpp"
 #include "runner/runner.hpp"
 #include "scenario/fuzzer.hpp"
 #include "scenario/json_in.hpp"
@@ -40,57 +41,6 @@ void usage() {
   std::fprintf(stderr,
                "usage: p4auth_fuzz [--scenarios N] [--seeds A..B] [--jobs J] [--out DIR]\n"
                "       p4auth_fuzz --repro FILE\n");
-}
-
-bool check_flags(int argc, char** argv, std::initializer_list<const char*> allowed) {
-  for (int i = 1; i < argc; ++i) {
-    const char* token = argv[i];
-    if (std::strncmp(token, "--", 2) != 0) {
-      std::fprintf(stderr, "unexpected argument: %s\n", token);
-      usage();
-      return false;
-    }
-    const char* eq = std::strchr(token, '=');
-    const std::size_t name_len =
-        eq != nullptr ? static_cast<std::size_t>(eq - token) : std::strlen(token);
-    bool known = false;
-    for (const char* flag : allowed) {
-      if (std::strlen(flag) == name_len && std::strncmp(token, flag, name_len) == 0) {
-        known = true;
-        break;
-      }
-    }
-    if (!known) {
-      std::fprintf(stderr, "unknown flag: %.*s\n", static_cast<int>(name_len), token);
-      usage();
-      return false;
-    }
-    if (eq == nullptr) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", token);
-        usage();
-        return false;
-      }
-      ++i;  // consume the value token
-    }
-  }
-  return true;
-}
-
-const char* arg_value(int argc, char** argv, const char* flag, const char* fallback) {
-  const std::size_t flag_len = std::strlen(flag);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0 && i + 1 < argc) return argv[i + 1];
-    if (std::strncmp(argv[i], flag, flag_len) == 0 && argv[i][flag_len] == '=') {
-      return argv[i] + flag_len + 1;
-    }
-  }
-  return fallback;
-}
-
-std::uint64_t arg_u64(int argc, char** argv, const char* flag, std::uint64_t fallback) {
-  const char* value = arg_value(argc, argv, flag, nullptr);
-  return value != nullptr ? std::strtoull(value, nullptr, 10) : fallback;
 }
 
 bool write_file(const std::filesystem::path& path, const std::string& content) {
@@ -140,23 +90,24 @@ int repro(const char* file) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (!check_flags(argc, argv, {"--scenarios", "--seeds", "--jobs", "--out", "--repro"})) {
+  const cli::Flags flags(argc, argv, 1, usage);
+  if (!flags.check({"--scenarios", "--seeds", "--jobs", "--out", "--repro"})) {
     return 2;
   }
 
-  if (const char* file = arg_value(argc, argv, "--repro", nullptr)) {
+  if (const char* file = flags.value("--repro")) {
     return repro(file);
   }
 
   FuzzOptions options;
-  options.scenarios = static_cast<std::uint32_t>(arg_u64(argc, argv, "--scenarios", 50));
-  options.jobs = static_cast<int>(arg_u64(argc, argv, "--jobs", 1));
+  options.scenarios = static_cast<std::uint32_t>(flags.u64("--scenarios", 50));
+  options.jobs = static_cast<int>(flags.u64("--jobs", 1));
   if (options.scenarios == 0) {
     std::fprintf(stderr, "--scenarios must be at least 1\n");
     return 2;
   }
   {
-    auto seeds = runner::parse_seed_range(arg_value(argc, argv, "--seeds", "1"));
+    auto seeds = runner::parse_seed_range(flags.value("--seeds", "1"));
     if (!seeds.ok()) {
       std::fprintf(stderr, "bad --seeds: %s\n", seeds.error().message.c_str());
       return 2;
@@ -171,7 +122,7 @@ int main(int argc, char** argv) {
     std::printf("  corpus: %s\n", failure.corpus_name.c_str());
   }
 
-  if (const char* out = arg_value(argc, argv, "--out", nullptr)) {
+  if (const char* out = flags.value("--out")) {
     std::error_code ec;
     const std::filesystem::path dir(out);
     std::filesystem::create_directories(dir / "corpus", ec);

@@ -16,8 +16,9 @@
 //   p4auth_sim table1     [--seed N]
 //   p4auth_sim resources
 //
-// Flags accept both "--flag value" and "--flag=value"; unknown flags are
-// rejected with a usage message and exit code 2. Scenarios:
+// Flags accept both "--flag value" and "--flag=value"; unknown flags and
+// numeric values that do not parse completely are rejected with a usage
+// message and exit code 2 (tools/cli_flags.hpp). Scenarios:
 // baseline | attack | p4auth | p4auth-clean.
 //
 // --shards N (default 1) runs each simulation on N shards of the
@@ -37,10 +38,9 @@
 // audit_seed<N>.jsonl files instead.
 // See docs/OBSERVABILITY.md for the schemas.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <initializer_list>
 #include <string>
+
+#include "cli_flags.hpp"
 
 #include "experiments/attack_rate_experiment.hpp"
 #include "experiments/hula_experiment.hpp"
@@ -64,64 +64,6 @@ void usage() {
                "resources|attack-rate> [options]\n"
                "  campaign options (hula, routescout): --seeds A..B --jobs N\n"
                "  engine options (hula, multihop): --shards N (default 1) --shard-workers N\n");
-}
-
-/// Validates every token after the command: each must be a known
-/// "--flag=value" or "--flag value" pair. Returns false (after printing
-/// a diagnostic plus usage) on an unknown flag, a missing value, or a
-/// stray positional argument, so typos fail loudly instead of silently
-/// running the defaults.
-bool check_flags(int argc, char** argv, std::initializer_list<const char*> allowed) {
-  for (int i = 2; i < argc; ++i) {
-    const char* token = argv[i];
-    if (std::strncmp(token, "--", 2) != 0) {
-      std::fprintf(stderr, "unexpected argument: %s\n", token);
-      usage();
-      return false;
-    }
-    const char* eq = std::strchr(token, '=');
-    const std::size_t name_len = eq != nullptr ? static_cast<std::size_t>(eq - token)
-                                               : std::strlen(token);
-    bool known = false;
-    for (const char* flag : allowed) {
-      if (std::strlen(flag) == name_len && std::strncmp(token, flag, name_len) == 0) {
-        known = true;
-        break;
-      }
-    }
-    if (!known) {
-      std::fprintf(stderr, "unknown flag: %.*s\n", static_cast<int>(name_len), token);
-      usage();
-      return false;
-    }
-    if (eq == nullptr) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", token);
-        usage();
-        return false;
-      }
-      ++i;  // consume the value token
-    }
-  }
-  return true;
-}
-
-/// Returns the value of `flag` ("--flag value" or "--flag=value"), or
-/// `fallback` when absent.
-const char* arg_value(int argc, char** argv, const char* flag, const char* fallback) {
-  const std::size_t flag_len = std::strlen(flag);
-  for (int i = 2; i < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0 && i + 1 < argc) return argv[i + 1];
-    if (std::strncmp(argv[i], flag, flag_len) == 0 && argv[i][flag_len] == '=') {
-      return argv[i] + flag_len + 1;
-    }
-  }
-  return fallback;
-}
-
-std::uint64_t arg_u64(int argc, char** argv, const char* flag, std::uint64_t fallback) {
-  const char* value = arg_value(argc, argv, flag, nullptr);
-  return value != nullptr ? std::strtoull(value, nullptr, 10) : fallback;
 }
 
 /// Writes the requested telemetry artifacts; returns 0 or an exit code.
@@ -186,23 +128,23 @@ struct CampaignArgs {
 /// rules: --seeds excludes --seed, --trace and --audit (use --trace-dir
 /// for per-seed dumps), --jobs and --trace-dir require --seeds. Returns
 /// an error string on misuse.
-Result<CampaignArgs> parse_campaign_args(int argc, char** argv) {
+Result<CampaignArgs> parse_campaign_args(const cli::Flags& flags) {
   CampaignArgs campaign;
-  const char* seeds = arg_value(argc, argv, "--seeds", nullptr);
-  const char* jobs = arg_value(argc, argv, "--jobs", nullptr);
-  const char* trace_dir = arg_value(argc, argv, "--trace-dir", nullptr);
+  const char* seeds = flags.value("--seeds");
+  const char* jobs = flags.value("--jobs");
+  const char* trace_dir = flags.value("--trace-dir");
   if (seeds == nullptr) {
     if (jobs != nullptr) return make_error("--jobs requires --seeds A..B");
     if (trace_dir != nullptr) return make_error("--trace-dir requires --seeds A..B");
     return campaign;
   }
-  if (arg_value(argc, argv, "--seed", nullptr) != nullptr) {
+  if (flags.value("--seed") != nullptr) {
     return make_error("--seed and --seeds are mutually exclusive");
   }
-  if (arg_value(argc, argv, "--trace", nullptr) != nullptr) {
+  if (flags.value("--trace") != nullptr) {
     return make_error("--trace requires a single seed (use --trace-dir for campaigns)");
   }
-  if (arg_value(argc, argv, "--audit", nullptr) != nullptr) {
+  if (flags.value("--audit") != nullptr) {
     return make_error("--audit requires a single seed (use --trace-dir for campaigns)");
   }
   if (trace_dir != nullptr) campaign.trace_dir = trace_dir;
@@ -210,7 +152,7 @@ Result<CampaignArgs> parse_campaign_args(int argc, char** argv) {
   if (!range.ok()) return range.error();
   campaign.active = true;
   campaign.seeds = range.value();
-  campaign.jobs = jobs != nullptr ? static_cast<int>(std::strtoull(jobs, nullptr, 10)) : 1;
+  campaign.jobs = static_cast<int>(flags.u64("--jobs", 1));
   return campaign;
 }
 
@@ -223,30 +165,30 @@ void print_campaign_stats(const runner::CampaignResult& result) {
   }
 }
 
-int run_hula(int argc, char** argv) {
-  if (!check_flags(argc, argv, {"--scenario", "--seed", "--seeds", "--jobs", "--duration-ms",
+int run_hula(const cli::Flags& flags) {
+  if (!flags.check({"--scenario", "--seed", "--seeds", "--jobs", "--duration-ms",
                                 "--metrics-out", "--trace", "--audit", "--trace-dir",
                                 "--shards", "--shard-workers"})) {
     return 2;
   }
-  const auto scenario = parse_scenario(arg_value(argc, argv, "--scenario", "baseline"));
+  const auto scenario = parse_scenario(flags.value("--scenario", "baseline"));
   if (!scenario.ok()) {
     std::fprintf(stderr, "%s\n", scenario.error().message.c_str());
     return 2;
   }
-  const auto campaign = parse_campaign_args(argc, argv);
+  const auto campaign = parse_campaign_args(flags);
   if (!campaign.ok()) {
     std::fprintf(stderr, "%s\n", campaign.error().message.c_str());
     return 2;
   }
   HulaOptions options;
-  options.seed = arg_u64(argc, argv, "--seed", options.seed);
-  options.duration = SimTime::from_ms(arg_u64(argc, argv, "--duration-ms", 1500));
-  options.shards = static_cast<int>(arg_u64(argc, argv, "--shards", options.shards));
-  options.shard_workers = static_cast<int>(arg_u64(argc, argv, "--shard-workers", 0));
-  const char* metrics_path = arg_value(argc, argv, "--metrics-out", nullptr);
-  const char* trace_path = arg_value(argc, argv, "--trace", nullptr);
-  const char* audit_path = arg_value(argc, argv, "--audit", nullptr);
+  options.seed = flags.u64("--seed", options.seed);
+  options.duration = SimTime::from_ms(flags.u64("--duration-ms", 1500));
+  options.shards = static_cast<int>(flags.u64("--shards", options.shards));
+  options.shard_workers = static_cast<int>(flags.u64("--shard-workers", 0));
+  const char* metrics_path = flags.value("--metrics-out");
+  const char* trace_path = flags.value("--trace");
+  const char* audit_path = flags.value("--audit");
 
   if (campaign.value().active) {
     const auto& args = campaign.value();
@@ -289,26 +231,26 @@ int run_hula(int argc, char** argv) {
   return write_telemetry(telemetry, metrics_path, trace_path, audit_path);
 }
 
-int run_routescout(int argc, char** argv) {
-  if (!check_flags(argc, argv, {"--scenario", "--seed", "--seeds", "--jobs", "--metrics-out",
+int run_routescout(const cli::Flags& flags) {
+  if (!flags.check({"--scenario", "--seed", "--seeds", "--jobs", "--metrics-out",
                                 "--trace", "--audit", "--trace-dir"})) {
     return 2;
   }
-  const auto scenario = parse_scenario(arg_value(argc, argv, "--scenario", "baseline"));
+  const auto scenario = parse_scenario(flags.value("--scenario", "baseline"));
   if (!scenario.ok()) {
     std::fprintf(stderr, "%s\n", scenario.error().message.c_str());
     return 2;
   }
-  const auto campaign = parse_campaign_args(argc, argv);
+  const auto campaign = parse_campaign_args(flags);
   if (!campaign.ok()) {
     std::fprintf(stderr, "%s\n", campaign.error().message.c_str());
     return 2;
   }
   RouteScoutOptions options;
-  options.seed = arg_u64(argc, argv, "--seed", options.seed);
-  const char* metrics_path = arg_value(argc, argv, "--metrics-out", nullptr);
-  const char* trace_path = arg_value(argc, argv, "--trace", nullptr);
-  const char* audit_path = arg_value(argc, argv, "--audit", nullptr);
+  options.seed = flags.u64("--seed", options.seed);
+  const char* metrics_path = flags.value("--metrics-out");
+  const char* trace_path = flags.value("--trace");
+  const char* audit_path = flags.value("--audit");
 
   if (campaign.value().active) {
     const auto& args = campaign.value();
@@ -351,9 +293,9 @@ int run_routescout(int argc, char** argv) {
   return write_telemetry(telemetry, metrics_path, trace_path, audit_path);
 }
 
-int run_regops(int argc, char** argv) {
-  if (!check_flags(argc, argv, {"--variant", "--requests"})) return 2;
-  const std::string name = arg_value(argc, argv, "--variant", "p4auth");
+int run_regops(const cli::Flags& flags) {
+  if (!flags.check({"--variant", "--requests"})) return 2;
+  const std::string name = flags.value("--variant", "p4auth");
   RegOpsVariant variant = RegOpsVariant::P4Auth;
   if (name == "p4runtime") variant = RegOpsVariant::P4Runtime;
   else if (name == "dpregrw") variant = RegOpsVariant::DpRegRw;
@@ -362,7 +304,7 @@ int run_regops(int argc, char** argv) {
     return 2;
   }
   RegOpsOptions options;
-  options.requests_per_kind = static_cast<int>(arg_u64(argc, argv, "--requests", 400));
+  options.requests_per_kind = static_cast<int>(flags.u64("--requests", 400));
   const auto result = run_regops_experiment(variant, options);
   std::printf("variant=%s read-rct=%.1fus write-rct=%.1fus read=%.1frps write=%.1frps\n",
               variant_name(variant), result.read_rct_us_mean, result.write_rct_us_mean,
@@ -370,10 +312,10 @@ int run_regops(int argc, char** argv) {
   return 0;
 }
 
-int run_kmp(int argc, char** argv) {
-  if (!check_flags(argc, argv, {"--samples"})) return 2;
+int run_kmp(const cli::Flags& flags) {
+  if (!flags.check({"--samples"})) return 2;
   KmpRttOptions options;
-  options.samples = static_cast<int>(arg_u64(argc, argv, "--samples", 20));
+  options.samples = static_cast<int>(flags.u64("--samples", 20));
   const auto result = run_kmp_rtt_experiment(options);
   std::printf("local-init=%.3fms port-init=%.3fms local-update=%.3fms port-update=%.3fms\n",
               result.local_init_ms, result.port_init_ms, result.local_update_ms,
@@ -381,15 +323,15 @@ int run_kmp(int argc, char** argv) {
   return 0;
 }
 
-int run_multihop(int argc, char** argv) {
-  if (!check_flags(argc, argv, {"--min-hops", "--max-hops", "--shards", "--shard-workers"})) {
+int run_multihop(const cli::Flags& flags) {
+  if (!flags.check({"--min-hops", "--max-hops", "--shards", "--shard-workers"})) {
     return 2;
   }
   MultihopOptions options;
-  options.min_hops = static_cast<int>(arg_u64(argc, argv, "--min-hops", 2));
-  options.max_hops = static_cast<int>(arg_u64(argc, argv, "--max-hops", 10));
-  options.shards = static_cast<int>(arg_u64(argc, argv, "--shards", options.shards));
-  options.shard_workers = static_cast<int>(arg_u64(argc, argv, "--shard-workers", 0));
+  options.min_hops = static_cast<int>(flags.u64("--min-hops", 2));
+  options.max_hops = static_cast<int>(flags.u64("--max-hops", 10));
+  options.shards = static_cast<int>(flags.u64("--shards", options.shards));
+  options.shard_workers = static_cast<int>(flags.u64("--shard-workers", 0));
   for (const auto& point : run_multihop_experiment(options)) {
     std::printf("hops=%d base=%.1fus p4auth=%.1fus overhead=%.2f%%\n", point.hops,
                 point.base_us, point.p4auth_us, point.overhead_pct);
@@ -397,10 +339,10 @@ int run_multihop(int argc, char** argv) {
   return 0;
 }
 
-int run_scaling(int argc, char** argv) {
-  if (!check_flags(argc, argv, {"--switches", "--links"})) return 2;
-  const int switches = static_cast<int>(arg_u64(argc, argv, "--switches", 25));
-  const int links = static_cast<int>(arg_u64(argc, argv, "--links", 50));
+int run_scaling(const cli::Flags& flags) {
+  if (!flags.check({"--switches", "--links"})) return 2;
+  const int switches = static_cast<int>(flags.u64("--switches", 25));
+  const int links = static_cast<int>(flags.u64("--links", 50));
   const auto measured = run_kmp_scaling_experiment(switches, links);
   const auto closed = kmp_closed_form(static_cast<std::uint64_t>(switches),
                                       static_cast<std::uint64_t>(links));
@@ -417,9 +359,9 @@ int run_scaling(int argc, char** argv) {
   return 0;
 }
 
-int run_table1(int argc, char** argv) {
-  if (!check_flags(argc, argv, {"--seed"})) return 2;
-  for (const auto& row : run_table1_experiment(arg_u64(argc, argv, "--seed", 1))) {
+int run_table1(const cli::Flags& flags) {
+  if (!flags.check({"--seed"})) return 2;
+  for (const auto& row : run_table1_experiment(flags.u64("--seed", 1))) {
     std::printf("%-24s baseline=%.1f attacked=%.1f p4auth=%.1f detected=%s/%s (%s)\n",
                 row.system.c_str(), row.baseline, row.attacked, row.with_p4auth,
                 row.detected_without ? "yes" : "no", row.detected_with ? "yes" : "no",
@@ -428,13 +370,12 @@ int run_table1(int argc, char** argv) {
   return 0;
 }
 
-int run_attack_rate(int argc, char** argv) {
-  if (!check_flags(argc, argv, {"--writes", "--rate", "--seed"})) return 2;
+int run_attack_rate(const cli::Flags& flags) {
+  if (!flags.check({"--writes", "--rate", "--seed"})) return 2;
   AttackRateOptions options;
-  options.writes = static_cast<int>(arg_u64(argc, argv, "--writes", 150));
-  options.seed = arg_u64(argc, argv, "--seed", options.seed);
-  const char* rate = arg_value(argc, argv, "--rate", nullptr);
-  if (rate != nullptr) options.rates = {std::strtod(rate, nullptr)};
+  options.writes = static_cast<int>(flags.u64("--writes", 150));
+  options.seed = flags.u64("--seed", options.seed);
+  if (flags.value("--rate") != nullptr) options.rates = {flags.number("--rate", 0)};
   for (const auto& point : run_attack_rate_experiment(options)) {
     std::printf("rate=%.2f goodput=%.1frps completion=%.1fus retries=%.2f alerts=%llu "
                 "failed=%llu\n",
@@ -445,8 +386,8 @@ int run_attack_rate(int argc, char** argv) {
   return 0;
 }
 
-int run_resources(int argc, char** argv) {
-  if (!check_flags(argc, argv, {})) return 2;
+int run_resources(const cli::Flags& flags) {
+  if (!flags.check({})) return 2;
   for (const auto& row : run_resources_experiment()) {
     std::printf("%-14s tcam=%.1f%% sram=%.1f%% hash=%.1f%% phv=%.1f%%\n",
                 row.program.c_str(), row.usage.tcam_pct, row.usage.sram_pct,
@@ -463,15 +404,16 @@ int main(int argc, char** argv) {
     return 2;
   }
   const std::string command = argv[1];
-  if (command == "hula") return run_hula(argc, argv);
-  if (command == "routescout") return run_routescout(argc, argv);
-  if (command == "regops") return run_regops(argc, argv);
-  if (command == "kmp") return run_kmp(argc, argv);
-  if (command == "multihop") return run_multihop(argc, argv);
-  if (command == "scaling") return run_scaling(argc, argv);
-  if (command == "table1") return run_table1(argc, argv);
-  if (command == "resources") return run_resources(argc, argv);
-  if (command == "attack-rate") return run_attack_rate(argc, argv);
+  const cli::Flags flags(argc, argv, 2, usage);
+  if (command == "hula") return run_hula(flags);
+  if (command == "routescout") return run_routescout(flags);
+  if (command == "regops") return run_regops(flags);
+  if (command == "kmp") return run_kmp(flags);
+  if (command == "multihop") return run_multihop(flags);
+  if (command == "scaling") return run_scaling(flags);
+  if (command == "table1") return run_table1(flags);
+  if (command == "resources") return run_resources(flags);
+  if (command == "attack-rate") return run_attack_rate(flags);
   std::fprintf(stderr, "unknown command: %s\n", command.c_str());
   usage();
   return 2;

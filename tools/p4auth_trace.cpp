@@ -21,14 +21,13 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <initializer_list>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "cli_flags.hpp"
 #include "common/stats.hpp"
 #include "telemetry/span.hpp"
 #include "telemetry/trace.hpp"
@@ -131,85 +130,36 @@ int write_output(const char* path, const std::string& content) {
   return out.good() ? 0 : 3;
 }
 
-// --- flag plumbing (same conventions as p4auth_sim) ----------------------
-
-bool check_flags(int argc, char** argv, int first_flag,
-                 std::initializer_list<const char*> allowed) {
-  for (int i = first_flag; i < argc; ++i) {
-    const char* token = argv[i];
-    if (std::strncmp(token, "--", 2) != 0) {
-      std::fprintf(stderr, "unexpected argument: %s\n", token);
-      usage();
-      return false;
-    }
-    const char* eq = std::strchr(token, '=');
-    const std::size_t name_len =
-        eq != nullptr ? static_cast<std::size_t>(eq - token) : std::strlen(token);
-    bool known = false;
-    for (const char* flag : allowed) {
-      if (std::strlen(flag) == name_len && std::strncmp(token, flag, name_len) == 0) {
-        known = true;
-        break;
-      }
-    }
-    if (!known) {
-      std::fprintf(stderr, "unknown flag: %.*s\n", static_cast<int>(name_len), token);
-      usage();
-      return false;
-    }
-    if (eq == nullptr) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", token);
-        usage();
-        return false;
-      }
-      ++i;
-    }
-  }
-  return true;
-}
-
-const char* arg_value(int argc, char** argv, int first_flag, const char* flag,
-                      const char* fallback) {
-  const std::size_t flag_len = std::strlen(flag);
-  for (int i = first_flag; i < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0 && i + 1 < argc) return argv[i + 1];
-    if (std::strncmp(argv[i], flag, flag_len) == 0 && argv[i][flag_len] == '=') {
-      return argv[i] + flag_len + 1;
-    }
-  }
-  return fallback;
-}
-
 // --- commands ------------------------------------------------------------
 
 int run_convert(int argc, char** argv) {
-  if (argc < 3 || !check_flags(argc, argv, 3, {"--out"})) return 2;
+  const cli::Flags flags(argc, argv, 3, usage);
+  if (argc < 3 || !flags.check({"--out"})) return 2;
   std::vector<ParsedLine> lines;
   if (!load_jsonl(argv[2], lines)) return 3;
   std::vector<TraceRecord> records;
   records.reserve(lines.size());
   for (const auto& line : lines) records.push_back(line.record);
-  return write_output(arg_value(argc, argv, 3, "--out", nullptr), trace_event_json(records));
+  return write_output(flags.value("--out"), trace_event_json(records));
 }
 
 int run_filter(int argc, char** argv) {
-  if (argc < 3 || !check_flags(argc, argv, 3, {"--node", "--trace-id", "--kind", "--out"})) {
+  const cli::Flags flags(argc, argv, 3, usage);
+  if (argc < 3 || !flags.check({"--node", "--trace-id", "--kind", "--out"})) {
     return 2;
   }
-  const char* node_arg = arg_value(argc, argv, 3, "--node", nullptr);
-  const char* trace_arg = arg_value(argc, argv, 3, "--trace-id", nullptr);
-  const char* kind_arg = arg_value(argc, argv, 3, "--kind", nullptr);
+  const char* node_arg = flags.value("--node");
+  const char* trace_arg = flags.value("--trace-id");
+  const char* kind_arg = flags.value("--kind");
   TraceEventKind kind{};
   if (kind_arg != nullptr && !trace_event_kind_from_name(kind_arg, kind)) {
     std::fprintf(stderr, "p4auth_trace: unknown event kind: %s\n", kind_arg);
     return 2;
   }
-  const std::uint64_t node = node_arg != nullptr ? std::strtoull(node_arg, nullptr, 10) : 0;
+  const std::uint64_t node = flags.u64("--node", 0);
   // Base 0: accepts both decimal and the 0x-prefixed hex form that
   // `summarize` prints and the trace-event JSON embeds.
-  const std::uint64_t trace_id =
-      trace_arg != nullptr ? std::strtoull(trace_arg, nullptr, 0) : 0;
+  const std::uint64_t trace_id = flags.u64("--trace-id", 0, 0);
 
   std::vector<ParsedLine> lines;
   if (!load_jsonl(argv[2], lines)) return 3;
@@ -221,11 +171,11 @@ int run_filter(int argc, char** argv) {
     kept += line.text;
     kept += '\n';
   }
-  return write_output(arg_value(argc, argv, 3, "--out", nullptr), kept);
+  return write_output(flags.value("--out"), kept);
 }
 
 int run_summarize(int argc, char** argv) {
-  if (argc < 3 || !check_flags(argc, argv, 3, {})) return 2;
+  if (argc < 3 || !cli::Flags(argc, argv, 3, usage).check({})) return 2;
   std::vector<ParsedLine> lines;
   if (!load_jsonl(argv[2], lines)) return 3;
 
@@ -278,7 +228,7 @@ int run_summarize(int argc, char** argv) {
 }
 
 int run_diff(int argc, char** argv) {
-  if (argc < 4 || !check_flags(argc, argv, 4, {})) return 2;
+  if (argc < 4 || !cli::Flags(argc, argv, 4, usage).check({})) return 2;
   std::ifstream a(argv[2]), b(argv[3]);
   if (!a.is_open() || !b.is_open()) {
     std::fprintf(stderr, "p4auth_trace: cannot open %s\n", !a.is_open() ? argv[2] : argv[3]);

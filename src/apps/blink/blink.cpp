@@ -14,13 +14,12 @@ Bytes encode_packet(const BlinkPacket& packet) {
 
 Result<BlinkPacket> decode_packet(std::span<const std::uint8_t> frame) {
   ByteReader r(frame);
-  const auto magic = r.u8();
-  if (!magic.ok() || magic.value() != kPacketMagic) return make_error("not a blink packet");
+  if (r.u8() != kPacketMagic) return make_error("not a blink packet");
   if (r.remaining() < 11) return make_error("blink packet truncated");
   BlinkPacket packet;
-  packet.prefix = r.u16().value();
-  packet.flow_id = r.u64().value();
-  packet.is_retransmission = r.u8().value() != 0;
+  packet.prefix = r.u16();
+  packet.flow_id = r.u64();
+  packet.is_retransmission = r.u8() != 0;
   return packet;
 }
 

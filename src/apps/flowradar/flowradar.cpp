@@ -14,10 +14,9 @@ Bytes encode_packet(const FlowPacket& packet) {
 
 Result<FlowPacket> decode_packet(std::span<const std::uint8_t> frame) {
   ByteReader r(frame);
-  const auto magic = r.u8();
-  if (!magic.ok() || magic.value() != kPacketMagic) return make_error("not a flowradar packet");
+  if (r.u8() != kPacketMagic) return make_error("not a flowradar packet");
   if (r.remaining() < 4) return make_error("flowradar packet truncated");
-  return FlowPacket{r.u32().value()};
+  return FlowPacket{r.u32()};
 }
 
 std::vector<std::size_t> FlowRadarProgram::cell_indices(std::uint32_t flow, std::size_t cells) {

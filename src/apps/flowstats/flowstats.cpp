@@ -11,12 +11,11 @@ Bytes encode_packet(const FlowPacket& packet) {
 
 Result<FlowPacket> decode_packet(std::span<const std::uint8_t> frame) {
   ByteReader r(frame);
-  const auto magic = r.u8();
-  if (!magic.ok() || magic.value() != kPacketMagic) return make_error("not a flow packet");
+  if (r.u8() != kPacketMagic) return make_error("not a flow packet");
   if (r.remaining() < 6) return make_error("flow packet truncated");
   FlowPacket packet;
-  packet.flow = r.u16().value();
-  packet.size_bytes = r.u32().value();
+  packet.flow = r.u16();
+  packet.size_bytes = r.u32();
   return packet;
 }
 

@@ -36,23 +36,20 @@ void encode_probe_to(const Probe& probe, std::span<std::uint8_t> out) noexcept {
 
 Status decode_probe_into(std::span<const std::uint8_t> frame, Probe& probe) {
   ByteReader r(frame);
-  const auto magic = r.u8();
-  if (!magic.ok() || magic.value() != kProbeMagic) return make_error("not a HULA probe");
+  if (r.u8() != kProbeMagic) return make_error("not a HULA probe");
   if (r.remaining() < 4) return make_error("probe truncated");
-  probe.origin_tor = NodeId{r.u16().value()};
-  probe.max_util = r.u8().value();
-  const std::uint8_t hops = r.u8().value();
+  probe.origin_tor = NodeId{r.u16()};
+  probe.max_util = r.u8();
+  const std::uint8_t hops = r.u8();
   if (r.remaining() < kHopRecordSize * hops) return make_error("probe trace truncated");
   if (r.remaining() > kHopRecordSize * hops) return make_error("probe has trailing bytes");
-  probe.trace.clear();
-  for (std::uint8_t i = 0; i < hops; ++i) {
-    HopRecord hop;
-    hop.node = NodeId{r.u16().value()};
-    hop.ingress = PortId{r.u16().value()};
-    hop.util = r.u8().value();
-    (void)r.u8();
-    (void)r.u16();
-    probe.trace.push_back(hop);
+  // Sized once, filled in place: every field of a record is overwritten.
+  probe.trace.resize(hops);
+  for (HopRecord& hop : probe.trace) {
+    hop.node = NodeId{r.u16()};
+    hop.ingress = PortId{r.u16()};
+    hop.util = r.u8();
+    r.view(3);  // padding
   }
   return {};
 }
@@ -73,13 +70,12 @@ void encode_data_to(const DataPacket& packet, std::span<std::uint8_t> out) noexc
 
 Result<DataPacket> decode_data(std::span<const std::uint8_t> frame) {
   ByteReader r(frame);
-  const auto magic = r.u8();
-  if (!magic.ok() || magic.value() != kDataMagic) return make_error("not a HULA data packet");
+  if (r.u8() != kDataMagic) return make_error("not a HULA data packet");
   if (r.remaining() < 14) return make_error("data packet truncated");
   DataPacket packet;
-  packet.dst_tor = NodeId{r.u16().value()};
-  packet.flow_id = r.u64().value();
-  packet.size_bytes = r.u32().value();
+  packet.dst_tor = NodeId{r.u16()};
+  packet.flow_id = r.u64();
+  packet.size_bytes = r.u32();
   return packet;
 }
 

@@ -11,12 +11,11 @@ Bytes encode_ipv4(const Ipv4Packet& packet) {
 
 Result<Ipv4Packet> decode_ipv4(std::span<const std::uint8_t> frame) {
   ByteReader r(frame);
-  const auto magic = r.u8();
-  if (!magic.ok() || magic.value() != kIpv4Magic) return make_error("not an ipv4 packet");
+  if (r.u8() != kIpv4Magic) return make_error("not an ipv4 packet");
   if (r.remaining() < 8) return make_error("ipv4 packet truncated");
   Ipv4Packet packet;
-  packet.dst = r.u32().value();
-  packet.size_bytes = r.u32().value();
+  packet.dst = r.u32();
+  packet.size_bytes = r.u32();
   return packet;
 }
 

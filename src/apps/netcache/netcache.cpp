@@ -16,10 +16,9 @@ Bytes encode_query(const Query& query) {
 
 Result<Query> decode_query(std::span<const std::uint8_t> frame) {
   ByteReader r(frame);
-  const auto magic = r.u8();
-  if (!magic.ok() || magic.value() != kQueryMagic) return make_error("not a query");
+  if (r.u8() != kQueryMagic) return make_error("not a query");
   if (r.remaining() < 4) return make_error("query truncated");
-  return Query{r.u32().value()};
+  return Query{r.u32()};
 }
 
 Bytes encode_response(const Response& response) {
@@ -31,13 +30,12 @@ Bytes encode_response(const Response& response) {
 
 Result<Response> decode_response(std::span<const std::uint8_t> frame) {
   ByteReader r(frame);
-  const auto magic = r.u8();
-  if (!magic.ok() || magic.value() != kResponseMagic) return make_error("not a response");
+  if (r.u8() != kResponseMagic) return make_error("not a response");
   if (r.remaining() < 13) return make_error("response truncated");
   Response resp;
-  resp.key = r.u32().value();
-  resp.value = r.u64().value();
-  resp.from_cache = r.u8().value() != 0;
+  resp.key = r.u32();
+  resp.value = r.u64();
+  resp.from_cache = r.u8() != 0;
   return resp;
 }
 

@@ -16,12 +16,11 @@ Bytes encode_data(const RsData& data) {
 
 Result<RsData> decode_data(std::span<const std::uint8_t> frame) {
   ByteReader r(frame);
-  const auto magic = r.u8();
-  if (!magic.ok() || magic.value() != kDataMagic) return make_error("not RouteScout data");
+  if (r.u8() != kDataMagic) return make_error("not RouteScout data");
   if (r.remaining() < 12) return make_error("RouteScout data truncated");
   RsData data;
-  data.flow_id = r.u64().value();
-  data.size_bytes = r.u32().value();
+  data.flow_id = r.u64();
+  data.size_bytes = r.u32();
   return data;
 }
 
@@ -34,12 +33,11 @@ Bytes encode_sample(const RsSample& sample) {
 
 Result<RsSample> decode_sample(std::span<const std::uint8_t> frame) {
   ByteReader r(frame);
-  const auto magic = r.u8();
-  if (!magic.ok() || magic.value() != kSampleMagic) return make_error("not a latency sample");
+  if (r.u8() != kSampleMagic) return make_error("not a latency sample");
   if (r.remaining() < 5) return make_error("sample truncated");
   RsSample sample;
-  sample.path = r.u8().value();
-  sample.latency_us = r.u32().value();
+  sample.path = r.u8();
+  sample.latency_us = r.u32();
   return sample;
 }
 

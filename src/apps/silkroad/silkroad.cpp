@@ -13,12 +13,11 @@ Bytes encode_conn(const ConnPacket& packet) {
 
 Result<ConnPacket> decode_conn(std::span<const std::uint8_t> frame) {
   ByteReader r(frame);
-  const auto magic = r.u8();
-  if (!magic.ok() || magic.value() != kConnMagic) return make_error("not a connection packet");
+  if (r.u8() != kConnMagic) return make_error("not a connection packet");
   if (r.remaining() < 10) return make_error("connection packet truncated");
   ConnPacket packet;
-  packet.vip = r.u16().value();
-  packet.conn_id = r.u64().value();
+  packet.vip = r.u16();
+  packet.conn_id = r.u64();
   return packet;
 }
 

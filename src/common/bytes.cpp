@@ -32,50 +32,6 @@ ByteWriter& ByteWriter::raw(std::span<const std::uint8_t> data) {
   return *this;
 }
 
-Result<std::uint8_t> ByteReader::u8() {
-  if (remaining() < 1) return make_error("ByteReader: u8 past end");
-  return data_[pos_++];
-}
-
-Result<std::uint16_t> ByteReader::u16() {
-  if (remaining() < 2) return make_error("ByteReader: u16 past end");
-  std::uint16_t v = static_cast<std::uint16_t>(static_cast<std::uint16_t>(data_[pos_]) << 8 |
-                                               static_cast<std::uint16_t>(data_[pos_ + 1]));
-  pos_ += 2;
-  return v;
-}
-
-Result<std::uint32_t> ByteReader::u32() {
-  if (remaining() < 4) return make_error("ByteReader: u32 past end");
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v = (v << 8) | data_[pos_ + static_cast<std::size_t>(i)];
-  pos_ += 4;
-  return v;
-}
-
-Result<std::uint64_t> ByteReader::u64() {
-  if (remaining() < 8) return make_error("ByteReader: u64 past end");
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v = (v << 8) | data_[pos_ + static_cast<std::size_t>(i)];
-  pos_ += 8;
-  return v;
-}
-
-Result<Bytes> ByteReader::raw(std::size_t n) {
-  if (remaining() < n) return make_error("ByteReader: raw past end");
-  Bytes out(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
-            data_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
-  pos_ += n;
-  return out;
-}
-
-Result<std::span<const std::uint8_t>> ByteReader::view(std::size_t n) {
-  if (remaining() < n) return make_error("ByteReader: view past end");
-  const auto out = data_.subspan(pos_, n);
-  pos_ += n;
-  return out;
-}
-
 std::string to_hex(std::span<const std::uint8_t> data) {
   static constexpr char kDigits[] = "0123456789abcdef";
   std::string out;

@@ -1,5 +1,8 @@
-// Byte-buffer primitives: network-order (big-endian) writers/readers used
-// by the P4Auth wire codec and the simulated packet payloads.
+// Byte-buffer primitives: network-order (big-endian) writers and the
+// reader used by the P4Auth wire codec and the simulated packet payloads.
+// Writers trust the caller's sizing; the reader is bounds-safe on its own
+// and reports a short frame through one sticky flag, so a decoder pays one
+// length check per frame section instead of one error per field.
 #pragma once
 
 #include <cstddef>
@@ -7,8 +10,6 @@
 #include <span>
 #include <string>
 #include <vector>
-
-#include "common/result.hpp"
 
 namespace p4auth {
 
@@ -68,29 +69,55 @@ class ScratchWriter {
   std::uint8_t* p_;
 };
 
-/// Reads fixed-width integers from a byte span in network byte order.
-/// Reads past the end fail with an Error instead of invoking UB.
+/// Reads fixed-width integers from a byte span in network byte order;
+/// the mirror of ScratchWriter. A decoder checks remaining() once for a
+/// fixed-size section and then reads plain values, with no per-field
+/// error to unwrap. Bounds safety does not rest on that check: a read
+/// past the end returns 0 (view(): an empty span), consumes nothing and
+/// latches failed(), which stays set for the reader's lifetime. No read
+/// ever touches memory outside the span, and a frame's nonzero magic byte
+/// compared with u8() also turns away the empty frame.
 class ByteReader {
  public:
-  explicit ByteReader(std::span<const std::uint8_t> data) : data_(data) {}
+  explicit ByteReader(std::span<const std::uint8_t> data) noexcept : data_(data) {}
 
-  Result<std::uint8_t> u8();
-  Result<std::uint16_t> u16();
-  Result<std::uint32_t> u32();
-  Result<std::uint64_t> u64();
-  /// Reads exactly `n` bytes; fails if fewer remain.
-  Result<Bytes> raw(std::size_t n);
-  /// Reads exactly `n` bytes as a view into the source buffer — no copy.
-  /// The span is only valid while the source buffer outlives the parse.
-  Result<std::span<const std::uint8_t>> view(std::size_t n);
+  std::uint8_t u8() noexcept { return static_cast<std::uint8_t>(take(1)); }
+  std::uint16_t u16() noexcept { return static_cast<std::uint16_t>(take(2)); }
+  std::uint32_t u32() noexcept { return static_cast<std::uint32_t>(take(4)); }
+  std::uint64_t u64() noexcept { return take(8); }
 
+  /// The next `n` bytes as a view into the source buffer, no copy. The
+  /// span is only valid while the source buffer outlives the parse.
+  std::span<const std::uint8_t> view(std::size_t n) noexcept {
+    if (remaining() < n) {
+      failed_ = true;
+      return {};
+    }
+    const auto out = data_.subspan(pos_, n);
+    pos_ += n;
+    return out;
+  }
+
+  /// True once any read has run past the end.
+  bool failed() const noexcept { return failed_; }
   std::size_t remaining() const noexcept { return data_.size() - pos_; }
-  std::size_t position() const noexcept { return pos_; }
   bool exhausted() const noexcept { return pos_ == data_.size(); }
 
  private:
+  std::uint64_t take(std::size_t n) noexcept {
+    if (remaining() < n) {
+      failed_ = true;
+      return 0;
+    }
+    std::uint64_t v = 0;
+    for (std::size_t i = 0; i < n; ++i) v = (v << 8) | data_[pos_ + i];
+    pos_ += n;
+    return v;
+  }
+
   std::span<const std::uint8_t> data_;
   std::size_t pos_ = 0;
+  bool failed_ = false;
 };
 
 /// Hex rendering for logs and test diagnostics, e.g. "de:ad:be:ef".

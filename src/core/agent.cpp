@@ -60,7 +60,7 @@ void P4AuthAgent::set_neighbor(PortId port, NodeId peer) {
 
 Status P4AuthAgent::expose_register(RegisterId id, std::string name) {
   if (exposed_by_id_.contains(id)) return make_error("register id already exposed");
-  const auto name_index = static_cast<std::uint64_t>(exposed_names_.size());
+  const auto name_index = static_cast<std::uint64_t>(exposed_.size());
   if (auto s = reg_map_.insert(map_key_bytes(id, RegisterMsg::ReadReq),
                                dataplane::Action{kActionRead, name_index});
       !s.ok()) {
@@ -71,7 +71,7 @@ Status P4AuthAgent::expose_register(RegisterId id, std::string name) {
       !s.ok()) {
     return s;
   }
-  exposed_names_.push_back(name);
+  exposed_.push_back({name});
   exposed_by_id_.emplace(id, std::move(name));
   return {};
 }
@@ -483,7 +483,9 @@ dataplane::PipelineOutput P4AuthAgent::handle_register_op(const Message& msg, By
     nack(AlertMsg::UnknownRegister, 0);
     return out;
   }
-  auto* reg = ctx.registers().by_name(exposed_names_[action->data]);
+  Exposed& exposed = exposed_[action->data];
+  if (exposed.array == nullptr) exposed.array = ctx.registers().by_name(exposed.name);
+  dataplane::RegisterArray* reg = exposed.array;
   if (reg == nullptr) {
     nack(AlertMsg::UnknownRegister, 1);
     return out;
@@ -774,7 +776,8 @@ dataplane::PipelineModel P4AuthAgent::pipeline_model() const {
   const std::string hit = "tbl." + reg_map_.shape().name + ".hit";
   m.branch(reg_map, nack_key, "miss", {{hit, false}});
   m.branch(reg_map, nack_key, "op_fail", {{hit, true}, {"reg.op_ok", false}});
-  for (const auto& name : exposed_names_) {
+  for (const Exposed& exposed : exposed_) {
+    const std::string& name = exposed.name;
     // An exposed name with no array behind it bills 0 bits, which the
     // static checks report as decl-zero-size-register.
     const dataplane::RegisterArray* array = registers_.by_name(name);
@@ -789,7 +792,7 @@ dataplane::PipelineModel P4AuthAgent::pipeline_model() const {
                      {"op.target." + name, true}}),
              ack_key);
   }
-  if (exposed_names_.empty()) {
+  if (exposed_.empty()) {
     m.branch(reg_map, nack_key, "no_exposed", {{hit, true}, {"reg.op_ok", true}});
   }
 

@@ -249,7 +249,14 @@ class P4AuthAgent : public dataplane::DataPlaneProgram {
   DataPlaneKeyStore keys_;
   dataplane::DigestExtern digest_;
   dataplane::ExactTable reg_map_;
-  std::vector<std::string> exposed_names_;
+  /// An exposed register's name, and its array once a register op has
+  /// found it by that name (names are unique and arrays never removed,
+  /// so a found pointer cannot go stale).
+  struct Exposed {
+    std::string name;
+    dataplane::RegisterArray* array = nullptr;
+  };
+  std::vector<Exposed> exposed_;
   std::unordered_map<RegisterId, std::string> exposed_by_id_;
 
   std::vector<PortSlot> slots_;  // [0, num_ports]

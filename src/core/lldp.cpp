@@ -12,12 +12,11 @@ Bytes encode_lldp(const LldpAnnouncement& announcement) {
 
 Result<LldpAnnouncement> decode_lldp(std::span<const std::uint8_t> frame) {
   ByteReader r(frame);
-  const auto magic = r.u8();
-  if (!magic.ok() || magic.value() != kLldpMagic) return make_error("not an LLDP frame");
+  if (r.u8() != kLldpMagic) return make_error("not an LLDP frame");
   if (r.remaining() < 4) return make_error("LLDP frame truncated");
   LldpAnnouncement announcement;
-  announcement.sender = NodeId{r.u16().value()};
-  announcement.sender_port = PortId{r.u16().value()};
+  announcement.sender = NodeId{r.u16()};
+  announcement.sender_port = PortId{r.u16()};
   return announcement;
 }
 
@@ -35,14 +34,13 @@ Bytes encode_lldp_report(const LldpReport& report) {
 
 Result<LldpReport> decode_lldp_report(std::span<const std::uint8_t> frame) {
   ByteReader r(frame);
-  const auto magic = r.u8();
-  if (!magic.ok() || magic.value() != kLldpReportMagic) return make_error("not an LLDP report");
+  if (r.u8() != kLldpReportMagic) return make_error("not an LLDP report");
   if (r.remaining() < 8) return make_error("LLDP report truncated");
   LldpReport report;
-  report.sender = NodeId{r.u16().value()};
-  report.sender_port = PortId{r.u16().value()};
-  report.receiver = NodeId{r.u16().value()};
-  report.receiver_port = PortId{r.u16().value()};
+  report.sender = NodeId{r.u16()};
+  report.sender_port = PortId{r.u16()};
+  report.receiver = NodeId{r.u16()};
+  report.receiver_port = PortId{r.u16()};
   return report;
 }
 

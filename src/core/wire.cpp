@@ -109,9 +109,9 @@ Result<Message> decode(std::span<const std::uint8_t> frame) {
       if (h.msg_type < 1 || h.msg_type > 4) return make_error("unknown register msgType");
       if (r.remaining() < 16) return make_error("registerOp payload truncated");
       RegisterOpPayload p;
-      p.reg_id = RegisterId{r.u32().value()};
-      p.index = r.u32().value();
-      p.value = r.u64().value();
+      p.reg_id = RegisterId{r.u32()};
+      p.index = r.u32();
+      p.value = r.u64();
       m.payload = p;
       break;
     }
@@ -119,15 +119,15 @@ Result<Message> decode(std::span<const std::uint8_t> frame) {
       switch (static_cast<KeyExchMsg>(h.msg_type)) {
         case KeyExchMsg::EakExch: {
           if (r.remaining() < 8) return make_error("eak payload truncated");
-          m.payload = EakPayload{r.u64().value()};
+          m.payload = EakPayload{r.u64()};
           break;
         }
         case KeyExchMsg::InitKeyExch:
         case KeyExchMsg::UpdKeyExch: {
           if (r.remaining() < 16) return make_error("adhkd payload truncated");
           AdhkdPayload p;
-          p.public_key = r.u64().value();
-          p.salt = r.u64().value();
+          p.public_key = r.u64();
+          p.salt = r.u64();
           m.payload = p;
           break;
         }
@@ -135,8 +135,8 @@ Result<Message> decode(std::span<const std::uint8_t> frame) {
         case KeyExchMsg::PortKeyUpdate: {
           if (r.remaining() < 4) return make_error("portKey payload truncated");
           PortKeyPayload p;
-          p.port = PortId{r.u16().value()};
-          p.peer = NodeId{r.u16().value()};
+          p.port = PortId{r.u16()};
+          p.peer = NodeId{r.u16()};
           m.payload = p;
           break;
         }
@@ -149,18 +149,18 @@ Result<Message> decode(std::span<const std::uint8_t> frame) {
       if (h.msg_type < 1 || h.msg_type > 5) return make_error("unknown alert msgType");
       if (r.remaining() < 12) return make_error("alert payload truncated");
       AlertPayload p;
-      p.context = r.u32().value();
-      p.observed_seq = r.u16().value();
-      p.expected_seq = r.u16().value();
-      p.detail = r.u32().value();
+      p.context = r.u32();
+      p.observed_seq = r.u16();
+      p.expected_seq = r.u16();
+      p.detail = r.u32();
       m.payload = p;
       break;
     }
     case HdrType::DpData: {
       DpDataPayload p;
-      // Borrow the remainder and copy once into the owned payload (the
-      // Message outlives the frame; raw() would build an extra temporary).
-      const auto rest = r.view(r.remaining()).value();
+      // Copy the remainder once into the owned payload (the Message
+      // outlives the frame).
+      const auto rest = r.view(r.remaining());
       p.inner.assign(rest.begin(), rest.end());
       m.payload = std::move(p);
       break;
@@ -168,22 +168,6 @@ Result<Message> decode(std::span<const std::uint8_t> frame) {
   }
   if (!r.exhausted()) return make_error("p4auth frame has trailing bytes");
   return m;
-}
-
-bool looks_like_p4auth(std::span<const std::uint8_t> frame) noexcept {
-  return frame.size() >= kHeaderSize && frame[0] >= 1 && frame[0] <= 4;
-}
-
-DigestCover digest_cover(std::span<const std::uint8_t> frame) noexcept {
-  // Eqn. 4: the digest covers p4auth_h *excluding the digest field* plus
-  // the payload. The digest occupies the header's last 4 bytes, so they
-  // are skipped rather than hashed as zeros.
-  return DigestCover{frame.first(kDigestOffset), frame.subspan(kHeaderSize)};
-}
-
-Digest32 read_digest(std::span<const std::uint8_t> frame) noexcept {
-  const std::uint8_t* p = frame.data() + kDigestOffset;
-  return (Digest32{p[0]} << 24) | (Digest32{p[1]} << 16) | (Digest32{p[2]} << 8) | p[3];
 }
 
 void write_digest(std::span<std::uint8_t> frame, Digest32 digest) noexcept {

@@ -153,7 +153,9 @@ Result<Header> decode_header(std::span<const std::uint8_t> frame);
 
 /// True when the frame plausibly starts with a p4auth header (used by the
 /// agent to separate protocol frames from plain traffic).
-bool looks_like_p4auth(std::span<const std::uint8_t> frame) noexcept;
+inline bool looks_like_p4auth(std::span<const std::uint8_t> frame) noexcept {
+  return frame.size() >= kHeaderSize && frame[0] >= 1 && frame[0] <= 4;
+}
 
 /// The bytes an encoded frame's digest covers (Eqn. 4), as two views
 /// into the frame: `head` is the header ahead of the digest field,
@@ -164,12 +166,20 @@ struct DigestCover {
   std::size_t size() const noexcept { return head.size() + tail.size(); }
 };
 
-/// The digest seam. Requires frame.size() >= kHeaderSize.
-DigestCover digest_cover(std::span<const std::uint8_t> frame) noexcept;
+/// The digest seam. Requires frame.size() >= kHeaderSize. Eqn. 4: the
+/// digest covers p4auth_h *excluding the digest field* plus the payload.
+/// The digest occupies the header's last 4 bytes, so they are skipped
+/// rather than hashed as zeros.
+inline DigestCover digest_cover(std::span<const std::uint8_t> frame) noexcept {
+  return DigestCover{frame.first(kDigestOffset), frame.subspan(kHeaderSize)};
+}
 
 /// Reads / overwrites the digest field of an encoded frame in place.
 /// Both require frame.size() >= kHeaderSize.
-Digest32 read_digest(std::span<const std::uint8_t> frame) noexcept;
+inline Digest32 read_digest(std::span<const std::uint8_t> frame) noexcept {
+  const std::uint8_t* p = frame.data() + kDigestOffset;
+  return (Digest32{p[0]} << 24) | (Digest32{p[1]} << 16) | (Digest32{p[2]} << 8) | p[3];
+}
 void write_digest(std::span<std::uint8_t> frame, Digest32 digest) noexcept;
 
 /// Total encoded size of a message carrying this payload.

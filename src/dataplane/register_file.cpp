@@ -14,21 +14,8 @@ RegisterArray::RegisterArray(std::string name, RegisterId id, std::size_t size, 
   assert(width_bits >= 1 && width_bits <= 64);
 }
 
-Result<std::uint64_t> RegisterArray::read(std::size_t index) const {
-  ++reads_;
-  if (index >= cells_.size()) {
-    return make_error("register '" + name_ + "': read index out of range");
-  }
-  return cells_[index];
-}
-
-Status RegisterArray::write(std::size_t index, std::uint64_t value) {
-  ++writes_;
-  if (index >= cells_.size()) {
-    return make_error("register '" + name_ + "': write index out of range");
-  }
-  cells_[index] = value & mask_;
-  return {};
+Error RegisterArray::out_of_range(const char* op) const {
+  return make_error("register '" + name_ + "': " + op + " index out of range");
 }
 
 void RegisterArray::fill(std::uint64_t value) {

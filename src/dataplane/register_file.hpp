@@ -34,8 +34,17 @@ class RegisterArray {
 
   /// Out-of-range indices fail (a real target would wrap or trap; failing
   /// loudly surfaces bugs in tests).
-  Result<std::uint64_t> read(std::size_t index) const;
-  Status write(std::size_t index, std::uint64_t value);
+  Result<std::uint64_t> read(std::size_t index) const {
+    ++reads_;
+    if (index >= cells_.size()) return out_of_range("read");
+    return cells_[index];
+  }
+  Status write(std::size_t index, std::uint64_t value) {
+    ++writes_;
+    if (index >= cells_.size()) return out_of_range("write");
+    cells_[index] = value & mask_;
+    return {};
+  }
 
   /// Warms the cell for an upcoming read/write (burst pre-pass). Unlike
   /// read(), this does NOT bump the audit access counters — the pre-pass
@@ -58,6 +67,9 @@ class RegisterArray {
   void mark_secret() noexcept { secret_ = true; }
 
  private:
+  /// The error an out-of-range access returns, built off the hot path.
+  [[gnu::cold]] Error out_of_range(const char* op) const;
+
   std::string name_;
   RegisterId id_;
   int width_bits_;

@@ -30,59 +30,71 @@ TEST(ByteReader, ReadsBackWhatWriterWrote) {
   ByteWriter w(buf);
   w.u8(7).u16(300).u32(70000).u64(1ull << 40);
   ByteReader r(buf);
-  EXPECT_EQ(r.u8().value(), 7u);
-  EXPECT_EQ(r.u16().value(), 300u);
-  EXPECT_EQ(r.u32().value(), 70000u);
-  EXPECT_EQ(r.u64().value(), 1ull << 40);
+  EXPECT_EQ(r.u8(), 7u);
+  EXPECT_EQ(r.u16(), 300u);
+  EXPECT_EQ(r.u32(), 70000u);
+  EXPECT_EQ(r.u64(), 1ull << 40);
   EXPECT_TRUE(r.exhausted());
+  EXPECT_FALSE(r.failed());
 }
 
 TEST(ByteReader, FailsPastEnd) {
   const Bytes buf = {1, 2, 3};
   ByteReader r(buf);
-  EXPECT_TRUE(r.u16().ok());
-  EXPECT_FALSE(r.u16().ok());
-  EXPECT_EQ(r.remaining(), 1u);  // failed read consumes nothing
+  EXPECT_EQ(r.u16(), 0x0102u);
+  EXPECT_FALSE(r.failed());
+  EXPECT_EQ(r.u16(), 0u);  // past the end: zero, nothing consumed
+  EXPECT_TRUE(r.failed());
+  EXPECT_EQ(r.remaining(), 1u);
+  EXPECT_EQ(r.u8(), 3u);  // a read that fits still reads...
+  EXPECT_TRUE(r.failed());  // ...and the failure stays latched
+  EXPECT_EQ(r.u64(), 0u);
+  EXPECT_TRUE(r.exhausted());
 }
 
 TEST(ByteReader, RawExactAndPastEnd) {
   const Bytes buf = {9, 8, 7, 6};
   ByteReader r(buf);
-  auto head = r.raw(3);
-  ASSERT_TRUE(head.ok());
-  EXPECT_EQ(head.value(), (Bytes{9, 8, 7}));
-  EXPECT_FALSE(r.raw(2).ok());
-  EXPECT_TRUE(r.raw(1).ok());
+  const auto head = r.view(3);
+  EXPECT_EQ(Bytes(head.begin(), head.end()), (Bytes{9, 8, 7}));
+  EXPECT_FALSE(r.failed());
+  EXPECT_TRUE(r.view(2).empty());
+  EXPECT_TRUE(r.failed());
+  EXPECT_EQ(r.remaining(), 1u);
+  EXPECT_EQ(r.view(1).size(), 1u);
   EXPECT_TRUE(r.exhausted());
 }
 
 TEST(ByteReader, ViewBorrowsWithoutCopying) {
   const Bytes buf = {9, 8, 7, 6};
   ByteReader r(buf);
-  ASSERT_TRUE(r.u8().ok());
+  EXPECT_EQ(r.u8(), 9u);
   const auto view = r.view(2);
-  ASSERT_TRUE(view.ok());
-  EXPECT_EQ(view.value().size(), 2u);
-  EXPECT_EQ(view.value().data(), buf.data() + 1);  // a window, not a copy
-  EXPECT_EQ(view.value()[0], 8u);
+  EXPECT_FALSE(r.failed());
+  EXPECT_EQ(view.size(), 2u);
+  EXPECT_EQ(view.data(), buf.data() + 1);  // a window, not a copy
+  EXPECT_EQ(view[0], 8u);
   EXPECT_EQ(r.remaining(), 1u);
 }
 
 TEST(ByteReader, ViewPastEndFailsWithoutConsuming) {
   const Bytes buf = {1, 2};
   ByteReader r(buf);
-  EXPECT_FALSE(r.view(3).ok());
+  EXPECT_TRUE(r.view(3).empty());
+  EXPECT_TRUE(r.failed());
   EXPECT_EQ(r.remaining(), 2u);
-  EXPECT_TRUE(r.view(0).ok());
-  EXPECT_TRUE(r.view(2).ok());
+  EXPECT_TRUE(r.view(0).empty());
+  EXPECT_EQ(r.view(2).data(), buf.data());
   EXPECT_TRUE(r.exhausted());
 }
 
 TEST(ByteReader, EmptyBufferBehaviour) {
   ByteReader r(std::span<const std::uint8_t>{});
   EXPECT_TRUE(r.exhausted());
-  EXPECT_FALSE(r.u8().ok());
-  EXPECT_TRUE(r.raw(0).ok());
+  EXPECT_TRUE(r.view(0).empty());
+  EXPECT_FALSE(r.failed());  // a zero-length view fits
+  EXPECT_EQ(r.u8(), 0u);
+  EXPECT_TRUE(r.failed());
 }
 
 // Property: any randomly generated write sequence round-trips.
@@ -107,13 +119,14 @@ TEST(ByteCodec, RandomRoundTripProperty) {
     ByteReader r(buf);
     for (const auto& [kind, v] : ops) {
       switch (kind) {
-        case 0: EXPECT_EQ(r.u8().value(), static_cast<std::uint8_t>(v)); break;
-        case 1: EXPECT_EQ(r.u16().value(), static_cast<std::uint16_t>(v)); break;
-        case 2: EXPECT_EQ(r.u32().value(), static_cast<std::uint32_t>(v)); break;
-        case 3: EXPECT_EQ(r.u64().value(), v); break;
+        case 0: EXPECT_EQ(r.u8(), static_cast<std::uint8_t>(v)); break;
+        case 1: EXPECT_EQ(r.u16(), static_cast<std::uint16_t>(v)); break;
+        case 2: EXPECT_EQ(r.u32(), static_cast<std::uint32_t>(v)); break;
+        case 3: EXPECT_EQ(r.u64(), v); break;
       }
     }
     EXPECT_TRUE(r.exhausted());
+    EXPECT_FALSE(r.failed());
   }
 }
 

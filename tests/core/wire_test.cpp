@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/rng.hpp"
 
 namespace p4auth::core {
@@ -159,8 +161,9 @@ TEST(Wire, LooksLikeP4AuthHeuristic) {
 /// The digest cover of an encoded frame, concatenated.
 Bytes cover_bytes(std::span<const std::uint8_t> frame) {
   const DigestCover cover = digest_cover(frame);
-  Bytes out(cover.head.begin(), cover.head.end());
-  out.insert(out.end(), cover.tail.begin(), cover.tail.end());
+  Bytes out(cover.size());
+  std::copy(cover.tail.begin(), cover.tail.end(),
+            std::copy(cover.head.begin(), cover.head.end(), out.begin()));
   return out;
 }
 

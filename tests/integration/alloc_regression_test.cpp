@@ -22,7 +22,9 @@
 // request's buffer, which comes back to that pool (docs/DESIGN.md,
 // "Control round trip"). The same pair pins what a port-key update still
 // allocates. The deep-queue case drives a bare simulator thousands of
-// events deep through its bucket refills.
+// events deep through its bucket refills. The decode case runs every
+// frame decoder over valid frames: a successful decode reads plain values
+// after one length check and builds no error.
 //
 // This binary compiles src/common/alloc_probe.cpp directly (see that
 // file's header comment): the counting operator new is per-binary and an
@@ -33,9 +35,17 @@
 #include <optional>
 #include <type_traits>
 
+#include "apps/blink/blink.hpp"
+#include "apps/flowradar/flowradar.hpp"
+#include "apps/flowstats/flowstats.hpp"
 #include "apps/hula/hula.hpp"
 #include "apps/l3fwd/l3fwd.hpp"
+#include "apps/netcache/netcache.hpp"
+#include "apps/routescout/routescout.hpp"
+#include "apps/silkroad/silkroad.hpp"
 #include "common/alloc_probe.hpp"
+#include "core/lldp.hpp"
+#include "core/wire.hpp"
 #include "experiments/fabric.hpp"
 
 namespace p4auth {
@@ -481,6 +491,81 @@ TEST(AllocRegression, PortKeyUpdateAllocatesItsCompletionAndOnePoolMiss) {
   // Any new allocation on the update path shows here as a third.
   EXPECT_EQ(allocations, 2 * kUpdates) << AllocProbe::deallocations()
                                        << " frees in the same window";
+}
+
+TEST(AllocRegression, SuccessfulDecodesDoNotAllocate) {
+  ASSERT_TRUE(AllocProbe::active());
+  const auto p4auth_frame = [](core::HdrType type, std::uint8_t msg_type, core::Payload payload) {
+    core::Message m;
+    m.header.hdr_type = type;
+    m.header.msg_type = msg_type;
+    m.header.seq_num = 9;
+    m.header.src = kS1;
+    m.header.dst = kS2;
+    m.payload = std::move(payload);
+    return core::encode(m);
+  };
+  // DpData is left out: decode copies its inner bytes into the Message
+  // by design (the agent's hot path reads the frame in place instead).
+  const std::vector<Bytes> messages = {
+      p4auth_frame(core::HdrType::RegisterOp, 1, core::RegisterOpPayload{RegisterId{7}, 3, 5}),
+      p4auth_frame(core::HdrType::KeyExchange, 1, core::EakPayload{11}),
+      p4auth_frame(core::HdrType::KeyExchange, 3, core::AdhkdPayload{12, 13}),
+      p4auth_frame(core::HdrType::KeyExchange, 5, core::PortKeyPayload{PortId{1}, kS2}),
+      p4auth_frame(core::HdrType::Alert, 1, core::AlertPayload{1, 2, 3, 4}),
+  };
+  const Bytes lldp = core::encode_lldp({kS1, PortId{1}});
+  const Bytes lldp_report = core::encode_lldp_report({kS1, PortId{1}, kS2, PortId{2}});
+  hula::Probe probe;
+  probe.origin_tor = kS3;
+  probe.trace = {{kS3, PortId{1}, 10}, {kS2, PortId{2}, 20}, {kS1, PortId{1}, 30}};
+  const Bytes probe_frame = hula::encode_probe(probe);
+  const Bytes data = hula::encode_data({kS3, 77, 1500});
+  const Bytes blink = apps::blink::encode_packet({5, 77, false});
+  const Bytes flowradar = apps::flowradar::encode_packet({0xBEEF});
+  const Bytes flowstats = apps::flowstats::encode_packet({6, 700});
+  const Bytes ipv4 = apps::l3fwd::encode_ipv4({0x0A000001, 64});
+  const Bytes query = apps::netcache::encode_query({42});
+  const Bytes response = apps::netcache::encode_response({42, 99, true});
+  const Bytes rs_data = apps::routescout::encode_data({123, 900});
+  const Bytes rs_sample = apps::routescout::encode_sample({1, 250});
+  const Bytes conn = apps::silkroad::encode_conn({2, 31337});
+
+  // The scratch probe's trace is sized by a first decode, as a program's
+  // scratch probe is by the first probe it sees.
+  hula::Probe scratch;
+  ASSERT_TRUE(hula::decode_probe_into(probe_frame, scratch).ok());
+
+  constexpr std::uint64_t kRounds = 100;
+  // Header and message of each P4Auth frame, 2 LLDP, 2 HULA, 9 app decodes.
+  constexpr std::uint64_t kDecodesPerRound = 2 * 5 + 2 + 2 + 9;
+  std::uint64_t decoded = 0;
+  AllocProbe::reset();
+  for (std::uint64_t round = 0; round < kRounds; ++round) {
+    for (const Bytes& frame : messages) {
+      decoded += core::decode_header(frame).ok();
+      decoded += core::decode(frame).ok();
+    }
+    decoded += core::decode_lldp(lldp).ok();
+    decoded += core::decode_lldp_report(lldp_report).ok();
+    decoded += hula::decode_probe_into(probe_frame, scratch).ok();
+    decoded += hula::decode_data(data).ok();
+    decoded += apps::blink::decode_packet(blink).ok();
+    decoded += apps::flowradar::decode_packet(flowradar).ok();
+    decoded += apps::flowstats::decode_packet(flowstats).ok();
+    decoded += apps::l3fwd::decode_ipv4(ipv4).ok();
+    decoded += apps::netcache::decode_query(query).ok();
+    decoded += apps::netcache::decode_response(response).ok();
+    decoded += apps::routescout::decode_data(rs_data).ok();
+    decoded += apps::routescout::decode_sample(rs_sample).ok();
+    decoded += apps::silkroad::decode_conn(conn).ok();
+  }
+  const std::uint64_t allocations = AllocProbe::allocations();
+
+  EXPECT_EQ(decoded, kRounds * kDecodesPerRound);
+  EXPECT_EQ(scratch, probe);
+  EXPECT_EQ(allocations, 0u) << "a successful decode must not touch the heap; "
+                             << AllocProbe::deallocations() << " frees in the same window";
 }
 
 }  // namespace

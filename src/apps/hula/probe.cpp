@@ -43,13 +43,19 @@ Status decode_probe_into(std::span<const std::uint8_t> frame, Probe& probe) {
   const std::uint8_t hops = r.u8();
   if (r.remaining() < kHopRecordSize * hops) return make_error("probe trace truncated");
   if (r.remaining() > kHopRecordSize * hops) return make_error("probe has trailing bytes");
-  // Sized once, filled in place: every field of a record is overwritten.
+  // The length checks above cover every record, so the trace is read
+  // from one view with direct loads. Sized once, filled in place: every
+  // field of a record is overwritten.
+  const std::uint8_t* rec = r.view(kHopRecordSize * hops).data();
+  const auto be16 = [](const std::uint8_t* p) noexcept {
+    return static_cast<std::uint16_t>((p[0] << 8) | p[1]);
+  };
   probe.trace.resize(hops);
   for (HopRecord& hop : probe.trace) {
-    hop.node = NodeId{r.u16()};
-    hop.ingress = PortId{r.u16()};
-    hop.util = r.u8();
-    r.view(3);  // padding
+    hop.node = NodeId{be16(rec)};
+    hop.ingress = PortId{be16(rec + 2)};
+    hop.util = rec[4];  // rec[5..7]: padding
+    rec += kHopRecordSize;
   }
   return {};
 }

@@ -1,8 +1,9 @@
 // Burst staging types for the vectorized hot path.
 //
 // The network coalesces consecutive same-time deliveries to one node
-// into a burst (netsim/network.hpp) and shows the burst to the node
-// *before* per-frame processing via Node::on_burst_prepare. The pre-pass
+// into a burst (netsim/network.hpp) and shows a burst of two or more to
+// the node *before* per-frame processing via Node::on_burst_prepare; a
+// lone frame goes straight to the per-frame path, unplanned. The pre-pass
 // is strictly side-effect-free — no telemetry, no RNG, no cost billing,
 // no register-access counters — so per-seed outputs stay byte-identical
 // to packet-at-a-time processing; its only products are warmed caches:

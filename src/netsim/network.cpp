@@ -172,7 +172,7 @@ void Network::transmit(NodeId from, PortId port, Bytes payload) {
                       ++d.stats.frames_delivered;
                       if (d.telemetry != nullptr) d.tele.frames_delivered->inc();
                       if (Node* dst = node(peer.node)) {
-                        deliver(*dst, peer.port, std::move(payload), span, /*from_link=*/true);
+                        deliver(*dst, peer.port, std::move(payload), span);
                       } else {
                         d.pool->release(std::move(payload));
                       }
@@ -195,15 +195,25 @@ void Network::inject(NodeId to, PortId ingress, Bytes payload, SimTime delay) {
                       d.sim->set_context(Simulator::rank_of(to));
                       ++d.stats.frames_delivered;
                       if (Node* dst = node(to)) {
-                        deliver(*dst, ingress, std::move(payload), span, /*from_link=*/false);
+                        deliver(*dst, ingress, std::move(payload), span);
                       }
                     });
 }
 
-void Network::deliver(Node& dst, PortId port, Bytes payload, telemetry::SpanContext span,
-                      bool from_link) {
+void Network::deliver(Node& dst, PortId port, Bytes payload, telemetry::SpanContext span) {
   ShardState& st = cur();
   const std::uint32_t index = dst.burst_index();
+  const bool staged = index < st.slots.size() && !st.slots[index].frames.empty();
+  // True while this node's (time, key) group keeps firing: the firing key
+  // IS this node's delivery key.
+  const bool continues = st.sim->coalesce_continues();
+  if (!staged && !continues) {
+    // A lone frame is a burst of one: delivered straight to the node,
+    // with no staging and no pre-pass (there is nothing to batch).
+    record_burst(st, 1);
+    deliver_frame(st, dst, port, std::move(payload), span);
+    return;
+  }
   if (index >= st.slots.size()) {
     st.slots.resize(std::max(nodes_.size(), static_cast<std::size_t>(index) + 1));
   }
@@ -213,12 +223,23 @@ void Network::deliver(Node& dst, PortId port, Bytes payload, telemetry::SpanCont
     slot.node = &dst;
     st.open.push_back(index);
   }
-  slot.frames.push_back(StagedFrame{port, from_link, span, std::move(payload)});
-  // The slot stays open while this node's (time, key) group keeps firing
-  // (the firing key IS this node's delivery key); it closes at the
+  slot.frames.push_back(StagedFrame{port, span, std::move(payload)});
+  // The slot stays open while the group keeps firing; it closes at the
   // group's last event or at the burst-size cap.
-  if (slot.frames.size() < dataplane::kMaxBurst && st.sim->coalesce_continues()) return;
+  if (slot.frames.size() < dataplane::kMaxBurst && continues) return;
   flush_slot(st, index);
+}
+
+void Network::record_burst(ShardState& st, std::size_t burst) noexcept {
+  if (burst > st.burst_highwater) st.burst_highwater = burst;
+  if (st.tele.burst_size != nullptr) st.tele.burst_size->observe(static_cast<double>(burst));
+}
+
+void Network::deliver_frame(ShardState& st, Node& dst, PortId port, Bytes&& payload,
+                            telemetry::SpanContext span) {
+  const auto scope = st.telemetry != nullptr ? st.telemetry->spans.resume(span)
+                                             : telemetry::SpanTracker::Scope{};
+  dst.on_frame(port, std::move(payload));
 }
 
 void Network::flush_slot(ShardState& st, std::uint32_t index) {
@@ -226,8 +247,7 @@ void Network::flush_slot(ShardState& st, std::uint32_t index) {
   if (slot.frames.empty()) return;
   Node& dst = *slot.node;
   const std::size_t burst = slot.frames.size();
-  if (burst > st.burst_highwater) st.burst_highwater = burst;
-  if (st.tele.burst_size != nullptr) st.tele.burst_size->observe(static_cast<double>(burst));
+  record_burst(st, burst);
 
   // Side-effect-free pre-pass over the whole burst (prefetch, SIMD digest
   // planning), then the unchanged per-frame path in staged order — so
@@ -240,9 +260,8 @@ void Network::flush_slot(ShardState& st, std::uint32_t index) {
   }
   dst.on_burst_prepare(std::span<const dataplane::BurstFrameView>(views.data(), burst));
   for (std::size_t i = 0; i < burst; ++i) {
-    const auto scope = st.telemetry != nullptr ? st.telemetry->spans.resume(slot.frames[i].span)
-                                               : telemetry::SpanTracker::Scope{};
-    dst.on_frame(slot.frames[i].port, std::move(slot.frames[i].payload));
+    deliver_frame(st, dst, slot.frames[i].port, std::move(slot.frames[i].payload),
+                  slot.frames[i].span);
   }
   dst.on_burst_end();
   slot.frames.clear();  // capacity (and the no-realloc guarantee) is retained

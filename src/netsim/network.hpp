@@ -146,7 +146,6 @@ class Network {
   /// planning through consumption (dataplane/burst.hpp relies on this).
   struct StagedFrame {
     PortId port{};
-    bool from_link = false;  ///< transmit() delivery (inject() skips net.frames_delivered)
     telemetry::SpanContext span{};
     Bytes payload;
   };
@@ -164,7 +163,9 @@ class Network {
 
   /// Per-node burst staging: delivery events for one node coalesce here
   /// until the node's (time, key) group is exhausted. Same-time events of
-  /// other nodes may fire in between, so several slots can be open.
+  /// other nodes may fire in between, so several slots can be open. Only
+  /// bursts of two or more are staged; a node that never bursts never
+  /// gets its slot sized.
   struct BurstSlot {
     Node* node = nullptr;
     std::vector<StagedFrame> frames;  ///< reserved to kMaxBurst; never reallocates
@@ -196,11 +197,17 @@ class Network {
 
   void bind_tele(ShardState& st) noexcept;
 
-  /// Delivery rendezvous: stages the frame and flushes when the burst
-  /// closes (next event differs in time/key, or kMaxBurst reached).
-  void deliver(Node& dst, PortId port, Bytes payload, telemetry::SpanContext span,
-               bool from_link);
+  /// Delivery rendezvous. A lone frame (nothing staged for `dst` and no
+  /// same-time, same-key delivery pending) goes straight to on_frame;
+  /// otherwise the frame is staged and the burst flushes when it closes
+  /// (next event differs in time/key, or kMaxBurst reached).
+  void deliver(Node& dst, PortId port, Bytes payload, telemetry::SpanContext span);
   void flush_slot(ShardState& st, std::uint32_t index);
+  /// Records a delivered burst's size (a lone frame is a burst of one).
+  static void record_burst(ShardState& st, std::size_t burst) noexcept;
+  /// Hands one frame to `dst` under its resumed in-flight span.
+  static void deliver_frame(ShardState& st, Node& dst, PortId port, Bytes&& payload,
+                            telemetry::SpanContext span);
 
   /// Schedules a delivery closure `delay` from now, keyed on `key`. The
   /// order is allocated from the *sending* shard's simulator under the

@@ -28,15 +28,19 @@ class Node {
   /// A frame arrived on `ingress` (already past link latency and tamper).
   virtual void on_frame(PortId ingress, Bytes payload) = 0;
 
-  /// The network coalesced `frames` same-time arrivals for this node and
-  /// is about to call on_frame once per entry, in order. A warm-up hook:
-  /// implementations may prefetch and precompute but must stay
-  /// side-effect-free (see dataplane/burst.hpp). Default: no-op.
+  /// The network staged `frames`, two or more same-time arrivals for this
+  /// node, and is about to call on_frame once per entry, in order. A
+  /// warm-up hook: implementations may prefetch and precompute but must
+  /// stay side-effect-free (see dataplane/burst.hpp). Only such bursts are
+  /// bracketed by on_burst_prepare/on_burst_end: a lone frame goes
+  /// straight to on_frame, so a P4Auth agent's DigestPlan is empty outside
+  /// a bracket. Default: no-op.
   virtual void on_burst_prepare(std::span<const dataplane::BurstFrameView> frames) {
     (void)frames;
   }
 
-  /// The burst's last on_frame returned; drop any plan state.
+  /// The staged burst's last on_frame returned; drop any plan state. Called
+  /// once per on_burst_prepare, never for a lone frame.
   virtual void on_burst_end() {}
 
   void attach(Network* network) noexcept { network_ = network; }

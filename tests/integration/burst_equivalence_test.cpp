@@ -20,6 +20,7 @@ struct Captured {
   std::string metrics;
   std::string trace;
   std::uint64_t verify_ok = 0;
+  double burst_highwater = 0;
 };
 
 Captured run_once(std::uint64_t seed, bool burst_planning) {
@@ -34,6 +35,7 @@ Captured run_once(std::uint64_t seed, bool burst_planning) {
   out.metrics = telemetry.metrics_json();
   out.trace = telemetry.trace_jsonl();
   out.verify_ok = telemetry.metrics.counter_total("auth.verify_ok");
+  out.burst_highwater = telemetry.metrics.gauge("pool.burst_highwater").value();
   return out;
 }
 
@@ -42,6 +44,9 @@ TEST(BurstEquivalence, BurstAndPacketAtATimePathsAreByteIdentical) {
     const Captured burst = run_once(seed, /*burst_planning=*/true);
     const Captured scalar = run_once(seed, /*burst_planning=*/false);
     ASSERT_GT(burst.verify_ok, 0u) << "seed " << seed << ": hot path never exercised";
+    // A lone frame is never planned, so the comparison proves something
+    // only if the run stages real bursts of two or more.
+    ASSERT_GE(burst.burst_highwater, 2.0) << "seed " << seed << ": no multi-frame burst";
     EXPECT_EQ(burst.metrics, scalar.metrics) << "seed " << seed;
     EXPECT_EQ(burst.trace, scalar.trace) << "seed " << seed;
   }

@@ -241,11 +241,19 @@ TEST(NetworkBurst, DistinctFireTimesDoNotCoalesce) {
   Simulator sim;
   Network net(sim);
   auto* sink = net.add<BurstSinkNode>(NodeId{1});
+  std::vector<std::size_t> seen_per_delivery;
   net.inject(NodeId{1}, PortId{2}, Bytes{1}, SimTime::from_us(10));
   net.inject(NodeId{1}, PortId{2}, Bytes{2}, SimTime::from_us(20));
+  sim.at(SimTime::from_us(15), [&] { seen_per_delivery.push_back(sink->frames.size()); });
   sim.run();
-  EXPECT_EQ(sink->burst_sizes, (std::vector<std::size_t>{1, 1}));
-  EXPECT_EQ(sink->burst_ends, 2u);
+  ASSERT_EQ(sink->frames.size(), 2u);
+  EXPECT_EQ(sink->frames[0].second, Bytes{1});
+  EXPECT_EQ(sink->frames[1].second, Bytes{2});
+  // The first frame was handed over at its own delivery, not held back.
+  EXPECT_EQ(seen_per_delivery, (std::vector<std::size_t>{1}));
+  // Two lone frames: neither is staged, so neither is bracketed.
+  EXPECT_TRUE(sink->burst_sizes.empty());
+  EXPECT_EQ(sink->burst_ends, 0u);
 }
 
 TEST(NetworkBurst, DistinctDestinationsDoNotCoalesce) {
@@ -255,22 +263,58 @@ TEST(NetworkBurst, DistinctDestinationsDoNotCoalesce) {
   auto* b = net.add<BurstSinkNode>(NodeId{2});
   net.inject(NodeId{1}, PortId{2}, Bytes{1}, SimTime::from_us(10));
   net.inject(NodeId{2}, PortId{2}, Bytes{2}, SimTime::from_us(10));
+  // Runs one event at a time: each delivery hands its frame over at once.
+  sim.run(/*max_events=*/1);
+  ASSERT_EQ(a->frames.size(), 1u);
+  EXPECT_EQ(a->frames[0].second, Bytes{1});
+  EXPECT_TRUE(b->frames.empty());
   sim.run();
-  EXPECT_EQ(a->burst_sizes, (std::vector<std::size_t>{1}));
-  EXPECT_EQ(b->burst_sizes, (std::vector<std::size_t>{1}));
+  ASSERT_EQ(b->frames.size(), 1u);
+  EXPECT_EQ(b->frames[0].second, Bytes{2});
+  EXPECT_TRUE(a->burst_sizes.empty());
+  EXPECT_TRUE(b->burst_sizes.empty());
+  EXPECT_EQ(a->burst_ends + b->burst_ends, 0u);
+}
+
+TEST(NetworkBurst, LoneFrameIsNeitherStagedNorPlanned) {
+  Simulator sim;
+  Network net(sim);
+  telemetry::Telemetry telemetry;
+  net.set_telemetry(&telemetry);
+  auto* sink = net.add<BurstSinkNode>(NodeId{1});
+  net.inject(NodeId{1}, PortId{2}, Bytes{7}, SimTime::from_us(10));
+  sim.run();
+  ASSERT_EQ(sink->frames.size(), 1u);
+  EXPECT_EQ(sink->frames[0].second, Bytes{7});
+  EXPECT_TRUE(sink->burst_sizes.empty());  // no on_burst_prepare
+  EXPECT_EQ(sink->burst_ends, 0u);         // no on_burst_end
+  // Still recorded as a burst of one.
+  net.export_pool_stats();
+  EXPECT_EQ(telemetry.metrics.gauge("pool.burst_highwater").value(), 1.0);
+  const telemetry::Histogram& sizes = telemetry.metrics.histogram("pipeline.burst_size");
+  EXPECT_EQ(sizes.count(), 1u);
+  EXPECT_EQ(sizes.sum(), 1.0);
 }
 
 TEST(NetworkBurst, BurstsSplitAtKMaxBurst) {
-  Simulator sim;
-  Network net(sim);
-  auto* sink = net.add<BurstSinkNode>(NodeId{1});
-  const std::size_t total = dataplane::kMaxBurst + 5;
-  for (std::size_t i = 0; i < total; ++i) {
-    net.inject(NodeId{1}, PortId{2}, Bytes{static_cast<std::uint8_t>(i)}, SimTime::from_us(10));
+  // Past the cap, 5 more frames form a second burst; a single one is a
+  // lone frame, delivered without a bracket.
+  for (const std::size_t extra : {std::size_t{5}, std::size_t{1}}) {
+    Simulator sim;
+    Network net(sim);
+    auto* sink = net.add<BurstSinkNode>(NodeId{1});
+    const std::size_t total = dataplane::kMaxBurst + extra;
+    for (std::size_t i = 0; i < total; ++i) {
+      net.inject(NodeId{1}, PortId{2}, Bytes{static_cast<std::uint8_t>(i)}, SimTime::from_us(10));
+    }
+    sim.run();
+    ASSERT_EQ(sink->frames.size(), total);
+    for (std::size_t i = 0; i < total; ++i) EXPECT_EQ(sink->frames[i].second[0], i);
+    std::vector<std::size_t> expected{dataplane::kMaxBurst};
+    if (extra > 1) expected.push_back(extra);
+    EXPECT_EQ(sink->burst_sizes, expected) << "kMaxBurst + " << extra;
+    EXPECT_EQ(sink->burst_ends, expected.size()) << "kMaxBurst + " << extra;
   }
-  sim.run();
-  EXPECT_EQ(sink->frames.size(), total);
-  EXPECT_EQ(sink->burst_sizes, (std::vector<std::size_t>{dataplane::kMaxBurst, 5}));
 }
 
 TEST(NetworkBurst, FlushDeliveriesDrainsABoundedRun) {

@@ -38,12 +38,12 @@ void BM_HalfSipHash13(benchmark::State& state) {
 }
 BENCHMARK(BM_HalfSipHash13)->Arg(26)->Arg(256);
 
-// Multi-lane HalfSipHash at the burst pipeline's job shape (26-byte
+// Multi-lane HalfSipHash at the P4Auth frame's job shape (26-byte
 // header scratch + 64-byte payload tail, two-span), once per backend
 // this host can run (registered in main() as
 // BM_HalfSipHashLanes/<backend>/<lanes>). One row per lane count: 1
-// (degenerate), one SIMD group (4/8/16 depending on backend), a full
-// planner batch (32), and a full burst (64). The per-iteration rate
+// (degenerate), one SIMD group (4/8/16 depending on backend), and two
+// larger batches (32 and 64). The per-iteration rate
 // divided by the lane count is the per-digest cost; the lanes=1 row is
 // the dispatch floor.
 void BM_HalfSipHashLanes(benchmark::State& state, crypto::SipLaneBackend backend) {

@@ -52,16 +52,17 @@ double bench_events() {
 }
 
 /// Two-span digests over a p4auth-sized header scratch plus a payload
-/// tail: the scalar seam (one digest per call — the packet-at-a-time
-/// verify path) and the multi-lane overload in burst-sized batches (the
-/// burst planner's path). Returns digests/second for both.
+/// tail: the scalar seam (one digest per call — the data plane's
+/// per-packet verify path) and the multi-lane overload in batches of 32
+/// (the controller's PacketIn batch path). Returns digests/second for
+/// both.
 struct DigestRates {
   double scalar = 0.0;
   double lanes = 0.0;
 };
 
 DigestRates bench_digests() {
-  constexpr std::size_t kBatch = 32;  // one planner batch ~ half a kMaxBurst
+  constexpr std::size_t kBatch = 32;  // digests per multi-lane call
   std::uint8_t heads[kBatch][26];
   std::uint8_t tail[64];
   for (std::size_t lane = 0; lane < kBatch; ++lane) {

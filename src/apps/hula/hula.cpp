@@ -77,23 +77,6 @@ dataplane::PipelineOutput HulaProgram::process(dataplane::Packet& packet,
   }
 }
 
-void HulaProgram::plan_burst(std::span<const dataplane::BurstFrameView> frames) {
-  for (const auto& view : frames) {
-    const auto f = view.frame;
-    if (f.empty() || f[0] != kDataMagic) continue;
-    const auto data = decode_data(f);
-    if (!data.ok()) continue;
-    const std::size_t slot = flow_hash(data.value().flow_id) % config_.flowlet_slots;
-    flowlet_port_->prefetch(slot);
-    flowlet_time_->prefetch(slot);
-    const std::uint16_t tor = data.value().dst_tor.value;
-    if (tor < best_hop_->size()) {
-      best_hop_->prefetch(tor);
-      last_update_->prefetch(tor);
-    }
-  }
-}
-
 dataplane::PipelineOutput HulaProgram::generate_probe(dataplane::PipelineContext& ctx) {
   probe_.origin_tor = config_.self;
   probe_.max_util = 0;

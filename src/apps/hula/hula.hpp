@@ -41,11 +41,6 @@ class HulaProgram : public dataplane::DataPlaneProgram {
                                     dataplane::PipelineContext& ctx) override;
   dataplane::PipelineModel pipeline_model() const override;
 
-  /// Burst pre-pass: warms the flowlet slot and best-hop cells of staged
-  /// data packets. Pure prefetch — uses RegisterArray::prefetch, which
-  /// bypasses the audit access counters by design.
-  void plan_burst(std::span<const dataplane::BurstFrameView> frames) override;
-
   struct Stats {
     std::uint64_t probes_generated = 0;
     std::uint64_t probes_processed = 0;

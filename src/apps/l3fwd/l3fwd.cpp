@@ -63,15 +63,6 @@ dataplane::PipelineOutput L3FwdProgram::process(dataplane::Packet& packet,
   return dataplane::PipelineOutput::unicast(egress, packet.payload);
 }
 
-void L3FwdProgram::plan_burst(std::span<const dataplane::BurstFrameView> frames) {
-  for (const auto& view : frames) {
-    const auto decoded = decode_ipv4(view.frame);
-    if (!decoded.ok()) continue;
-    routes_.prefetch(decoded.value().dst);
-    stats_->prefetch(decoded.value().dst % stats_->size());
-  }
-}
-
 dataplane::PipelineModel L3FwdProgram::pipeline_model() const {
   using M = dataplane::PipelineModel;
   // The paper's base: 2 MATs + 1 register (Table II baseline row).

@@ -33,11 +33,6 @@ class L3FwdProgram : public dataplane::DataPlaneProgram {
                                     dataplane::PipelineContext& ctx) override;
   dataplane::PipelineModel pipeline_model() const override;
 
-  /// Burst pre-pass: warms the LPM probe groups and the stats cell of
-  /// every staged IPv4 frame. Pure prefetch — no cost accounting, no
-  /// table/register counters (see dataplane/burst.hpp contract).
-  void plan_burst(std::span<const dataplane::BurstFrameView> frames) override;
-
   template <typename Agent>
   Status expose_to(Agent& agent) {
     return agent.expose_register(kStatsReg, "l3_stats");

@@ -245,15 +245,11 @@ P4AuthAgent::Admission P4AuthAgent::admit(std::string_view site,
                                           std::span<const std::uint8_t> frame,
                                           const Header& header, const std::optional<Key64>& key,
                                           PortId port, bool replay_check,
-                                          dataplane::PipelineContext& ctx,
-                                          const dataplane::PlannedDigest* planned) {
+                                          dataplane::PipelineContext& ctx) {
   PortSlot* const s = slot(port);  // null only past the key store's range: no key either
   const DigestCover cover = digest_cover(frame);
-  const bool verified =
-      s != nullptr && key.has_value() &&
-      (planned != nullptr && planned->key == *key
-           ? digest_.verify_planned(planned->digest, cover.size(), header.digest, ctx.costs())
-           : digest_.verify(*key, cover.head, cover.tail, header.digest, ctx.costs()));
+  const bool verified = s != nullptr && key.has_value() &&
+                        digest_.verify(*key, cover.head, cover.tail, header.digest, ctx.costs());
   ctx.note_verify(site, verified);
   TeleSeries* t = tele(ctx);
   if (t != nullptr) {
@@ -387,56 +383,6 @@ dataplane::PipelineOutput P4AuthAgent::process(dataplane::Packet& packet,
   }
 
   return run_inner(packet, ctx);
-}
-
-void P4AuthAgent::plan_burst(std::span<const dataplane::BurstFrameView> frames) {
-  burst_plan_.clear();
-  std::size_t njobs = 0;
-  auto& jobs = burst_scratch_.jobs;
-  auto& pending = burst_scratch_.pending;
-  std::size_t ninner = 0;
-  auto& inner_views = burst_scratch_.inner_views;
-
-  for (const auto& view : frames) {
-    const std::span<const std::uint8_t> f = view.frame;
-    if (view.ingress == kCpuPort) continue;  // control path, never burst-verified
-    if (looks_like_p4auth(f)) {
-      const Header header = decode_header(f).value();  // cannot fail past looks_like_p4auth
-      if (header.hdr_type != HdrType::DpData) continue;  // KMP/control: no inner payload
-      // Hashes what handle_dp_data verifies: the frame's digest cover.
-      const auto key = keys_.get(view.ingress, header.key_version);
-      if (key.has_value()) {
-        const DigestCover cover = digest_cover(f);
-        jobs[njobs] = crypto::DigestJob{*key, cover.head, cover.tail};
-        pending[njobs] = dataplane::PlannedDigest{f.data(), f.size(), *key, 0};
-        ++njobs;
-      }
-      if (!header.is_encrypted() && inner_ != nullptr) {
-        inner_views[ninner++] = dataplane::BurstFrameView{view.ingress, f.subspan(kHeaderSize)};
-      }
-      continue;
-    }
-    if (!f.empty() && (f[0] == kLldpMagic || f[0] == kLldpGenMagic)) continue;
-    if (inner_ != nullptr) inner_views[ninner++] = view;  // raw traffic goes to the inner program
-  }
-
-  if (njobs > 0) {
-    std::array<Digest32, dataplane::kMaxBurst> digests;
-    digest_.compute_lanes(std::span<const crypto::DigestJob>(jobs.data(), njobs),
-                          std::span<Digest32>(digests.data(), njobs));
-    for (std::size_t i = 0; i < njobs; ++i) {
-      pending[i].digest = digests[i];
-      burst_plan_.add(pending[i]);
-    }
-  }
-  if (inner_ != nullptr && ninner > 0) {
-    inner_->plan_burst(std::span<const dataplane::BurstFrameView>(inner_views.data(), ninner));
-  }
-}
-
-void P4AuthAgent::end_burst() {
-  burst_plan_.clear();
-  if (inner_ != nullptr) inner_->end_burst();
 }
 
 dataplane::PipelineOutput P4AuthAgent::handle_register_op(const Message& msg, Bytes& frame,
@@ -616,16 +562,9 @@ dataplane::PipelineOutput P4AuthAgent::handle_dp_data(const Header& header,
   const PortId port = packet.ingress;
   dataplane::PipelineOutput out;
 
-  // Claim before the key check so a plan entry is always consumed in
-  // frame order, keeping the plan cursor aligned even when the key
-  // chain changed between planning and processing.
-  const dataplane::PlannedDigest* planned =
-      burst_plan_.claim(packet.payload.data(), packet.payload.size());
   const auto key = keys_.get(port, header.key_version);
-  // Verified over the wire bytes' digest cover, the span the burst
-  // pre-pass hashed; both paths bill its size.
   if (const Admission verdict = admit("dp_verify", packet.payload, header, key, port,
-                                      /*replay_check=*/true, ctx, planned);
+                                      /*replay_check=*/true, ctx);
       verdict != Admission::Admitted) {
     if (verdict == Admission::Forged) ++stats_.feedback_rejected;
     reject(out, ctx, verdict, port.value, header, port);

@@ -20,7 +20,6 @@
 // and tagged; everything else passes untouched.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -93,16 +92,6 @@ class P4AuthAgent : public dataplane::DataPlaneProgram {
                                     dataplane::PipelineContext& ctx) override;
   dataplane::PipelineModel pipeline_model() const override;
 
-  /// Burst pre-pass: precomputes the MAC tags of every staged DpData
-  /// frame whose port key is known, 4–8 per SIMD pass, over the same
-  /// core::digest_cover spans handle_dp_data verifies, and forwards
-  /// inner payload views to the wrapped
-  /// program's planner for table/register prefetch. Side-effect-free:
-  /// key lookups read the host-side chain (no register counters) and
-  /// billing happens only when a planned tag is consumed.
-  void plan_burst(std::span<const dataplane::BurstFrameView> frames) override;
-  void end_burst() override;
-
   // --- introspection (tests / benches) -------------------------------------
 
   struct Stats {
@@ -171,15 +160,14 @@ class P4AuthAgent : public dataplane::DataPlaneProgram {
   PortSlot* data_slot(PortId port) noexcept;
 
   /// The admission step of every authenticated ingress: verifies `frame`
-  /// under `key` (through the burst-planned tag when one matches), then
+  /// under `key`, then
   /// checks `port`'s replay window unless `replay_check` is off (KMP
   /// responses). Owns the verify and replay counters and records; the
   /// caller answers a rejection with its own nAck or alert.
   enum class Admission : std::uint8_t { Admitted, Forged, Replayed };
   Admission admit(std::string_view site, std::span<const std::uint8_t> frame,
                   const Header& header, const std::optional<Key64>& key, PortId port,
-                  bool replay_check, dataplane::PipelineContext& ctx,
-                  const dataplane::PlannedDigest* planned = nullptr);
+                  bool replay_check, dataplane::PipelineContext& ctx);
   /// The alert for a rejected frame: DigestMismatch (expected seq 0) or
   /// ReplayDetected (expected = `port`'s window top).
   void reject(dataplane::PipelineOutput& out, dataplane::PipelineContext& ctx,
@@ -266,14 +254,6 @@ class P4AuthAgent : public dataplane::DataPlaneProgram {
   std::optional<Key64> k_auth_;
 
   RateLimiter alert_limiter_;
-  dataplane::DigestPlan burst_plan_;
-  /// plan_burst's staging, kept across calls so a burst pays no zero fill
-  /// of ~6 KB; each call writes entries [0, n) before it reads them.
-  struct BurstScratch {
-    std::array<crypto::DigestJob, dataplane::kMaxBurst> jobs;
-    std::array<dataplane::PlannedDigest, dataplane::kMaxBurst> pending;
-    std::array<dataplane::BurstFrameView, dataplane::kMaxBurst> inner_views;
-  } burst_scratch_;
   Stats stats_;
   TeleSeries tele_;
 };

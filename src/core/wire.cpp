@@ -79,7 +79,7 @@ Result<Header> decode_header(std::span<const std::uint8_t> frame) {
   if (frame.size() < kHeaderSize) return make_error("p4auth frame truncated");
   if (!looks_like_p4auth(frame)) return make_error("unknown hdrType");
   // Direct loads in write_header's field order: every DpData frame is
-  // parsed here twice per hop (burst planning and the pass itself).
+  // parsed here on every hop.
   const std::uint8_t* p = frame.data();
   const auto u16_at = [p](std::size_t at) {
     return static_cast<std::uint16_t>((p[at] << 8) | p[at + 1]);

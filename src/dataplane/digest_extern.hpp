@@ -34,25 +34,6 @@ class DigestExtern {
     return crypto::verify_digest(kind_, key, head, tail, tag);
   }
 
-  /// Burst-planning digest computation: 4–16 tags per SIMD lane group,
-  /// by backend, *not* billed to any packet. Billing happens when each
-  /// planned tag is consumed by its own pipeline pass (verify_planned),
-  /// so per-packet costs are identical whether or not a burst plan ran.
-  void compute_lanes(std::span<const crypto::DigestJob> jobs,
-                     std::span<Digest32> out) const noexcept {
-    crypto::compute_digest(kind_, jobs, out);
-  }
-
-  /// Verify against a tag precomputed by a burst plan. Bills exactly like
-  /// the scalar verify of the same `covered_bytes` input —
-  /// one digest, lane width 1 — because the pass consumed one digest;
-  /// the cross-packet batch width is a host-side detail.
-  bool verify_planned(Digest32 planned, std::size_t covered_bytes, Digest32 tag,
-                      PacketCosts& costs) const noexcept {
-    costs.add_hash(covered_bytes);
-    return planned == tag;
-  }
-
   /// Within-pass batch: one packet hashing `jobs.size()` of its own
   /// inputs as a multi-lane group. Each job bills one hash call at the
   /// group's lane width, which the conformance auditor diffs against the

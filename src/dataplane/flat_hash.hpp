@@ -15,8 +15,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/prefetch.hpp"
-
 namespace p4auth::dataplane {
 
 /// Integer hash: single-multiply Fibonacci hashing, taking the product's
@@ -106,16 +104,6 @@ class BucketedFlatHash {
 
   const Value* find(std::uint32_t bucket, std::uint64_t key) const noexcept {
     return find_seeded(bucket_seed(bucket), bucket, key);
-  }
-
-  /// Warms the probe chain's first control group and slot group for an
-  /// upcoming find_seeded. Pure hint: reads nothing, mutates nothing.
-  void prefetch_seeded(std::uint64_t seed, std::uint64_t key) const noexcept {
-    if (size_ == 0) return;
-    const std::uint64_t hash = hash_mix(key ^ seed);
-    const std::size_t group = (hash >> 7) & group_mask_;
-    prefetch_ro(ctrl_.data() + group * kGroup);
-    prefetch_ro(slots_.data() + group * kGroup);
   }
 
   Value* find(std::uint32_t bucket, std::uint64_t key) noexcept {

@@ -61,11 +61,10 @@ struct PacketCosts {
   int hash_calls = 0;
   std::size_t hashed_bytes = 0;
   int recirculations = 0;
-  /// Widest within-pass digest batch this packet used (0 = no hashing).
-  /// Cross-packet burst planning does not count — a planned tag consumed
-  /// by one pass is one digest to that pass; this tracks a program
-  /// hashing k inputs of its *own* packet as one multi-lane batch, which
-  /// the conformance auditor checks against HashUse::lanes declarations.
+  /// Widest within-pass digest batch this packet used (0 = no hashing):
+  /// a program hashing k inputs of its *own* packet as one multi-lane
+  /// batch, which the conformance auditor checks against HashUse::lanes
+  /// declarations.
   int max_hash_lanes = 0;
 
   void add_hash(std::size_t bytes) noexcept { add_hash(bytes, 1); }

@@ -2,12 +2,13 @@
 // switch, a DataPlaneProgram is to our behavioural-model Switch.
 #pragma once
 
+#include <cstdint>
+#include <span>
 #include <string_view>
 
 #include "common/buffer_pool.hpp"
 #include "common/rng.hpp"
 #include "common/types.hpp"
-#include "dataplane/burst.hpp"
 #include "dataplane/packet.hpp"
 #include "dataplane/pipeline_model.hpp"
 #include "dataplane/register_file.hpp"
@@ -103,6 +104,13 @@ class PipelineContext {
   PacketCosts costs_;
 };
 
+/// Read-only view of one frame, the argument of the unused
+/// DataPlaneProgram::plan_burst hook below.
+struct BurstFrameView {
+  PortId ingress{};
+  std::span<const std::uint8_t> frame{};
+};
+
 class DataPlaneProgram {
  public:
   virtual ~DataPlaneProgram() = default;
@@ -111,16 +119,12 @@ class DataPlaneProgram {
   /// messages from the controller (ingress == kCpuPort).
   virtual PipelineOutput process(Packet& packet, PipelineContext& ctx) = 0;
 
-  /// Burst pre-pass: the hosting switch is about to run process() once
-  /// per staged frame, in order. Implementations may warm caches —
-  /// prefetch table slots, precompute MAC tags with the SIMD lanes — but
-  /// must be side-effect-free (no telemetry, RNG, billing, or register
-  /// access counters): per-seed outputs must be byte-identical with the
-  /// pre-pass disabled. Frames views stay valid through the burst.
+  /// Vestigial no-op hooks of a removed burst pre-pass: nothing in src/
+  /// calls them, since every frame reaches process() on its own. They
+  /// remain only because the benchmark's TimedProgram decorator
+  /// (perfbench/bench.hpp) overrides them; the next change to the
+  /// benchmark drops those overrides, and these two virtuals with them.
   virtual void plan_burst(std::span<const BurstFrameView> frames) { (void)frames; }
-
-  /// The burst completed; drop any plan state. Always paired with
-  /// plan_burst by the hosting switch.
   virtual void end_burst() {}
 
   /// Declared resource footprint (what the P4 compiler would report),

@@ -14,7 +14,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/prefetch.hpp"
 #include "common/result.hpp"
 #include "common/types.hpp"
 
@@ -44,13 +43,6 @@ class RegisterArray {
     if (index >= cells_.size()) return out_of_range("write");
     cells_[index] = value & mask_;
     return {};
-  }
-
-  /// Warms the cell for an upcoming read/write (burst pre-pass). Unlike
-  /// read(), this does NOT bump the audit access counters — the pre-pass
-  /// must be invisible to the conformance auditor's observed counts.
-  void prefetch(std::size_t index) const noexcept {
-    if (index < cells_.size()) prefetch_ro(cells_.data() + index);
   }
 
   void fill(std::uint64_t value);

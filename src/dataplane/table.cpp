@@ -101,17 +101,6 @@ std::optional<Action> ExactTable::lookup(ByteView key) const noexcept {
   return slots_[i].action;
 }
 
-void ExactTable::prefetch(ByteView key) const noexcept {
-  if (size_ == 0) return;
-  const std::uint64_t hash = hash_bytes(key);
-  prefetch_ro(&slots_[hash & (slots_.size() - 1)]);
-}
-
-void ExactTable::clear() {
-  slots_.clear();
-  size_ = 0;
-}
-
 // ---------------------------------------------------------------------------
 // LpmTable — per-length flat-hash buckets + populated-length bitmap.
 
@@ -159,15 +148,6 @@ std::optional<Action> LpmTable::lookup(std::uint32_t key) const noexcept {
     if (hit != nullptr) return *hit;
   }
   return std::nullopt;
-}
-
-void LpmTable::prefetch(std::uint32_t key) const noexcept {
-  // The longest populated lengths are probed first by lookup; warming
-  // the first two covers the common case without flooding the prefetcher.
-  const std::size_t n = lengths_.size() < 2 ? lengths_.size() : 2;
-  for (std::size_t i = 0; i < n; ++i) {
-    entries_.prefetch_seeded(length_seeds_[i], key & length_masks_[i]);
-  }
 }
 
 // ---------------------------------------------------------------------------

@@ -62,11 +62,7 @@ class ExactTable {
   Status insert(ByteView key, Action action);
   bool erase(ByteView key);
   std::optional<Action> lookup(ByteView key) const noexcept;
-  /// Warms the key's home slot for an upcoming lookup (burst pre-pass).
-  /// Pure hint — no counters, no state change.
-  void prefetch(ByteView key) const noexcept;
   std::size_t size() const noexcept { return size_; }
-  void clear();
 
  private:
   struct Slot {
@@ -103,9 +99,6 @@ class LpmTable {
   /// untouched.
   Status insert(std::uint32_t prefix, int prefix_len, Action action);
   std::optional<Action> lookup(std::uint32_t key) const noexcept;
-  /// Warms the probe groups of the longest populated prefix lengths —
-  /// the ones lookup visits first. Pure hint, no state change.
-  void prefetch(std::uint32_t key) const noexcept;
   std::size_t size() const noexcept { return entries_.size(); }
 
  private:

@@ -34,7 +34,6 @@ Fabric::Fabric(Options options)
 FabricSwitch& Fabric::add_switch(NodeId id, const ProgramFactory& make_inner) {
   auto& entry = switches_.emplace_back();
   entry.sw = net.add<netsim::Switch>(id, options_.timing, options_.seed * 7919 + id.value);
-  entry.sw->set_burst_planning(options_.burst_planning);
 
   core::P4AuthAgent::Config agent_config;
   agent_config.self = id;

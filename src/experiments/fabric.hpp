@@ -47,10 +47,6 @@ class Fabric {
     /// Shared telemetry bundle wired into the network, every switch, and
     /// the controller (null = telemetry off).
     telemetry::Telemetry* telemetry = nullptr;
-    /// Burst pre-pass on every switch (default on). Off forces the
-    /// packet-at-a-time path; results must be byte-identical either way
-    /// (asserted by the burst-equivalence integration test).
-    bool burst_planning = true;
     /// Parallel sharded execution (docs/DESIGN.md, "Sharded simulation").
     /// N > 1 partitions the switches into N shards (clamped to the switch
     /// count; the controller is pinned with shard 0) and drives them with

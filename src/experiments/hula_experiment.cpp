@@ -58,7 +58,6 @@ HulaResult run_hula_experiment(Scenario scenario, const HulaOptions& options) {
   fabric_options.seed = options.seed;
   fabric_options.protected_magics = {hula::kProbeMagic};
   fabric_options.telemetry = options.telemetry;
-  fabric_options.burst_planning = options.burst_planning;
   fabric_options.shards = options.shards;
   fabric_options.shard_workers = options.shard_workers;
   fabric_options.shard_assignment = options.shard_assignment;

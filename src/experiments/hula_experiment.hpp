@@ -73,9 +73,6 @@ struct HulaOptions {
   /// Shared telemetry bundle (null = off); stamped with the final
   /// sim-time before the experiment returns.
   telemetry::Telemetry* telemetry = nullptr;
-  /// Burst pre-pass on every switch; off = packet-at-a-time reference
-  /// path (results are byte-identical either way).
-  bool burst_planning = true;
   /// Shards of the conservative-lookahead engine (<= 1 = one shard).
   /// Outputs are byte-identical for any N (see Fabric::Options::shards).
   int shards = 1;

@@ -110,11 +110,7 @@ ScalingTopology build_scaling_topology(int switches, int links, std::uint64_t se
   options.shard_workers = shard_workers;
   topology.fabric = std::make_unique<Fabric>(options);
   for (int i = 1; i <= switches; ++i) {
-    topology.fabric->add_switch(NodeId{static_cast<std::uint16_t>(i)},
-                                [](dataplane::RegisterFile&)
-                                    -> std::unique_ptr<dataplane::DataPlaneProgram> {
-                                  return nullptr;
-                                });
+    topology.fabric->add_switch(NodeId{static_cast<std::uint16_t>(i)}, null_program());
   }
   std::vector<std::uint16_t> next_port(static_cast<std::size_t>(switches) + 1, 1);
   for (int j = 0; j < links; ++j) {
@@ -175,16 +171,8 @@ KmpMakespan run_kmp_makespan_experiment(int switches, int links, std::uint64_t s
 
 KmpScalingResult run_kmp_scaling_experiment(int switches, int links, std::uint64_t seed,
                                             int shards, int shard_workers) {
-  Fabric::Options fabric_options;
-  fabric_options.seed = seed;
-  fabric_options.ports_per_switch = 2 * links / std::max(1, switches) + 4;
-  fabric_options.shards = shards;
-  fabric_options.shard_workers = shard_workers;
-  Fabric fabric(fabric_options);
-
-  for (int i = 1; i <= switches; ++i) {
-    fabric.add_switch(NodeId{static_cast<std::uint16_t>(i)}, null_program());
-  }
+  auto topology = build_scaling_topology(switches, links, seed, shards, shard_workers);
+  Fabric& fabric = *topology.fabric;
 
   // Count DP-DP KeyExchange frames crossing any link (port-key updates run
   // below the controller; Table III counts them too). Atomics: under a
@@ -199,24 +187,10 @@ KmpScalingResult run_kmp_scaling_experiment(int switches, int links, std::uint64
     }
     return netsim::TamperVerdict::Pass;
   };
-
-  std::vector<std::uint16_t> next_port(static_cast<std::size_t>(switches) + 1, 1);
-  struct LinkRef {
-    NodeId a;
-    PortId port_a;
-    NodeId b;
-  };
-  std::vector<LinkRef> link_refs;
-  for (int j = 0; j < links; ++j) {
-    const auto a = static_cast<std::uint16_t>(j % switches + 1);
-    auto b = static_cast<std::uint16_t>((j + 1 + j / switches) % switches + 1);
-    if (b == a) b = static_cast<std::uint16_t>(a % switches + 1);
-    const PortId port_a{next_port[a]++};
-    const PortId port_b{next_port[b]++};
-    netsim::Link* link = fabric.connect(NodeId{a}, port_a, NodeId{b}, port_b);
-    link->set_tamper(NodeId{a}, counter);
-    link->set_tamper(NodeId{b}, counter);
-    link_refs.push_back(LinkRef{NodeId{a}, port_a, NodeId{b}});
+  for (const auto& ref : topology.links) {
+    netsim::Link* link = fabric.net.link_at(ref.a, ref.port_a);
+    link->set_tamper(ref.a, counter);
+    link->set_tamper(ref.b, counter);
   }
 
   KmpScalingResult result;
@@ -241,7 +215,7 @@ KmpScalingResult run_kmp_scaling_experiment(int switches, int links, std::uint64
                                        [](Result<Key64>) {});
     fabric.run_all();
   }
-  for (const auto& link : link_refs) {
+  for (const auto& link : topology.links) {
     fabric.controller.update_port_key(link.a, link.port_a, link.b, [](Status) {});
     fabric.run_all();
   }

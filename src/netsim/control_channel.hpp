@@ -85,8 +85,8 @@ class ControlChannel {
   /// Coalescing key shared by every PacketIn delivery event: while one
   /// controller-sink event runs, Simulator::coalesce_continues() reports
   /// whether more same-time PacketIns are pending — the seam the
-  /// controller's batched digest verification rides on. Distinct from
-  /// every per-node delivery key (those are node id + 1).
+  /// controller's batched digest verification rides on. Network frame
+  /// deliveries carry no key, so only PacketIns ever coalesce.
   static constexpr std::uint64_t kCtrlKey = 1ull << 20;
 
   /// Controller -> switch (PacketOut). Crosses the OS boundary on arrival.

@@ -1,6 +1,5 @@
 #include "netsim/network.hpp"
 
-#include <algorithm>
 #include <string>
 
 #include "common/logging.hpp"
@@ -25,7 +24,6 @@ void Network::bind_tele(ShardState& st) noexcept {
   auto& m = st.telemetry->metrics;
   st.tele.queue_wait_ns = &m.histogram("net.queue_wait_ns");
   st.tele.delivery_ns = &m.histogram("net.delivery_ns");
-  st.tele.burst_size = &m.histogram("pipeline.burst_size");
   st.tele.frames_delivered = &m.counter("net.frames_delivered");
   st.tele.drops_no_link = &m.counter("net.drops_no_link");
   st.tele.tamper_drops = &m.counter("net.tamper_drops");
@@ -76,28 +74,20 @@ Network::Stats Network::merged_stats() const noexcept {
 
 void Network::export_pool_stats() {
   // Each shard exports into its own bundle. Only the partition-invariant
-  // series are exported — the acquire sum (every acquire happens on
-  // exactly one shard) and the burst high-water max (burst grouping is a
-  // pure function of the schedule). Everything else depends on where
-  // buffers migrate: even the release sum varies, because a release
-  // parks (counted) or is refused (dropped) based on how full the
-  // receiving shard's free list is. Those are not exported.
+  // series is exported — the acquire sum (every acquire happens on
+  // exactly one shard). Everything else depends on where buffers
+  // migrate: even the release sum varies, because a release parks
+  // (counted) or is refused (dropped) based on how full the receiving
+  // shard's free list is. Those are not exported.
   for (ShardState& st : shards_) {
     if (st.telemetry == nullptr) continue;
-    const BufferPool::Stats& s = st.pool->stats();
-    auto& m = st.telemetry->metrics;
-    m.counter("pool.acquires").inc(s.acquires);
-    // High-water marks merge by max: summing per-shard (or per-job)
-    // peaks would report a burst no single shard ever staged.
-    auto& bh = m.gauge("pool.burst_highwater");
-    bh.set_merge_max();
-    bh.set(static_cast<double>(st.burst_highwater));
+    st.telemetry->metrics.counter("pool.acquires").inc(st.pool->stats().acquires);
   }
 }
 
-void Network::schedule_delivery(ShardState& src, NodeId dst, SimTime delay, std::uint64_t key,
+void Network::schedule_delivery(ShardState& src, NodeId dst, SimTime delay,
                                 Simulator::Handler&& fn) {
-  src.sim->send_after(*shards_[static_cast<std::size_t>(shard_of(dst))].sim, delay, key,
+  src.sim->send_after(*shards_[static_cast<std::size_t>(shard_of(dst))].sim, delay, 0,
                       std::move(fn));
 }
 
@@ -163,16 +153,14 @@ void Network::transmit(NodeId from, PortId port, Bytes payload) {
   // the closure within InplaceHandler's inline budget (16-byte context).
   telemetry::SpanContext span;
   if (st.telemetry != nullptr) span = st.telemetry->spans.child_for_schedule();
-  // Keyed on the destination node: consecutive same-time deliveries to
-  // one node coalesce into a burst at the delivery rendezvous below.
-  schedule_delivery(st, peer.node, delay, delivery_key(peer.node),
+  schedule_delivery(st, peer.node, delay,
                     [this, peer, span, payload = std::move(payload)]() mutable {
                       ShardState& d = cur();
                       d.sim->set_context(Simulator::rank_of(peer.node));
                       ++d.stats.frames_delivered;
                       if (d.telemetry != nullptr) d.tele.frames_delivered->inc();
                       if (Node* dst = node(peer.node)) {
-                        deliver(*dst, peer.port, std::move(payload), span);
+                        deliver(d, *dst, peer.port, std::move(payload), span);
                       } else {
                         d.pool->release(std::move(payload));
                       }
@@ -189,90 +177,22 @@ void Network::inject(NodeId to, PortId ingress, Bytes payload, SimTime delay) {
         telemetry::kTraceDomainInject,
         (static_cast<std::uint64_t>(to.value) << 16) | ingress.value);
   }
-  schedule_delivery(st, to, delay, delivery_key(to),
+  schedule_delivery(st, to, delay,
                     [this, to, ingress, span, payload = std::move(payload)]() mutable {
                       ShardState& d = cur();
                       d.sim->set_context(Simulator::rank_of(to));
                       ++d.stats.frames_delivered;
                       if (Node* dst = node(to)) {
-                        deliver(*dst, ingress, std::move(payload), span);
+                        deliver(d, *dst, ingress, std::move(payload), span);
                       }
                     });
 }
 
-void Network::deliver(Node& dst, PortId port, Bytes payload, telemetry::SpanContext span) {
-  ShardState& st = cur();
-  const std::uint32_t index = dst.burst_index();
-  const bool staged = index < st.slots.size() && !st.slots[index].frames.empty();
-  // True while this node's (time, key) group keeps firing: the firing key
-  // IS this node's delivery key.
-  const bool continues = st.sim->coalesce_continues();
-  if (!staged && !continues) {
-    // A lone frame is a burst of one: delivered straight to the node,
-    // with no staging and no pre-pass (there is nothing to batch).
-    record_burst(st, 1);
-    deliver_frame(st, dst, port, std::move(payload), span);
-    return;
-  }
-  if (index >= st.slots.size()) {
-    st.slots.resize(std::max(nodes_.size(), static_cast<std::size_t>(index) + 1));
-  }
-  BurstSlot& slot = st.slots[index];
-  if (slot.frames.capacity() == 0) slot.frames.reserve(dataplane::kMaxBurst);
-  if (slot.frames.empty()) {
-    slot.node = &dst;
-    st.open.push_back(index);
-  }
-  slot.frames.push_back(StagedFrame{port, span, std::move(payload)});
-  // The slot stays open while the group keeps firing; it closes at the
-  // group's last event or at the burst-size cap.
-  if (slot.frames.size() < dataplane::kMaxBurst && continues) return;
-  flush_slot(st, index);
-}
-
-void Network::record_burst(ShardState& st, std::size_t burst) noexcept {
-  if (burst > st.burst_highwater) st.burst_highwater = burst;
-  if (st.tele.burst_size != nullptr) st.tele.burst_size->observe(static_cast<double>(burst));
-}
-
-void Network::deliver_frame(ShardState& st, Node& dst, PortId port, Bytes&& payload,
-                            telemetry::SpanContext span) {
+void Network::deliver(ShardState& st, Node& dst, PortId port, Bytes&& payload,
+                      telemetry::SpanContext span) {
   const auto scope = st.telemetry != nullptr ? st.telemetry->spans.resume(span)
                                              : telemetry::SpanTracker::Scope{};
   dst.on_frame(port, std::move(payload));
-}
-
-void Network::flush_slot(ShardState& st, std::uint32_t index) {
-  BurstSlot& slot = st.slots[index];
-  if (slot.frames.empty()) return;
-  Node& dst = *slot.node;
-  const std::size_t burst = slot.frames.size();
-  record_burst(st, burst);
-
-  // Side-effect-free pre-pass over the whole burst (prefetch, SIMD digest
-  // planning), then the unchanged per-frame path in staged order — so
-  // telemetry records, trace spans, and scheduled follow-on events keep
-  // exactly the packet-at-a-time order.
-  auto& views = st.views;
-  for (std::size_t i = 0; i < burst; ++i) {
-    views[i] = dataplane::BurstFrameView{
-        slot.frames[i].port, {slot.frames[i].payload.data(), slot.frames[i].payload.size()}};
-  }
-  dst.on_burst_prepare(std::span<const dataplane::BurstFrameView>(views.data(), burst));
-  for (std::size_t i = 0; i < burst; ++i) {
-    deliver_frame(st, dst, slot.frames[i].port, std::move(slot.frames[i].payload),
-                  slot.frames[i].span);
-  }
-  dst.on_burst_end();
-  slot.frames.clear();  // capacity (and the no-realloc guarantee) is retained
-  slot.node = nullptr;
-  const auto it = std::find(st.open.begin(), st.open.end(), index);
-  if (it != st.open.end()) st.open.erase(it);
-}
-
-void Network::flush_deliveries() {
-  ShardState& st = cur();
-  while (!st.open.empty()) flush_slot(st, st.open.front());
 }
 
 }  // namespace p4auth::netsim

@@ -2,19 +2,17 @@
 // latency/serialization delays, and applies on-link tamper hooks.
 //
 // State that the hot path mutates per frame — buffer pool, delivery
-// stats, burst staging, cached telemetry series — lives in per-shard
+// stats, cached telemetry series — lives in per-shard
 // ShardState so a sharded run (see netsim/sharded.hpp) never shares a
 // mutable cache line between worker threads. A standalone network (and
 // a one-shard fabric) uses exactly one ShardState, index 0.
 #pragma once
 
-#include <array>
 #include <memory>
 #include <utility>
 #include <vector>
 
 #include "common/buffer_pool.hpp"
-#include "dataplane/burst.hpp"
 #include "netsim/link.hpp"
 #include "netsim/node.hpp"
 #include "netsim/shard_context.hpp"
@@ -37,7 +35,6 @@ class Network {
     auto node = std::make_unique<T>(std::forward<Args>(args)...);
     T* raw = node.get();
     raw->attach(this);
-    raw->set_burst_index(static_cast<std::uint32_t>(nodes_.size()));
     NodeSlot& slot = slot_of(raw->id());
     if (slot.node == nullptr) slot.node = raw;  // the first node with an id keeps it
     nodes_.push_back(std::move(node));
@@ -105,16 +102,9 @@ class Network {
 
   /// Writes the pools' counters into the telemetry registry (pool.*).
   /// Call once per run, before the bundle is stamped/serialized. Only the
-  /// partition-invariant series (acquire sum, burst high-water max) go
-  /// into each shard's bundle, unlabelled.
+  /// partition-invariant series (the acquire sum) goes into each shard's
+  /// bundle, unlabelled.
   void export_pool_stats();
-
-  /// Flushes any staged delivery burst immediately. The delivery path
-  /// calls this itself whenever the next simulator event does not extend
-  /// the burst, so steady-state callers never need it; it exists for
-  /// harnesses that stop the simulator mid-schedule (bounded run(n))
-  /// and still want every fired delivery processed.
-  void flush_deliveries();
 
   struct Stats {
     std::uint64_t frames_delivered = 0;
@@ -140,35 +130,14 @@ class Network {
     return by_id_[id.value];
   }
 
-  /// One frame whose delivery event fired but whose processing waits for
-  /// the burst to close. The payload buffer is staged by move and later
-  /// moved on into on_frame, so frame byte addresses are stable from
-  /// planning through consumption (dataplane/burst.hpp relies on this).
-  struct StagedFrame {
-    PortId port{};
-    telemetry::SpanContext span{};
-    Bytes payload;
-  };
-
   /// Cached registry series (stable references), bound per shard.
   struct TeleSeries {
     telemetry::Histogram* queue_wait_ns = nullptr;
     telemetry::Histogram* delivery_ns = nullptr;
-    telemetry::Histogram* burst_size = nullptr;
     telemetry::Counter* frames_delivered = nullptr;
     telemetry::Counter* drops_no_link = nullptr;
     telemetry::Counter* tamper_drops = nullptr;
     telemetry::Counter* tamper_rewrites = nullptr;
-  };
-
-  /// Per-node burst staging: delivery events for one node coalesce here
-  /// until the node's (time, key) group is exhausted. Same-time events of
-  /// other nodes may fire in between, so several slots can be open. Only
-  /// bursts of two or more are staged; a node that never bursts never
-  /// gets its slot sized.
-  struct BurstSlot {
-    Node* node = nullptr;
-    std::vector<StagedFrame> frames;  ///< reserved to kMaxBurst; never reallocates
   };
 
   /// Everything the per-frame hot path mutates, one copy per shard.
@@ -178,13 +147,8 @@ class Network {
     telemetry::Telemetry* telemetry = nullptr;
     TeleSeries tele;
     Stats stats;
-    std::size_t burst_highwater = 0;  ///< largest burst flushed this run
-    std::vector<BurstSlot> slots;     ///< indexed by Node::burst_index
-    std::vector<std::uint32_t> open;  ///< slots with staged frames, open order
-    /// Scratch reused across calls: the views a flush hands to the burst
-    /// pre-pass (no per-burst zero fill), and the copy of a frame taken
-    /// before its tamper hook runs (no per-frame allocation).
-    std::array<dataplane::BurstFrameView, dataplane::kMaxBurst> views;
+    /// The copy of a frame taken before its tamper hook runs, reused so
+    /// tampered links do not allocate per frame.
     Bytes tamper_original;
   };
 
@@ -197,29 +161,16 @@ class Network {
 
   void bind_tele(ShardState& st) noexcept;
 
-  /// Delivery rendezvous. A lone frame (nothing staged for `dst` and no
-  /// same-time, same-key delivery pending) goes straight to on_frame;
-  /// otherwise the frame is staged and the burst flushes when it closes
-  /// (next event differs in time/key, or kMaxBurst reached).
-  void deliver(Node& dst, PortId port, Bytes payload, telemetry::SpanContext span);
-  void flush_slot(ShardState& st, std::uint32_t index);
-  /// Records a delivered burst's size (a lone frame is a burst of one).
-  static void record_burst(ShardState& st, std::size_t burst) noexcept;
-  /// Hands one frame to `dst` under its resumed in-flight span.
-  static void deliver_frame(ShardState& st, Node& dst, PortId port, Bytes&& payload,
-                            telemetry::SpanContext span);
+  /// Hands one frame to `dst` under its resumed in-flight span. Every
+  /// delivery is its own event, so frames reach on_frame one at a time.
+  static void deliver(ShardState& st, Node& dst, PortId port, Bytes&& payload,
+                      telemetry::SpanContext span);
 
-  /// Schedules a delivery closure `delay` from now, keyed on `key`. The
-  /// order is allocated from the *sending* shard's simulator under the
-  /// sending rank (each rank's counter lives on one shard, so the
-  /// sequence is partition-invariant), then routed to `dst`'s home shard.
-  void schedule_delivery(ShardState& src, NodeId dst, SimTime delay, std::uint64_t key,
-                         Simulator::Handler&& fn);
-
-  /// Coalescing key for deliveries to `node`: nonzero, distinct per node.
-  static std::uint64_t delivery_key(NodeId node) noexcept {
-    return static_cast<std::uint64_t>(node.value) + 1;
-  }
+  /// Schedules a delivery closure `delay` from now. The order is
+  /// allocated from the *sending* shard's simulator under the sending
+  /// rank (each rank's counter lives on one shard, so the sequence is
+  /// partition-invariant), then routed to `dst`'s home shard.
+  void schedule_delivery(ShardState& src, NodeId dst, SimTime delay, Simulator::Handler&& fn);
 
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<std::unique_ptr<Link>> links_;

@@ -85,10 +85,10 @@ class Simulator {
 
   /// True iff called from an event handler whose event carries a nonzero
   /// key and another pending event fires at the same time with the same
-  /// key, wherever it sits in the queue. The network uses this to decide
-  /// whether a staged delivery burst keeps growing or must flush now —
+  /// key, wherever it sits in the queue. The controller uses this to
+  /// decide whether its PacketIn batch keeps growing or must flush now —
   /// purely a membership test on the current-time bucket; the queue order
-  /// is untouched, so burst grouping is a deterministic function of the
+  /// is untouched, so batch grouping is a deterministic function of the
   /// schedule.
   bool coalesce_continues() const noexcept {
     if (firing_key_ == 0) return false;

@@ -38,14 +38,6 @@ void Switch::on_frame(PortId ingress, Bytes payload) {
   run_pipeline(std::move(packet));
 }
 
-void Switch::on_burst_prepare(std::span<const dataplane::BurstFrameView> frames) {
-  if (burst_planning_ && program_ != nullptr) program_->plan_burst(frames);
-}
-
-void Switch::on_burst_end() {
-  if (program_ != nullptr) program_->end_burst();
-}
-
 void Switch::handle_packet_out(Bytes message) {
   ++stats_.packet_outs;
   if (interposer_.to_dataplane && !cross_os_seam(interposer_.to_dataplane, message, 1)) return;

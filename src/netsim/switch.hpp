@@ -45,17 +45,6 @@ class Switch : public Node {
   /// modelled processing delay.
   void on_frame(PortId ingress, Bytes payload) override;
 
-  /// Burst pre-pass: forwards the staged frame views to the program's
-  /// planner (SIMD digest planning, table-slot prefetch). Side-effect
-  /// free — see dataplane/burst.hpp for the determinism contract.
-  void on_burst_prepare(std::span<const dataplane::BurstFrameView> frames) override;
-  void on_burst_end() override;
-
-  /// Toggles the burst pre-pass (default on). Processing results are
-  /// byte-identical either way — the pre-pass only warms caches — which
-  /// the burst-equivalence integration test asserts by diffing runs.
-  void set_burst_planning(bool enabled) noexcept { burst_planning_ = enabled; }
-
   /// PacketOut delivery from the control channel. Crosses the OS boundary
   /// (to_dataplane hook) before reaching the pipeline on the CPU port.
   void handle_packet_out(Bytes message);
@@ -112,7 +101,6 @@ class Switch : public Node {
   /// rewrite from a pass; reused so interposed messages do not allocate.
   Bytes os_original_;
   std::function<void(Bytes)> packet_in_sink_;
-  bool burst_planning_ = true;
   Stats stats_;
   SimTime total_processing_{};
 

@@ -48,31 +48,14 @@ class Gauge {
   void add(double delta) noexcept { value_ += delta; }
   double value() const noexcept { return value_; }
 
-  /// Marks this gauge as a high-water mark: merging takes the max instead
-  /// of the sum, which is the only monotone aggregate for "largest value
-  /// observed" series (summing per-job high-water marks produces a number
-  /// no single run ever saw). The flag is adopted on merge, so folding a
-  /// max-merge snapshot into a fresh bundle keeps the policy.
-  void set_merge_max() noexcept { max_merge_ = true; }
-  bool merge_max() const noexcept { return max_merge_; }
-
   /// Folds another gauge in. Gauges are point-in-time values, so the
-  /// merged series sums them by default: for the per-shard snapshots the
-  /// campaign runner merges, each shard's gauge describes that shard's
-  /// disjoint slice of the workload and addition is the aggregate
-  /// reading. High-water gauges (set_merge_max) take the max instead.
-  void merge(const Gauge& other) noexcept {
-    if (other.max_merge_) max_merge_ = true;
-    if (max_merge_) {
-      if (other.value_ > value_) value_ = other.value_;
-    } else {
-      value_ += other.value_;
-    }
-  }
+  /// merged series sums them: for the per-shard snapshots the campaign
+  /// runner merges, each shard's gauge describes that shard's disjoint
+  /// slice of the workload and addition is the aggregate reading.
+  void merge(const Gauge& other) noexcept { value_ += other.value_; }
 
  private:
   double value_ = 0;
-  bool max_merge_ = false;
 };
 
 /// Log2-bucket histogram. Bucket 0 holds v < 1; bucket k (k >= 1) holds

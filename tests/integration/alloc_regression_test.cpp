@@ -3,8 +3,8 @@
 // trip between the controller and a switch.
 //
 // The forwarding and probe cases build a 3-switch hula line (S1 tor -> S2 -> S3 tor) with
-// P4Auth enabled, warms it up so every table entry, pool buffer, burst
-// scratch array and event slot exists, then counts global operator new
+// P4Auth enabled, warms it up so every table entry, pool buffer and
+// event slot exists, then counts global operator new
 // calls across a measurement window that contains only data forwarding,
 // or only probe rounds. The pooled-buffer + inline-closure +
 // scratch-digest design must keep that window at exactly zero

@@ -209,38 +209,27 @@ TEST(Network, DirectionsQueueIndependently) {
   EXPECT_EQ(net.merged_stats().frames_queued, 0u);  // full duplex
 }
 
-/// Sink that also records the delivery bursts the network forms around
-/// its frames: one size per on_burst_prepare, balanced by on_burst_end.
-class BurstSinkNode : public SinkNode {
- public:
-  using SinkNode::SinkNode;
-  void on_burst_prepare(std::span<const dataplane::BurstFrameView> frames) override {
-    burst_sizes.push_back(frames.size());
-  }
-  void on_burst_end() override { ++burst_ends; }
-
-  std::vector<std::size_t> burst_sizes;
-  std::size_t burst_ends = 0;
-};
-
-TEST(NetworkBurst, SameInstantDeliveriesCoalesceIntoOneBurst) {
+TEST(NetworkDelivery, SameInstantFramesArriveInScheduleOrder) {
   Simulator sim;
   Network net(sim);
-  auto* sink = net.add<BurstSinkNode>(NodeId{1});
+  auto* sink = net.add<SinkNode>(NodeId{1});
   for (int i = 0; i < 5; ++i) {
     net.inject(NodeId{1}, PortId{2}, Bytes{static_cast<std::uint8_t>(i)}, SimTime::from_us(10));
   }
-  sim.run();
-  ASSERT_EQ(sink->frames.size(), 5u);
-  for (int i = 0; i < 5; ++i) EXPECT_EQ(sink->frames[i].second[0], i);  // staged order kept
-  EXPECT_EQ(sink->burst_sizes, (std::vector<std::size_t>{5}));
-  EXPECT_EQ(sink->burst_ends, 1u);
+  // One event at a time (run's cap counts every event fired so far):
+  // each delivery hands its own frame over, in schedule order.
+  for (std::size_t fired = 1; fired <= 5; ++fired) {
+    sim.run(/*max_events=*/fired);
+    ASSERT_EQ(sink->frames.size(), fired);
+    EXPECT_EQ(sink->frames.back().second[0], fired - 1);
+  }
+  EXPECT_TRUE(sim.empty());
 }
 
-TEST(NetworkBurst, DistinctFireTimesDoNotCoalesce) {
+TEST(NetworkDelivery, DistinctFireTimesArriveAtTheirOwnEvents) {
   Simulator sim;
   Network net(sim);
-  auto* sink = net.add<BurstSinkNode>(NodeId{1});
+  auto* sink = net.add<SinkNode>(NodeId{1});
   std::vector<std::size_t> seen_per_delivery;
   net.inject(NodeId{1}, PortId{2}, Bytes{1}, SimTime::from_us(10));
   net.inject(NodeId{1}, PortId{2}, Bytes{2}, SimTime::from_us(20));
@@ -251,19 +240,15 @@ TEST(NetworkBurst, DistinctFireTimesDoNotCoalesce) {
   EXPECT_EQ(sink->frames[1].second, Bytes{2});
   // The first frame was handed over at its own delivery, not held back.
   EXPECT_EQ(seen_per_delivery, (std::vector<std::size_t>{1}));
-  // Two lone frames: neither is staged, so neither is bracketed.
-  EXPECT_TRUE(sink->burst_sizes.empty());
-  EXPECT_EQ(sink->burst_ends, 0u);
 }
 
-TEST(NetworkBurst, DistinctDestinationsDoNotCoalesce) {
+TEST(NetworkDelivery, DistinctDestinationsArriveAtTheirOwnEvents) {
   Simulator sim;
   Network net(sim);
-  auto* a = net.add<BurstSinkNode>(NodeId{1});
-  auto* b = net.add<BurstSinkNode>(NodeId{2});
+  auto* a = net.add<SinkNode>(NodeId{1});
+  auto* b = net.add<SinkNode>(NodeId{2});
   net.inject(NodeId{1}, PortId{2}, Bytes{1}, SimTime::from_us(10));
   net.inject(NodeId{2}, PortId{2}, Bytes{2}, SimTime::from_us(10));
-  // Runs one event at a time: each delivery hands its frame over at once.
   sim.run(/*max_events=*/1);
   ASSERT_EQ(a->frames.size(), 1u);
   EXPECT_EQ(a->frames[0].second, Bytes{1});
@@ -271,68 +256,21 @@ TEST(NetworkBurst, DistinctDestinationsDoNotCoalesce) {
   sim.run();
   ASSERT_EQ(b->frames.size(), 1u);
   EXPECT_EQ(b->frames[0].second, Bytes{2});
-  EXPECT_TRUE(a->burst_sizes.empty());
-  EXPECT_TRUE(b->burst_sizes.empty());
-  EXPECT_EQ(a->burst_ends + b->burst_ends, 0u);
 }
 
-TEST(NetworkBurst, LoneFrameIsNeitherStagedNorPlanned) {
+TEST(Network, BoundedRunDeliversEveryFiredFrame) {
   Simulator sim;
   Network net(sim);
-  telemetry::Telemetry telemetry;
-  net.set_telemetry(&telemetry);
-  auto* sink = net.add<BurstSinkNode>(NodeId{1});
-  net.inject(NodeId{1}, PortId{2}, Bytes{7}, SimTime::from_us(10));
-  sim.run();
-  ASSERT_EQ(sink->frames.size(), 1u);
-  EXPECT_EQ(sink->frames[0].second, Bytes{7});
-  EXPECT_TRUE(sink->burst_sizes.empty());  // no on_burst_prepare
-  EXPECT_EQ(sink->burst_ends, 0u);         // no on_burst_end
-  // Still recorded as a burst of one.
-  net.export_pool_stats();
-  EXPECT_EQ(telemetry.metrics.gauge("pool.burst_highwater").value(), 1.0);
-  const telemetry::Histogram& sizes = telemetry.metrics.histogram("pipeline.burst_size");
-  EXPECT_EQ(sizes.count(), 1u);
-  EXPECT_EQ(sizes.sum(), 1.0);
-}
-
-TEST(NetworkBurst, BurstsSplitAtKMaxBurst) {
-  // Past the cap, 5 more frames form a second burst; a single one is a
-  // lone frame, delivered without a bracket.
-  for (const std::size_t extra : {std::size_t{5}, std::size_t{1}}) {
-    Simulator sim;
-    Network net(sim);
-    auto* sink = net.add<BurstSinkNode>(NodeId{1});
-    const std::size_t total = dataplane::kMaxBurst + extra;
-    for (std::size_t i = 0; i < total; ++i) {
-      net.inject(NodeId{1}, PortId{2}, Bytes{static_cast<std::uint8_t>(i)}, SimTime::from_us(10));
-    }
-    sim.run();
-    ASSERT_EQ(sink->frames.size(), total);
-    for (std::size_t i = 0; i < total; ++i) EXPECT_EQ(sink->frames[i].second[0], i);
-    std::vector<std::size_t> expected{dataplane::kMaxBurst};
-    if (extra > 1) expected.push_back(extra);
-    EXPECT_EQ(sink->burst_sizes, expected) << "kMaxBurst + " << extra;
-    EXPECT_EQ(sink->burst_ends, expected.size()) << "kMaxBurst + " << extra;
-  }
-}
-
-TEST(NetworkBurst, FlushDeliveriesDrainsABoundedRun) {
-  Simulator sim;
-  Network net(sim);
-  auto* sink = net.add<BurstSinkNode>(NodeId{1});
+  auto* sink = net.add<SinkNode>(NodeId{1});
   for (int i = 0; i < 4; ++i) {
     net.inject(NodeId{1}, PortId{2}, Bytes{static_cast<std::uint8_t>(i)}, SimTime::from_us(10));
   }
-  // Stop the simulator mid-burst: two delivery events fire, the frames
-  // stay staged waiting for the burst to close.
+  // Stopping the simulator after two delivery events leaves no frame
+  // waiting on the network: both fired frames have arrived.
   sim.run(/*max_events=*/2);
-  EXPECT_TRUE(sink->frames.empty());
-  net.flush_deliveries();
-  EXPECT_EQ(sink->frames.size(), 2u);
-  EXPECT_EQ(sink->burst_sizes, (std::vector<std::size_t>{2}));
-  net.flush_deliveries();  // idempotent on an empty stage
-  EXPECT_EQ(sink->burst_ends, 1u);
+  ASSERT_EQ(sink->frames.size(), 2u);
+  EXPECT_EQ(sink->frames[0].second, Bytes{0});
+  EXPECT_EQ(sink->frames[1].second, Bytes{1});
   sim.run();  // remaining two deliveries
   EXPECT_EQ(sink->frames.size(), 4u);
 }

@@ -227,7 +227,7 @@ class CoalesceOracle {
       const int batch = 1 + static_cast<int>(pick(12));
       for (int i = 0; i < batch; ++i) schedule(sim_.now() + random_delay(), random_key());
       if (pick(8) == 0) {
-        // More same-(time, key) events than the network's 64-frame burst cap.
+        // A large same-(time, key) group: 70 events under one key.
         const SimTime t = sim_.now() + random_delay();
         const std::uint64_t key = 1 + pick(3);
         for (int i = 0; i < 70; ++i) schedule(t, key);

@@ -35,44 +35,6 @@ TEST(MergeSnapshots, OverlappingSeriesAdd) {
   EXPECT_DOUBLE_EQ(a.gauge("queue.depth", {{"port", "1"}}).value(), 4.0);
 }
 
-TEST(MergeSnapshots, HighWaterGaugesTakeTheMax) {
-  // pool.high_water-style series: the merged value must be one a real
-  // run observed, so high-water gauges max-merge instead of summing,
-  // and merging can never lower the mark (monotone).
-  MetricRegistry a;
-  Gauge& peak = a.gauge("pool.high_water");
-  peak.set_merge_max();
-  peak.set(12.0);
-  MetricRegistry b;
-  b.gauge("pool.high_water").set(9.0);
-
-  a.merge(b);
-  EXPECT_DOUBLE_EQ(a.gauge("pool.high_water").value(), 12.0);
-
-  MetricRegistry c;
-  c.gauge("pool.high_water").set(40.0);
-  a.merge(c);
-  EXPECT_DOUBLE_EQ(a.gauge("pool.high_water").value(), 40.0);
-}
-
-TEST(MergeSnapshots, MaxMergePolicyIsAdoptedFromTheSource) {
-  // Folding a max-merge snapshot into a fresh bundle keeps the policy,
-  // so a second merge still takes the max rather than summing.
-  MetricRegistry fresh;
-  MetricRegistry shard;
-  Gauge& peak = shard.gauge("pool.high_water");
-  peak.set_merge_max();
-  peak.set(7.0);
-
-  fresh.merge(shard);
-  EXPECT_TRUE(fresh.gauge("pool.high_water").merge_max());
-
-  MetricRegistry later;
-  later.gauge("pool.high_water").set(5.0);
-  fresh.merge(later);
-  EXPECT_DOUBLE_EQ(fresh.gauge("pool.high_water").value(), 7.0);
-}
-
 TEST(MergeSnapshots, HistogramBucketsAdd) {
   MetricRegistry a;
   auto& ha = a.histogram("kmp.rtt_us");
